@@ -771,6 +771,16 @@ def _tl_deriv_tilde(u, rels, st, strict=False):
     return _tr_leq(derivative(a, b, st), tilde(a | b, st), rels)
 
 
+@termrel_law("tilde-increment", "derivative", "equality",
+             support=2, work=3, nrels=2)
+def _tl_tilde_increment(u, rels, st, strict=False):
+    # the step of the semi-naive parallel closure: what a new pair d adds
+    # to tilde lies in the derivative with d in one position
+    x, d = rels
+    xd = x | d
+    return _tr_eq(tilde(xd, st), tilde(x, st) | derivative(xd, d, st), rels)
+
+
 @termrel_law("deriv-join", "derivative", "equality",
              support=1, work=2, nrels=2)
 def _tl_deriv_join(u, rels, st, strict=False):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -311,8 +311,23 @@ class Universe:
     def terms(self) -> Tuple[Term, ...]:
         """All terms, sorted by the deterministic structural key."""
         if self.explicit is not None:
-            return _sorted_terms(self.explicit)
+            return self._explicit_sorted
         return _depth_universe_terms(self.signature, self.variables, self.depth)
+
+    @cached_property
+    def _explicit_sorted(self) -> Tuple[Term, ...]:
+        return tuple(sorted(self.explicit, key=term_key))
+
+    @cached_property
+    def occurrences(self) -> Dict[Term, Tuple[Tuple[Term, int], ...]]:
+        """Each term mapped to the (parent, argument position) pairs at which
+        it occurs as a direct argument of a term of the universe.  Built on
+        first use, which materialises the universe."""
+        occ: Dict[Term, List[Tuple[Term, int]]] = {}
+        for t in self.terms():
+            for i, arg in enumerate(t.args):
+                occ.setdefault(arg, []).append((t, i))
+        return {t: tuple(ps) for t, ps in occ.items()}
 
     def terms_up_to(self, d: int) -> Tuple[Term, ...]:
         """The terms of depth <= d, sorted."""
@@ -388,7 +403,3 @@ def _depth_universe_terms(sig: Signature, variables: Tuple[str, ...],
 @lru_cache(maxsize=None)
 def universe(signature: Signature, variables: Tuple[str, ...], depth: int) -> Universe:
     return Universe(signature, tuple(sorted(variables)), depth)
-
-
-def _sorted_terms(ts) -> Tuple[Term, ...]:
-    return tuple(sorted(ts, key=term_key))

@@ -18,6 +18,15 @@ term-specific operators:
 Everything is computed inside the universe: constructed pairs that would
 leave it are dropped and counted in an ``OpStats`` so callers can tell an
 exact answer from a truncated one.
+
+The closures are evaluated semi-naively, as in Datalog: each generation is
+built only from the argument combinations that use a pair the previous
+generation added.  That is sound because the steps distribute over joins:
+``check_refine`` does, ``tilde(x | d) == tilde(x) | derivative(x | d, d)``,
+and composing with the root step distributes too.  Over a materialisable
+universe the new pairs are placed into their parents through the
+universe's occurrence index; over a larger one the combinations are
+assembled backward from the pairs that fit one level down.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from .syntax import (
 )
 
 TPair = Tuple[Term, Term]
+Succ = Dict[Term, Set[Term]]
 
 # forward enumeration over the carrier is used when it fits under this cap
 FORWARD_CAP = 200_000
@@ -46,7 +56,17 @@ FORWARD_CAP = 200_000
 
 @dataclass
 class OpStats:
-    """Counts pairs discarded because they left the working universe."""
+    """Counts pairs discarded because they left the working universe.
+
+    An operator notes one drop for each construction it enumerates whose
+    result would leave the universe and, on the backward path, for each
+    input pair too deep to be an argument.  A closure notes each such drop
+    once per round in which the naive iteration (re-applying the step to
+    the whole relation until nothing changes) would meet it: every round
+    after the one that added the newest pair it uses, up to and including
+    the round that confirms the fixed point.  The semi-naive evaluation
+    reproduces that count exactly.
+    """
 
     dropped: int = 0
 
@@ -120,9 +140,13 @@ class TermRel:
         return len(self.pairs)
 
 
-def successors(a: TermRel) -> Dict[Term, Set[Term]]:
-    succ: Dict[Term, Set[Term]] = {}
-    for p, q in a.pairs:
+def successors(a: TermRel) -> Succ:
+    return _successors(a.pairs)
+
+
+def _successors(pairs: Iterable[TPair]) -> Succ:
+    succ: Succ = {}
+    for p, q in pairs:
         succ.setdefault(p, set()).add(q)
     return succ
 
@@ -153,13 +177,43 @@ def tilde(a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
     """Same outermost operator, all arguments related by ``a``.
     Relates every constant of the universe to itself."""
     u = a.universe
-    out: Set[TPair] = set((c, c) for c in u.constant_terms())
-    if _materializable(u):
-        succ = successors(a)
-        for t in u.terms():
-            if t.is_var or not t.args:
-                continue
-            pools = [succ.get(arg) for arg in t.args]
+    succ = successors(a)
+    out = _tilde_increment(u, {}, succ, succ, stats)
+    out.update((c, c) for c in u.constant_terms())
+    return TermRel(u, frozenset(out))
+
+
+def _tilde_increment(u: Universe, old: Succ, new: Succ, every: Succ,
+                     stats: Optional[OpStats]) -> Set[TPair]:
+    """The pairs of ``tilde`` at operators of arity >= 1 whose argument
+    combinations use at least one pair of ``new``, each combination built
+    once: positions before the first ``new`` pair take pairs of ``old``,
+    positions after it pairs of ``every``.  ``old`` and ``new`` are
+    disjoint and ``every`` is their union."""
+    out: Set[TPair] = set()
+    if not _materializable(u):
+        # backward: assemble applications from pairs that fit one level down
+        def pool(succ: Succ) -> List[TPair]:
+            return [(p, q) for p, qs in succ.items() if p.depth < u.depth
+                    for q in qs if q.depth < u.depth]
+        old_pool, new_pool = pool(old), pool(new)
+        if stats is not None:
+            stats.note(sum(map(len, new.values())) - len(new_pool))
+        every_pool = old_pool + new_pool
+        for name, ar in u.signature.operators():
+            for i in range(ar):
+                pools = [old_pool] * i + [new_pool] + [every_pool] * (ar - i - 1)
+                for combo in product(*pools):
+                    out.add((app(name, *(p for p, _ in combo)),
+                             app(name, *(q for _, q in combo))))
+        return out
+    occurrences = u.occurrences
+    for p, qs in new.items():
+        for t, i in occurrences.get(p, ()):
+            args = t.args
+            pools = [old.get(x) for x in args[:i]]
+            pools.append(qs)
+            pools.extend(every.get(x) for x in args[i + 1:])
             if not all(pools):
                 continue
             for combo in product(*pools):
@@ -168,18 +222,7 @@ def tilde(a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
                     out.add((t, s))
                 elif stats is not None:
                     stats.note()
-    else:
-        # backward: assemble applications from pairs that fit one level down
-        pool = [(p, q) for p, q in a.pairs
-                if p.depth < u.depth and q.depth < u.depth]
-        if stats is not None:
-            stats.note(len(a.pairs) - len(pool))
-        for name, ar in u.signature.operators():
-            for combo in product(pool, repeat=ar):
-                t = app(name, *(p for p, _ in combo))
-                s = app(name, *(q for _, q in combo))
-                out.add((t, s))
-    return TermRel(u, frozenset(out))
+    return out
 
 
 def hat(a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
@@ -189,20 +232,26 @@ def hat(a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
 def check_refine(a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
     """Exactly one argument position rewritten by ``a``, all siblings
     identical.  Only defined at operators of arity >= 1."""
-    u = a.universe
-    succ = successors(a)
+    return TermRel(a.universe,
+                   frozenset(_check_increment(a.universe, successors(a), stats)))
+
+
+def _check_increment(u: Universe, succ: Succ,
+                     stats: Optional[OpStats]) -> Set[TPair]:
+    """``check_refine`` of the pairs in ``succ``, found through the
+    universe's occurrence index."""
     out: Set[TPair] = set()
-    for t in u.terms():
-        if t.is_var or not t.args:
-            continue
-        for i, arg in enumerate(t.args):
-            for r in succ.get(arg, ()):
-                s = app(t.name, *(t.args[:i] + (r,) + t.args[i + 1:]))
+    occurrences = u.occurrences
+    for p, rs in succ.items():
+        for t, i in occurrences.get(p, ()):
+            head, tail = t.args[:i], t.args[i + 1:]
+            for r in rs:
+                s = app(t.name, *head, r, *tail)
                 if s in u:
                     out.add((t, s))
                 elif stats is not None:
                     stats.note()
-    return TermRel(u, frozenset(out))
+    return out
 
 
 def derivative(a: TermRel, b: TermRel,
@@ -422,24 +471,61 @@ def star_contains(a: TermRel, p: Term, q: Term) -> bool:
 MAX_LFP_ITER = 10_000
 
 
-def _lfp_pairs(step, bottom: TermRel) -> TermRel:
-    x = bottom
+def _semi_naive(u: Universe, seed: Set[TPair], increment,
+                stats: Optional[OpStats]) -> TermRel:
+    """Least fixed point of a join-distributive step by semi-naive
+    evaluation.  ``seed`` is the step applied to the empty relation, and
+    ``increment(old, new, every, gen_stats)`` returns what the step adds
+    for the argument combinations that use at least one pair of the last
+    generation ``new``.
+
+    Generation k enumerates exactly the constructions whose newest pair was
+    added in generation k; the naive iteration would enumerate them again
+    in every later round up to the fixed point.  Adding the running sum of
+    the drops found so far after each generation therefore notes the same
+    total as the naive iteration."""
+    x = set(seed)
+    new = _successors(seed)
+    every = _successors(seed)
+    old: Succ = {}
+    running = 0
     for _ in range(MAX_LFP_ITER):
-        y = step(x)
-        if y.pairs == x.pairs:
-            return x
-        x = y
+        if not new:
+            return TermRel(u, frozenset(x))
+        gen = OpStats()
+        produced = increment(old, new, every, gen)
+        running += gen.dropped
+        if stats is not None:
+            stats.note(running)
+        _merge(old, new)
+        fresh = produced - x
+        x |= fresh
+        new = _successors(fresh)
+        _merge(every, new)
     raise RuntimeError("fixed-point iteration did not converge")
+
+
+def _merge(into: Succ, succ: Succ) -> None:
+    for p, qs in succ.items():
+        into.setdefault(p, set()).update(qs)
 
 
 def sequential_closure(a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
     """a^s = lfp x. a | check_refine(x): one rewrite somewhere in a context."""
-    return _lfp_pairs(lambda x: a | check_refine(x, stats), TermRel.bottom(a.universe))
+    u = a.universe
+    return _semi_naive(
+        u, set(a.pairs),
+        lambda old, new, every, st: _check_increment(u, new, st), stats)
 
 
 def parallel_closure(a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
     """a^p = lfp x. a | hat(x): simultaneous rewrites of disjoint subterms."""
-    return _lfp_pairs(lambda x: a | hat(x, stats), TermRel.bottom(a.universe))
+    u = a.universe
+    seed = set(a.pairs) | i_eta(u).pairs | i_sigma0(u).pairs
+    return _semi_naive(
+        u, seed,
+        lambda old, new, every, st: _tilde_increment(u, old, new, every, st),
+        stats)
 
 
 def full_closure(a: TermRel, stats: Optional[OpStats] = None,
@@ -452,18 +538,22 @@ def full_closure(a: TermRel, stats: Optional[OpStats] = None,
     """
     u = a.universe
     asucc = successors(a)
+    hats = set(i_eta(u).pairs | i_sigma0(u).pairs)  # hat(x) so far
 
-    def step(x: TermRel) -> TermRel:
-        h = hat(x, stats)
-        out: Set[TPair] = set()
-        for p, q in h.pairs:
-            if reflexive:
-                out.add((p, q))
+    def contract(h: Set[TPair]) -> Set[TPair]:
+        out = set(h) if reflexive else set()
+        for p, q in h:
             for r in asucc.get(q, ()):
                 out.add((p, r))
-        return TermRel(u, frozenset(out))
+        return out
 
-    return _lfp_pairs(step, TermRel.bottom(u))
+    def increment(old: Succ, new: Succ, every: Succ,
+                  st: OpStats) -> Set[TPair]:
+        fresh = _tilde_increment(u, old, new, every, st) - hats
+        hats.update(fresh)
+        return contract(fresh)
+
+    return _semi_naive(u, contract(hats), increment, stats)
 
 
 # ---------------------------------------------------------------------------

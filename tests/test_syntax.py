@@ -191,6 +191,12 @@ def test_explicit_universe_subterm_closure():
     assert var("x") in u
     assert app("0") in u
     assert var("y") not in u
+    # the sorted terms and the occurrence index are computed once and do
+    # not take part in equality or hashing
+    assert u.terms() is u.terms()
+    assert u.occurrences[app("0")] == ((t, 1),)
+    twin = Universe.from_terms(SIG, VARS, [t])
+    assert twin == u and hash(twin) == hash(u)
 
 
 def test_universe_restrict():

@@ -253,3 +253,97 @@ def test_trans_closure_and_star_contains():
     assert star_contains(a, app("S", ZERO), X)
     assert star_contains(a, X, X)
     assert not star_contains(a, X, ZERO)
+
+
+# ---------------------------------------------------------------------------
+# semi-naive closures against the naive iteration
+
+def _naive_lfp(step, u):
+    x = frozenset()
+    while True:
+        y = step(x)
+        if y == x:
+            return TermRel(u, x)
+        x = y
+
+
+def naive_closure(name, a, st):
+    """The closures as the naive iteration computes them: the whole step is
+    re-applied to the whole relation every round."""
+    u = a.universe
+    asucc = tr.successors(a)
+
+    def full_step(reflexive):
+        def step(x):
+            out = set()
+            for p, q in hat(TermRel(u, x), st).pairs:
+                if reflexive:
+                    out.add((p, q))
+                out.update((p, r) for r in asucc.get(q, ()))
+            return frozenset(out)
+        return step
+
+    steps = {
+        "seq": lambda x: (a | check_refine(TermRel(u, x), st)).pairs,
+        "par": lambda x: (a | hat(TermRel(u, x), st)).pairs,
+        "full": full_step(True),
+        "full-nonreflexive": full_step(False),
+    }
+    return _naive_lfp(steps[name], u)
+
+
+CLOSURES = {
+    "seq": sequential_closure,
+    "par": parallel_closure,
+    "full": full_closure,
+    "full-nonreflexive": lambda a, st: full_closure(a, st, reflexive=False),
+}
+
+
+def _assert_matches_naive(a, names=tuple(CLOSURES)):
+    """Same pairs and the same drop count as the naive iteration; returns
+    the drops seen."""
+    dropped = 0
+    for name in names:
+        ref_st, st = OpStats(), OpStats()
+        ref = naive_closure(name, a, ref_st)
+        got = CLOSURES[name](a, st)
+        assert got.pairs == ref.pairs, name
+        assert st.dropped == ref_st.dropped, name
+        dropped += st.dropped
+    return dropped
+
+
+def test_closures_match_naive_with_drops():
+    rng = random.Random(12)
+    dropped = sum(_assert_matches_naive(random_rel(U2, 2, 4, rng))
+                  for _ in range(6))
+    assert dropped > 0
+
+
+def test_closures_match_naive_on_explicit_closure(arith):
+    from relrew.analysis import seed_terms
+    from relrew.rewrite import reduction_graph
+    from relrew.syntax import Universe
+
+    g = reduction_graph(arith, list(seed_terms(arith, 2)), kind="full")
+    u = Universe.from_terms(arith.signature, arith.variables, g.nodes)
+    _assert_matches_naive(ground_instances(arith, u))
+
+
+def test_closures_match_naive_backward(monkeypatch):
+    rng = random.Random(13)
+    samples = [random_rel(U2, 2, 3, rng) for _ in range(4)]
+    monkeypatch.setattr(tr, "FORWARD_CAP", 0)
+    dropped = sum(_assert_matches_naive(a, ("par", "full", "full-nonreflexive"))
+                  for a in samples)
+    assert dropped > 0
+
+
+def test_closure_iteration_cap(monkeypatch):
+    a = rel(U1, (X, Y))   # S(x) -> S(y) needs a second generation
+    monkeypatch.setattr(tr, "MAX_LFP_ITER", 1)
+    for closure in CLOSURES.values():
+        with pytest.raises(RuntimeError):
+            closure(a, None)
+    assert sequential_closure(TermRel.bottom(U1)).pairs == frozenset()
