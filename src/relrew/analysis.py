@@ -6,13 +6,23 @@ checks run either on the exhaustive reachable closure of a terminating
 system (definitive verdicts) or on a truncated working universe, in which
 case a failing inequality whose evaluation dropped pairs is reported as
 ``unconfirmed`` rather than ``fails``.
+
+The reachable closure is a finite graph, so confluence, Church-Rosser and
+the spectrum's star equalities are decided on the condensation of its step
+graph into strongly connected components (iterative Tarjan, linear time).
+A bottom SCC is one that no step leaves.  The closure is confluent iff
+every node reaches exactly one bottom SCC, and Church-Rosser iff every
+weakly connected component contains exactly one; failing checks report the
+``term_key``-least members of two bottom SCCs, which cannot be joined.
+Every check walks the closure in ``term_key`` order, so its witnesses do
+not depend on where terms were allocated.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .relalg import Rel
 from .rewrite import (
@@ -122,26 +132,168 @@ def is_church_rosser(a: Rel, carrier: Optional[Sequence] = None) -> PropertyRepo
 # ---------------------------------------------------------------------------
 # exhaustive checks on reachable closures
 
-def _seq_adjacency(trs: TRS, nodes: Set[Term]) -> Dict[Term, Tuple[Term, ...]]:
+def _seq_adjacency(trs: TRS, nodes: Sequence[Term]) -> Dict[Term, Tuple[Term, ...]]:
     return {t: tuple(sorted(sequential_step(trs, t), key=term_key))
             for t in nodes}
 
 
 def _reach(adj: Dict[Term, Tuple[Term, ...]], seed: Term,
-           bound: Optional[int] = None) -> Set[Term]:
+           bound: int) -> Tuple[Set[Term], bool]:
+    """Terms within ``bound`` steps of ``seed``, and whether the search ran
+    out of frontier (so the set is the whole reach set)."""
     seen = {seed}
     frontier = [seed]
     depth = 0
-    while frontier and (bound is None or depth < bound):
+    while frontier and depth < bound:
         depth += 1
         nxt = []
         for t in frontier:
-            for s in adj.get(t, ()):
+            for s in adj[t]:
                 if s not in seen:
                     seen.add(s)
                     nxt.append(s)
         frontier = nxt
-    return seen
+    return seen, not frontier
+
+
+@dataclass
+class _Condensation:
+    """Strongly connected components of a step graph whose nodes are
+    numbered in ``term_key`` order.
+
+    ``adj[i]`` lists node ``i``'s successors in increasing order and
+    ``comp[i]`` is its component.  Components are numbered in reverse
+    topological order: every edge leaving component ``c`` enters a
+    component below ``c``, and ``succ[c]`` is the set of those.  A
+    component without successors is a bottom SCC."""
+
+    adj: List[List[int]]
+    comp: List[int]
+    succ: List[Set[int]]
+
+    def bottoms(self) -> List[Tuple[int, int]]:
+        """(component, least node) of every bottom SCC, by least node."""
+        out = []
+        seen: Set[int] = set()
+        for i, c in enumerate(self.comp):
+            if not self.succ[c] and c not in seen:
+                seen.add(c)
+                out.append((c, i))
+        return out
+
+    def reach_bits(self, base: Sequence[int]) -> List[int]:
+        """Per component, the union of ``base`` over every component it
+        reaches, itself included (one pass, successors first)."""
+        out: List[int] = []
+        for c, succ in enumerate(self.succ):
+            bits = base[c]
+            for d in succ:
+                bits |= out[d]
+            out.append(bits)
+        return out
+
+    def node_stars(self) -> List[int]:
+        """Per node, the bitset of the nodes it reaches (its star)."""
+        members = [0] * len(self.succ)
+        for i, c in enumerate(self.comp):
+            members[c] |= 1 << i
+        reach = self.reach_bits(members)
+        return [reach[c] for c in self.comp]
+
+
+def _condense(order: Sequence[Term],
+              succs: Sequence[Iterable[Term]]) -> _Condensation:
+    """Iterative Tarjan over ``order`` (sorted by ``term_key``), where
+    ``succs[i]`` are the step successors of ``order[i]``.  The node set must
+    be closed under the step: a successor outside it raises, because
+    treating it as a normal form would invent a bottom SCC."""
+    index = {t: i for i, t in enumerate(order)}
+    adj: List[List[int]] = []
+    for t, ss in zip(order, succs):
+        row = []
+        for s in ss:
+            i = index.get(s)
+            if i is None:
+                raise RuntimeError(
+                    f"successor {format_term(s)} of {format_term(t)} is "
+                    "outside the closure")
+            row.append(i)
+        row.sort()
+        adj.append(row)
+
+    n = len(order)
+    num = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: List[int] = []
+    counter = ncomp = 0
+    for root in range(n):
+        if num[root] >= 0:
+            continue
+        num[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if num[w] < 0:
+                    num[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                if comp[w] < 0 and num[w] < low[v]:  # w is still on the stack
+                    low[v] = num[w]
+            else:
+                work.pop()
+                if low[v] == num[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+
+    succ: List[Set[int]] = [set() for _ in range(ncomp)]
+    for v, row in enumerate(adj):
+        c = comp[v]
+        for w in row:
+            if comp[w] != c:
+                succ[c].add(comp[w])
+    return _Condensation(adj, comp, succ)
+
+
+def _bottom_witnesses(order: Sequence[Term], reps: Sequence[int],
+                      groups: Iterable[int]) -> List[Tuple[str, str]]:
+    """Witness pairs from bitsets of bottom-SCC ranks: every bitset with two
+    or more bits yields the pairs of their representatives
+    ``order[reps[rank]]`` in rank order, up to ``MAX_WITNESSES`` in all."""
+    witnesses: List[Tuple[str, str]] = []
+    seen_groups: Set[int] = set()
+    seen_pairs: Set[Tuple[int, int]] = set()
+    for bits in groups:
+        if bits in seen_groups:
+            continue
+        seen_groups.add(bits)
+        ranks = []
+        while bits:
+            low = bits & -bits
+            ranks.append(low.bit_length() - 1)
+            bits ^= low
+        for i, r1 in enumerate(ranks):
+            for r2 in ranks[i + 1:]:
+                if (r1, r2) not in seen_pairs:
+                    seen_pairs.add((r1, r2))
+                    witnesses.append((format_term(order[reps[r1]]),
+                                      format_term(order[reps[r2]])))
+                    if len(witnesses) == MAX_WITNESSES:
+                        return witnesses
+    return witnesses
 
 
 def seed_terms(trs: TRS, depth: int, open_depth: int = 2) -> Tuple[Term, ...]:
@@ -160,6 +312,10 @@ def closure_nodes(trs: TRS, seeds: Sequence[Term]) -> Set[Term]:
     both the sequential and the parallel step)."""
     g = reduction_graph(trs, seeds, kind="full")
     return g.nodes
+
+
+def _ordered_closure(trs: TRS, seeds: Sequence[Term]) -> List[Term]:
+    return sorted(closure_nodes(trs, seeds), key=term_key)
 
 
 @dataclass
@@ -187,105 +343,146 @@ class SpectrumReport:
 
 def spectrum_survey(trs: TRS, seeds: Sequence[Term]) -> SpectrumReport:
     """Check seq ⊆ par ⊆ full ⊆ seq-star pointwise on the reachable closure,
-    and that the three reflexive-transitive closures coincide."""
-    nodes = closure_nodes(trs, seeds)
+    and that the three reflexive-transitive closures coincide.
+
+    Each of the three step graphs is condensed on its own; a node's star
+    is the bitset of nodes its component reaches, so ``full ⊆ seq-star`` is
+    a bit test and the star comparison an integer comparison."""
+    order = _ordered_closure(trs, seeds)
     violations: List[Tuple[str, str, str]] = []
-    witnesses: List[Tuple[str, str]] = []
-    seq_adj: Dict[Term, Tuple[Term, ...]] = {}
-    par_adj: Dict[Term, Tuple[Term, ...]] = {}
-    full_adj: Dict[Term, Tuple[Term, ...]] = {}
-    for t in nodes:
+    seq_rows: List[FrozenSet[Term]] = []
+    par_rows: List[FrozenSet[Term]] = []
+    full_rows: List[FrozenSet[Term]] = []
+    for t in order:
         sq = sequential_step(trs, t)
         pr = parallel_step(trs, t)
         fl = full_step(trs, t)
-        seq_adj[t], par_adj[t], full_adj[t] = tuple(sq), tuple(pr), tuple(fl)
+        seq_rows.append(sq)
+        par_rows.append(pr)
+        full_rows.append(fl)
         for bad in sorted(sq - pr, key=term_key):
             violations.append(("seq<=par", format_term(t), format_term(bad)))
         for bad in sorted(pr - fl, key=term_key):
             violations.append(("par<=full", format_term(t), format_term(bad)))
+    full = _condense(order, full_rows)
+    seq_star = _condense(order, seq_rows).node_stars()
+    par_star = _condense(order, par_rows).node_stars()
+    full_star = full.node_stars()
     stars_equal = True
-    for t in nodes:
-        seq_star = _reach(seq_adj, t)
-        for bad in sorted(set(full_adj[t]) - seq_star, key=term_key):
-            violations.append(("full<=seq-star", format_term(t), format_term(bad)))
+    witnesses: List[Tuple[str, str]] = []
+    for i, t in enumerate(order):
+        star = seq_star[i]
+        for j in full.adj[i]:
+            if not star >> j & 1:
+                violations.append(("full<=seq-star", format_term(t),
+                                   format_term(order[j])))
         # seq ⊆ par ⊆ full makes the three stars coincide iff full ⊆ seq-star,
         # but we verify the reach sets directly as well
-        if _reach(par_adj, t) != seq_star or _reach(full_adj, t) != seq_star:
+        if par_star[i] != star or full_star[i] != star:
             stars_equal = False
             witnesses.append((format_term(t), "star-mismatch"))
-    return SpectrumReport(len(nodes), violations[:MAX_WITNESSES * 4],
+    return SpectrumReport(len(order), violations[:MAX_WITNESSES * 4],
                           stars_equal, witnesses[:MAX_WITNESSES])
 
 
 def exhaustive_weak_confluence(trs: TRS, seeds: Sequence[Term],
                                join_depth: int = 12) -> PropertyReport:
     """Every one-step peak on the reachable closure joins within
-    ``join_depth`` sequential steps (exhaustive BFS join search)."""
-    nodes = closure_nodes(trs, seeds)
-    adj = _seq_adjacency(trs, nodes)
-    reach_cache: Dict[Term, Set[Term]] = {}
+    ``join_depth`` sequential steps (exhaustive BFS join search).
 
-    def reach(t: Term) -> Set[Term]:
+    A peak whose two bounded reach sets are disjoint is a counterexample
+    only when both searches ran out of frontier within the bound; otherwise
+    the bound may have cut the join off and the peak is unconfirmed.  The
+    verdict is ``fails`` if any peak is a counterexample, else
+    ``unconfirmed`` if any peak is unconfirmed, else ``holds``."""
+    order = _ordered_closure(trs, seeds)
+    adj = _seq_adjacency(trs, order)
+    reach_cache: Dict[Term, Tuple[Set[Term], bool]] = {}
+
+    def reach(t: Term) -> Tuple[Set[Term], bool]:
         if t not in reach_cache:
-            reach_cache[t] = _reach(adj, t, bound=join_depth)
+            reach_cache[t] = _reach(adj, t, join_depth)
         return reach_cache[t]
 
-    witnesses: List[Tuple[str, str]] = []
-    for t in nodes:
+    failed: List[Tuple[str, str]] = []
+    unconfirmed: List[Tuple[str, str]] = []
+    for t in order:
         reducts = adj[t]
         for i, s1 in enumerate(reducts):
             for s2 in reducts[i + 1:]:
-                if not (reach(s1) & reach(s2)):
-                    witnesses.append((format_term(s1), format_term(s2)))
-    verdict = HOLDS if not witnesses else FAILS
-    return PropertyReport("weak-confluence", verdict, witnesses[:MAX_WITNESSES])
+                (seen1, done1), (seen2, done2) = reach(s1), reach(s2)
+                if not (seen1 & seen2):
+                    (failed if done1 and done2 else unconfirmed).append(
+                        (format_term(s1), format_term(s2)))
+    if failed:
+        return PropertyReport("weak-confluence", FAILS, failed[:MAX_WITNESSES])
+    if unconfirmed:
+        return PropertyReport("weak-confluence", UNCONFIRMED,
+                              unconfirmed[:MAX_WITNESSES])
+    return PropertyReport("weak-confluence", HOLDS)
+
+
+def _seq_condensation(trs: TRS, seeds: Sequence[Term]
+                      ) -> Tuple[List[Term], _Condensation, List[Tuple[int, int]]]:
+    """The closure in ``term_key`` order, its sequential-step condensation
+    and the condensation's bottom SCCs."""
+    order = _ordered_closure(trs, seeds)
+    cond = _condense(order, [sequential_step(trs, t) for t in order])
+    return order, cond, cond.bottoms()
 
 
 def exhaustive_confluence(trs: TRS, seeds: Sequence[Term]) -> PropertyReport:
-    """Every star peak on the reachable closure is joinable."""
-    nodes = closure_nodes(trs, seeds)
-    adj = _seq_adjacency(trs, nodes)
-    reach_cache = {t: _reach(adj, t) for t in nodes}
-    witnesses: List[Tuple[str, str]] = []
-    for t in nodes:
-        rs = sorted(reach_cache[t], key=term_key)
-        for i, s1 in enumerate(rs):
-            for s2 in rs[i + 1:]:
-                if not (reach_cache[s1] & reach_cache[s2]):
-                    witnesses.append((format_term(s1), format_term(s2)))
-        if len(witnesses) >= MAX_WITNESSES:
-            break
-    verdict = HOLDS if not witnesses else FAILS
-    return PropertyReport("confluence", verdict, witnesses[:MAX_WITNESSES])
+    """Every star peak on the reachable closure is joinable.
+
+    On a finite graph this holds iff every node reaches exactly one bottom
+    SCC (Huet 1980): two bottom SCCs reached from one node are closed under
+    the step, so their members cannot be joined, and a node whose reducts
+    all reach the same bottom SCC joins them there.  The bottom SCCs each
+    component reaches are one bitset, computed in one pass over the
+    condensation.  A witness pairs the ``term_key``-least members of two
+    bottom SCCs reachable from one node."""
+    order, cond, bottoms = _seq_condensation(trs, seeds)
+    base = [0] * len(cond.succ)
+    for rank, (c, _) in enumerate(bottoms):
+        base[c] = 1 << rank
+    reached = cond.reach_bits(base)
+    # components in the order of their term_key-least nodes
+    groups = (reached[c] for c in cond.comp if reached[c] & (reached[c] - 1))
+    witnesses = _bottom_witnesses(order, [i for _, i in bottoms], groups)
+    return PropertyReport("confluence", FAILS if witnesses else HOLDS, witnesses)
 
 
 def exhaustive_church_rosser(trs: TRS, seeds: Sequence[Term]) -> PropertyReport:
-    """Convertible nodes of the reachable closure are joinable."""
-    nodes = closure_nodes(trs, seeds)
-    adj = _seq_adjacency(trs, nodes)
-    undirected: Dict[Term, Set[Term]] = {t: set() for t in nodes}
-    for t, succs in adj.items():
-        for s in succs:
-            undirected[t].add(s)
-            undirected.setdefault(s, set()).add(t)
-    reach_cache = {t: _reach(adj, t) for t in nodes}
-    seen: Set[Term] = set()
-    witnesses: List[Tuple[str, str]] = []
-    for root in nodes:
-        if root in seen:
-            continue
-        component = sorted(
-            _reach({t: tuple(s) for t, s in undirected.items()}, root), key=term_key
-        )
-        seen.update(component)
-        for i, s1 in enumerate(component):
-            for s2 in component[i + 1:]:
-                if not (reach_cache.get(s1, {s1}) & reach_cache.get(s2, {s2})):
-                    witnesses.append((format_term(s1), format_term(s2)))
-        if len(witnesses) >= MAX_WITNESSES:
-            break
-    verdict = HOLDS if not witnesses else FAILS
-    return PropertyReport("church-rosser", verdict, witnesses[:MAX_WITNESSES])
+    """Convertible nodes of the reachable closure are joinable.
+
+    On a finite graph this holds iff every weakly connected component
+    contains exactly one bottom SCC: two bottom SCCs in one component are
+    convertible but cannot be joined, and a node reaches only bottom SCCs
+    of its own component.  The weak components come from union-find over
+    the condensation's edges.  A witness pairs the ``term_key``-least
+    members of two bottom SCCs in one weak component."""
+    order, cond, bottoms = _seq_condensation(trs, seeds)
+    parent = list(range(len(cond.succ)))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for c, succ in enumerate(cond.succ):
+        for d in succ:
+            parent[find(c)] = find(d)
+    per_root: Dict[int, int] = {}
+    for rank, (c, _) in enumerate(bottoms):
+        root = find(c)
+        per_root[root] = per_root.get(root, 0) | 1 << rank
+    # weak components in the order of their term_key-least nodes
+    groups = (per_root.pop(root) for root in map(find, cond.comp)
+              if root in per_root)
+    witnesses = _bottom_witnesses(order, [i for _, i in bottoms], groups)
+    return PropertyReport("church-rosser", FAILS if witnesses else HOLDS,
+                          witnesses)
 
 
 # ---------------------------------------------------------------------------

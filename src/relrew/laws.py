@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -67,6 +67,10 @@ class SampleConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "SampleConfig":
+        unknown = sorted(set(d) - {f.name for f in fields(SampleConfig)})
+        if unknown:
+            raise ValueError(
+                f"unknown SampleConfig key(s): {', '.join(unknown)}")
         kwargs = dict(d)
         if "signature" in kwargs and not isinstance(kwargs["signature"], Signature):
             kwargs["signature"] = Signature(kwargs["signature"])

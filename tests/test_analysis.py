@@ -2,7 +2,10 @@
 
 import random
 
+import pytest
+
 from relrew.analysis import (
+    _condense,
     FAILS,
     HOLDS,
     check_cp,
@@ -19,8 +22,8 @@ from relrew.analysis import (
     spectrum_survey,
 )
 from relrew.relalg import Rel, random_rel
-from relrew.rewrite import ground_instances, parse_trs
-from relrew.syntax import universe
+from relrew.rewrite import ground_instances, parse_trs, sequential_step
+from relrew.syntax import format_term, term_key, universe
 from relrew.termrel import TermRel
 
 NONCONFLUENT = "sig a/0 b/0 c/0\nrule a -> b\nrule a -> c\n"
@@ -92,6 +95,121 @@ def test_nonconfluent_trs_detected():
     assert report.verdict == FAILS
     assert ("b", "c") in [tuple(w) for w in report.witnesses]
     assert exhaustive_church_rosser(trs, seeds).verdict == FAILS
+
+
+# ---------------------------------------------------------------------------
+# the quadratic pairwise-reach checkers, kept as references for the checks
+# on the SCC condensation
+
+def _ref_reach(adj, seed):
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        t = frontier.pop()
+        for s in adj[t]:
+            if s not in seen:
+                seen.add(s)
+                frontier.append(s)
+    return seen
+
+
+def _ref_graph(trs, seeds):
+    nodes = closure_nodes(trs, seeds)
+    adj = {t: tuple(sorted(sequential_step(trs, t), key=term_key))
+           for t in nodes}
+    return sorted(nodes, key=term_key), adj, {t: _ref_reach(adj, t) for t in nodes}
+
+
+def reference_confluence(trs, seeds):
+    """Every pair of terms reachable from one node shares a reduct."""
+    nodes, adj, reach = _ref_graph(trs, seeds)
+    for t in nodes:
+        rs = sorted(reach[t], key=term_key)
+        for i, s1 in enumerate(rs):
+            for s2 in rs[i + 1:]:
+                if not (reach[s1] & reach[s2]):
+                    return FAILS
+    return HOLDS
+
+
+def reference_church_rosser(trs, seeds):
+    """Every pair of terms in one weakly connected component shares a
+    reduct."""
+    nodes, adj, reach = _ref_graph(trs, seeds)
+    undirected = {t: set(adj[t]) for t in nodes}
+    for t in nodes:
+        for s in adj[t]:
+            undirected[s].add(t)
+    seen = set()
+    for root in nodes:
+        if root in seen:
+            continue
+        component = sorted(_ref_reach(undirected, root), key=term_key)
+        seen.update(component)
+        for i, s1 in enumerate(component):
+            for s2 in component[i + 1:]:
+                if not (reach[s1] & reach[s2]):
+                    return FAILS
+    return HOLDS
+
+
+_CYCLE_SIG = "sig a/0 b/0 c/0 f/1\nvar x\n"
+_CYCLE_TERMS = [(k, base) for k in range(3) for base in "abcx"]
+
+
+def _random_cyclic_trs(rng):
+    """Rules between f^k(a|b|c|x) terms that never increase depth, so the
+    reachable closure is finite; constant-swapping rules make cycles."""
+    def text(k, base):
+        return f"{'f(' * k}{base}{')' * k}"
+
+    rules = []
+    for _ in range(rng.randint(1, 4)):
+        k, base = rng.choice([t for t in _CYCLE_TERMS if t != (0, "x")])
+        j, rbase = rng.choice([t for t in _CYCLE_TERMS if t[0] <= k
+                               and (t[1] != "x" or base == "x")])
+        rules.append(f"rule {text(k, base)} -> {text(j, rbase)}")
+        if j == k and (base == "x") == (rbase == "x") and rng.random() < 0.5:
+            rules.append(f"rule {text(j, rbase)} -> {text(k, base)}")
+    return parse_trs(_CYCLE_SIG + "\n".join(rules) + "\n")
+
+
+def test_condensation_checks_match_quadratic_references():
+    rng = random.Random(31)
+    verdicts = {HOLDS: 0, FAILS: 0}
+    cyclic = 0
+    for _ in range(300):
+        trs = _random_cyclic_trs(rng)
+        seeds = seed_terms(trs, 2)
+        nodes, _, reach = _ref_graph(trs, seeds)
+        by_name = {format_term(t): t for t in nodes}
+        cyclic += any(s is not t and t in reach[s]
+                      for t in nodes for s in reach[t])
+        for check, reference in ((exhaustive_confluence, reference_confluence),
+                                 (exhaustive_church_rosser,
+                                  reference_church_rosser)):
+            report = check(trs, seeds)
+            assert report.verdict == reference(trs, seeds), trs
+            verdicts[report.verdict] += 1
+            assert bool(report.witnesses) == (report.verdict == FAILS)
+            for p, q in report.witnesses:
+                assert p in by_name and q in by_name
+                assert not (reach[by_name[p]] & reach[by_name[q]])
+                # each is the term_key-least member of a bottom SCC, which
+                # is everything it reaches
+                for w in (by_name[p], by_name[q]):
+                    assert min(reach[w], key=term_key) is w
+                    assert all(w in reach[s] for s in reach[w])
+    assert min(verdicts.values()) > 50, verdicts
+    assert cyclic > 50, cyclic
+
+
+def test_condensation_rejects_open_node_set(arith):
+    seeds = [arith.parse("A(S(0),0)")]
+    order = sorted(closure_nodes(arith, seeds), key=term_key)
+    order.remove(arith.parse("S(0)"))  # the normal form of the seed
+    with pytest.raises(RuntimeError, match="outside the closure"):
+        _condense(order, [sequential_step(arith, t) for t in order])
 
 
 def test_spectrum_survey_small(arith):

@@ -2,9 +2,14 @@
 validity."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
+
+import relrew
 
 from relrew.cli import (
     EXIT_FAILS,
@@ -120,6 +125,13 @@ def test_check_laws_bad_config(tmp_path, capsys):
     assert main(["check-laws", str(cfgfile)]) == EXIT_INPUT
 
 
+def test_check_laws_unknown_config_key(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"sead": 1}))
+    assert main(["check-laws", str(cfgfile)]) == EXIT_INPUT
+    assert "sead" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -143,11 +155,55 @@ def test_analyze_spectrum(arith_file, capsys):
     assert payload["stars_equal"] is True
 
 
-def test_analyze_detects_failure(tmp_path):
+def test_analyze_detects_failure(tmp_path, capsys):
     f = tmp_path / "bad.trs"
     f.write_text(NONCONFLUENT)
-    assert main(["analyze", str(f), "weak", "--depth", "1"]) == EXIT_FAILS
+    assert main(["analyze", str(f), "weak", "--depth", "1",
+                 "--format", "json"]) == EXIT_FAILS
+    assert json.loads(capsys.readouterr().out)["witnesses"] == [["b", "c"]]
     assert main(["analyze", str(f), "cp", "--depth", "1"]) == EXIT_FAILS
+
+
+def test_analyze_weak_bound_cuts_join_unconfirmed(tmp_path):
+    """The peak b <- a -> c joins at e only after two steps from b: a
+    shorter join search is cut off, which is not a counterexample."""
+    f = tmp_path / "late-join.trs"
+    f.write_text("sig a/0 b/0 c/0 d/0 e/0\n"
+                 "rule a -> b\nrule a -> c\nrule b -> d\nrule d -> e\n"
+                 "rule c -> e\n")
+    assert main(["analyze", str(f), "weak", "--bound", "1"]) == EXIT_UNCONFIRMED
+    assert main(["analyze", str(f), "weak", "--bound", "3"]) == EXIT_OK
+
+
+# Runs the CLI after allocating objects and interning terms, so that the
+# closure's terms sit at other addresses than in a plain run.
+_SHIFTED_CLI = """
+import sys
+from relrew.cli import main
+from relrew.syntax import app
+n = int(sys.argv[1])
+keep = [object() for _ in range(n)] + [app(f"n{i}") for i in range(n)]
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("check", ["confluence", "cr", "weak"])
+def test_analyze_witnesses_independent_of_interning(tmp_path, check):
+    f = tmp_path / "nc.trs"
+    f.write_text("sig 0/0 S/1 A/2\nvar x y\nrule A(0,x) -> x\n"
+                 "rule A(S(x),y) -> S(A(x,y))\nrule A(x,0) -> 0\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(relrew.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    outs = []
+    for noise in (0, 33, 1000):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SHIFTED_CLI, str(noise), "analyze", str(f),
+             check, "--depth", "2", "--format", "json"],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == EXIT_FAILS, proc.stderr
+        outs.append(proc.stdout)
+    assert json.loads(outs[0])["witnesses"]
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 # ---------------------------------------------------------------------------
