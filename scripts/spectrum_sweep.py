@@ -16,24 +16,16 @@ from relrew.rewrite import ground_instances, parse_trs
 from relrew.syntax import Universe
 from relrew.termrel import full_closure, rt_closure, sequential_closure
 
-DEFAULT_TRS = """\
-sig 0/0 S/1 A/2 M/2
-var x y
-rule A(0,x) -> x
-rule A(S(x),y) -> S(A(x,y))
-rule M(0,x) -> 0
-rule M(S(x),y) -> A(M(x,y),y)
-"""
-
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--file", default=None, help="TRS file (default: arithmetic)")
+    ap.add_argument("file",
+                    help="rewrite-system file, e.g. perfbench/data/arith.trs")
     ap.add_argument("--max-depth", type=int, default=3)
     args = ap.parse_args()
 
-    text = open(args.file).read() if args.file else DEFAULT_TRS
-    trs = parse_trs(text)
+    with open(args.file) as f:
+        trs = parse_trs(f.read())
 
     print(f"{'depth':>5} {'nodes':>7} {'ok':>3} {'full':>8} {'seq-star':>9} "
           f"{'gap':>6} {'time':>7}")

@@ -20,7 +20,6 @@ not depend on where terms were allocated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -33,13 +32,14 @@ from .rewrite import (
     reduction_graph,
     sequential_step,
 )
-from .syntax import Term, Universe, format_term, term_key, universe
+from .syntax import Term, format_term, term_key, universe
 from .termrel import (
     OpStats,
     TermRel,
     check_refine,
     delta,
     full_closure,
+    reach,
     sequential_closure,
     subst_rel,
     successors,
@@ -135,25 +135,6 @@ def is_church_rosser(a: Rel, carrier: Optional[Sequence] = None) -> PropertyRepo
 def _seq_adjacency(trs: TRS, nodes: Sequence[Term]) -> Dict[Term, Tuple[Term, ...]]:
     return {t: tuple(sorted(sequential_step(trs, t), key=term_key))
             for t in nodes}
-
-
-def _reach(adj: Dict[Term, Tuple[Term, ...]], seed: Term,
-           bound: int) -> Tuple[Set[Term], bool]:
-    """Terms within ``bound`` steps of ``seed``, and whether the search ran
-    out of frontier (so the set is the whole reach set)."""
-    seen = {seed}
-    frontier = [seed]
-    depth = 0
-    while frontier and depth < bound:
-        depth += 1
-        nxt = []
-        for t in frontier:
-            for s in adj[t]:
-                if s not in seen:
-                    seen.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return seen, not frontier
 
 
 @dataclass
@@ -399,9 +380,9 @@ def exhaustive_weak_confluence(trs: TRS, seeds: Sequence[Term],
     adj = _seq_adjacency(trs, order)
     reach_cache: Dict[Term, Tuple[Set[Term], bool]] = {}
 
-    def reach(t: Term) -> Tuple[Set[Term], bool]:
+    def bounded(t: Term) -> Tuple[Set[Term], bool]:
         if t not in reach_cache:
-            reach_cache[t] = _reach(adj, t, join_depth)
+            reach_cache[t] = reach(adj, (t,), join_depth)
         return reach_cache[t]
 
     failed: List[Tuple[str, str]] = []
@@ -410,7 +391,7 @@ def exhaustive_weak_confluence(trs: TRS, seeds: Sequence[Term],
         reducts = adj[t]
         for i, s1 in enumerate(reducts):
             for s2 in reducts[i + 1:]:
-                (seen1, done1), (seen2, done2) = reach(s1), reach(s2)
+                (seen1, done1), (seen2, done2) = bounded(s1), bounded(s2)
                 if not (seen1 & seen2):
                     (failed if done1 and done2 else unconfirmed).append(
                         (format_term(s1), format_term(s2)))
@@ -513,22 +494,14 @@ def _joinable_pairs(lhs: TermRel, step: TermRel,
     succ = successors(step)
     cache: Dict[Term, Set[Term]] = {}
 
-    def reach(t: Term) -> Set[Term]:
+    def reach_set(t: Term) -> Set[Term]:
         if t not in cache:
-            seen = {t}
-            frontier = [t]
-            while frontier:
-                x = frontier.pop()
-                for y in succ.get(x, ()):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-            cache[t] = seen
+            cache[t] = reach(succ, (t,))[0]
         return cache[t]
 
     witnesses = []
     for p, q in lhs.sorted_pairs():
-        if not (reach(p) & reach(q)):
+        if not (reach_set(p) & reach_set(q)):
             witnesses.append((format_term(p), format_term(q)))
     ok = not witnesses
     return PropertyReport(name, _verdict(ok, dropped, exhaustive=False),

@@ -23,12 +23,11 @@ import json
 import random
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import relalg
 from .relalg import Rel, random_coreflexive, random_rel
-from .syntax import Signature, Term, Universe, format_term, term_key, universe
+from .syntax import Signature, Universe, format_term, term_key, universe
 from .termrel import (
     OpStats,
     TermRel,
@@ -45,7 +44,6 @@ from .termrel import (
     subst_rel,
     taylor,
     tilde,
-    trans_closure,
 )
 
 ARITHMETIC = Signature({"0": 0, "S": 1, "A": 2, "M": 2})

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Iterable, Sequence, Tuple
+from typing import Callable, FrozenSet, Iterable, Tuple
 
 Pair = Tuple[int, int]
 

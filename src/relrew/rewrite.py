@@ -34,13 +34,12 @@ from .syntax import (
     decompose,
     format_term,
     free_vars,
-    hole,
     match,
     parse_term,
     plug,
     term_key,
 )
-from .termrel import OpStats, TermRel
+from .termrel import OpStats, TermRel, _successors, reach
 
 
 @dataclass(frozen=True)
@@ -226,27 +225,13 @@ class ReductionGraph:
     witnesses: Dict[Tuple[Term, Term], List[StepWitness]] = field(default_factory=dict)
     exhausted: bool = True
 
-    def successors(self, t: Term) -> Set[Term]:
-        return {q for p, q in self.edges if p is t}
-
     def normal_forms(self) -> List[Term]:
         return sorted(
             (t for t in self.nodes if is_normal_form(self.trs, t)), key=term_key
         )
 
     def reachable(self, seed: Term) -> Set[Term]:
-        succ: Dict[Term, Set[Term]] = {}
-        for p, q in self.edges:
-            succ.setdefault(p, set()).add(q)
-        seen = {seed}
-        frontier = [seed]
-        while frontier:
-            t = frontier.pop()
-            for s in succ.get(t, ()):
-                if s not in seen:
-                    seen.add(s)
-                    frontier.append(s)
-        return seen
+        return reach(_successors(self.edges), (seed,))[0]
 
 
 def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",

@@ -14,38 +14,38 @@ term-specific operators:
 * ``taylor``                   the arity-n slice of ``tilde``
 * ``subst_rel``                relational substitution ``a[b]``
 * sequential / parallel / full closures as least fixed points
+* ``reach``                    breadth-first reachability, optionally bounded
 
 Everything is computed inside the universe: constructed pairs that would
 leave it are dropped and counted in an ``OpStats`` so callers can tell an
 exact answer from a truncated one.
 
-The closures are evaluated semi-naively, as in Datalog: each generation is
-built only from the argument combinations that use a pair the previous
-generation added.  That is sound because the steps distribute over joins:
-``check_refine`` does, ``tilde(x | d) == tilde(x) | derivative(x | d, d)``,
-and composing with the root step distributes too.  Over a materialisable
-universe the new pairs are placed into their parents through the
-universe's occurrence index; over a larger one the combinations are
-assembled backward from the pairs that fit one level down.
+``tilde``, ``check_refine``, ``derivative``, ``taylor`` and the closures'
+steps are one congruence lift, ``_lift``: one argument position related by
+a "hot" relation, the positions before and after it by sibling relations
+(or kept identical).  Over a materialisable universe the hot pairs are
+placed into their parents through the universe's occurrence index; over a
+larger one the applications are assembled backward from the pairs that
+fit one level down.
+
+The closures are evaluated semi-naively, as in Datalog: each generation
+lifts only the pairs the previous generation added.  In ``tilde``'s step
+the older pairs relate the positions before the new one and all pairs
+those after it, so each argument combination is built once.  That is
+sound because the steps distribute over joins: ``check_refine`` does,
+``tilde(x | d) == tilde(x) | derivative(x | d, d)``, and composing with
+the root step distributes too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Set,
+                    Tuple)
 
-from .syntax import (
-    Signature,
-    Term,
-    Universe,
-    app,
-    free_vars,
-    term_key,
-    universe,
-    var,
-)
+from .syntax import Term, Universe, app, term_key
 
 TPair = Tuple[Term, Term]
 Succ = Dict[Term, Set[Term]]
@@ -171,58 +171,78 @@ def _materializable(u: Universe) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# compatible refinement and friends
+# the congruence lift and its instances
+
+def _lift(u: Universe, before: Optional[Succ], hot: Succ,
+          after: Optional[Succ], stats: Optional[OpStats],
+          arity: Optional[int] = None) -> Set[TPair]:
+    """The pairs (f(s1..sk), f(t1..tk)) at operators of arity k >= 1 (or
+    exactly ``arity``) with one argument position i related by ``hot``, the
+    positions before i by ``before`` and those after i by ``after``.  With
+    ``before`` and ``after`` both ``None`` the siblings stay identical.
+
+    Over a materialisable universe each pair of ``hot`` is placed into its
+    parents through the occurrence index, and each construction that leaves
+    the universe is noted as a drop.  Over a larger one the applications are
+    assembled backward from the pairs that fit one level down, and the
+    ``hot`` pairs too deep for that are noted instead.  Identical siblings
+    always take the first path: assembling them backward would enumerate
+    the universe anyway."""
+    out: Set[TPair] = set()
+    if before is None or _materializable(u):
+        occurrences = u.occurrences
+        for p, qs in hot.items():
+            for t, i in occurrences.get(p, ()):
+                args = t.args
+                if arity is not None and len(args) != arity:
+                    continue
+                if before is None:
+                    # built in place: a tuple per target costs the
+                    # sequential closure about a tenth of its time
+                    head, tail = args[:i], args[i + 1:]
+                    for q in qs:
+                        s = app(t.name, *head, q, *tail)
+                        if s in u:
+                            out.add((t, s))
+                        elif stats is not None:
+                            stats.note()
+                    continue
+                pools = [before.get(x) for x in args[:i]]
+                pools.append(qs)
+                pools.extend(after.get(x) for x in args[i + 1:])
+                if not all(pools):
+                    continue
+                for combo in product(*pools):
+                    s = app(t.name, *combo)
+                    if s in u:
+                        out.add((t, s))
+                    elif stats is not None:
+                        stats.note()
+        return out
+
+    def pool(succ: Succ) -> List[TPair]:
+        return [(p, q) for p, qs in succ.items() if p.depth < u.depth
+                for q in qs if q.depth < u.depth]
+    before_pool, hot_pool, after_pool = pool(before), pool(hot), pool(after)
+    if stats is not None:
+        stats.note(sum(map(len, hot.values())) - len(hot_pool))
+    for name, ar in u.signature.operators():
+        if arity is not None and ar != arity:
+            continue
+        for i in range(ar):
+            pools = [before_pool] * i + [hot_pool] + [after_pool] * (ar - i - 1)
+            for combo in product(*pools):
+                out.add((app(name, *(p for p, _ in combo)),
+                         app(name, *(q for _, q in combo))))
+    return out
+
 
 def tilde(a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
     """Same outermost operator, all arguments related by ``a``.
     Relates every constant of the universe to itself."""
-    u = a.universe
     succ = successors(a)
-    out = _tilde_increment(u, {}, succ, succ, stats)
-    out.update((c, c) for c in u.constant_terms())
-    return TermRel(u, frozenset(out))
-
-
-def _tilde_increment(u: Universe, old: Succ, new: Succ, every: Succ,
-                     stats: Optional[OpStats]) -> Set[TPair]:
-    """The pairs of ``tilde`` at operators of arity >= 1 whose argument
-    combinations use at least one pair of ``new``, each combination built
-    once: positions before the first ``new`` pair take pairs of ``old``,
-    positions after it pairs of ``every``.  ``old`` and ``new`` are
-    disjoint and ``every`` is their union."""
-    out: Set[TPair] = set()
-    if not _materializable(u):
-        # backward: assemble applications from pairs that fit one level down
-        def pool(succ: Succ) -> List[TPair]:
-            return [(p, q) for p, qs in succ.items() if p.depth < u.depth
-                    for q in qs if q.depth < u.depth]
-        old_pool, new_pool = pool(old), pool(new)
-        if stats is not None:
-            stats.note(sum(map(len, new.values())) - len(new_pool))
-        every_pool = old_pool + new_pool
-        for name, ar in u.signature.operators():
-            for i in range(ar):
-                pools = [old_pool] * i + [new_pool] + [every_pool] * (ar - i - 1)
-                for combo in product(*pools):
-                    out.add((app(name, *(p for p, _ in combo)),
-                             app(name, *(q for _, q in combo))))
-        return out
-    occurrences = u.occurrences
-    for p, qs in new.items():
-        for t, i in occurrences.get(p, ()):
-            args = t.args
-            pools = [old.get(x) for x in args[:i]]
-            pools.append(qs)
-            pools.extend(every.get(x) for x in args[i + 1:])
-            if not all(pools):
-                continue
-            for combo in product(*pools):
-                s = app(t.name, *combo)
-                if s in u:
-                    out.add((t, s))
-                elif stats is not None:
-                    stats.note()
-    return out
+    out = _lift(a.universe, {}, succ, succ, stats)
+    return TermRel(a.universe, frozenset(out) | i_sigma0(a.universe).pairs)
 
 
 def hat(a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
@@ -232,109 +252,32 @@ def hat(a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
 def check_refine(a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
     """Exactly one argument position rewritten by ``a``, all siblings
     identical.  Only defined at operators of arity >= 1."""
-    return TermRel(a.universe,
-                   frozenset(_check_increment(a.universe, successors(a), stats)))
-
-
-def _check_increment(u: Universe, succ: Succ,
-                     stats: Optional[OpStats]) -> Set[TPair]:
-    """``check_refine`` of the pairs in ``succ``, found through the
-    universe's occurrence index."""
-    out: Set[TPair] = set()
-    occurrences = u.occurrences
-    for p, rs in succ.items():
-        for t, i in occurrences.get(p, ()):
-            head, tail = t.args[:i], t.args[i + 1:]
-            for r in rs:
-                s = app(t.name, *head, r, *tail)
-                if s in u:
-                    out.add((t, s))
-                elif stats is not None:
-                    stats.note()
-    return out
+    return TermRel(a.universe, frozenset(
+        _lift(a.universe, None, successors(a), None, stats)))
 
 
 def derivative(a: TermRel, b: TermRel,
                stats: Optional[OpStats] = None) -> TermRel:
     """One argument position rewritten by ``b``, siblings componentwise by
     ``a``.  ``check_refine(b) == derivative(delta(u), b)`` and
-    ``tilde(a) == derivative(a, a) | i_sigma0(u)``."""
+    ``tilde(a) == derivative(a, a) | i_sigma0(u)``.  Assembled backward,
+    the pairs of ``a`` too deep to be siblings are noted as drops too."""
     u = a.universe
-    if not _materializable(u):
-        apool = [(p, q) for p, q in a.pairs
-                 if p.depth < u.depth and q.depth < u.depth]
-        bpool = [(p, q) for p, q in b.pairs
-                 if p.depth < u.depth and q.depth < u.depth]
-        if stats is not None:
-            stats.note(len(a.pairs) - len(apool))
-            stats.note(len(b.pairs) - len(bpool))
-        out: Set[TPair] = set()
-        for name, ar in u.signature.operators():
-            for i in range(ar):
-                for hot in bpool:
-                    for sibs in product(apool, repeat=ar - 1):
-                        combo = sibs[:i] + (hot,) + sibs[i:]
-                        out.add((app(name, *(p for p, _ in combo)),
-                                 app(name, *(q for _, q in combo))))
-        return TermRel(u, frozenset(out))
+    if stats is not None and not _materializable(u):
+        stats.note(sum(1 for p, q in a.pairs
+                       if max(p.depth, q.depth) >= u.depth))
     asucc = successors(a)
-    bsucc = successors(b)
-    out = set()
-    for t in u.terms():
-        if t.is_var or not t.args:
-            continue
-        for i, arg in enumerate(t.args):
-            hot = bsucc.get(arg)
-            if not hot:
-                continue
-            pools = [asucc.get(x) for j, x in enumerate(t.args) if j != i]
-            if not all(pools):
-                continue
-            for r in hot:
-                for combo in product(*pools):
-                    args = list(combo[:i]) + [r] + list(combo[i:])
-                    s = app(t.name, *args)
-                    if s in u:
-                        out.add((t, s))
-                    elif stats is not None:
-                        stats.note()
-    return TermRel(u, frozenset(out))
+    return TermRel(u, frozenset(_lift(u, asucc, successors(b), asucc, stats)))
 
 
 def taylor(n: int, a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
     """The arity-n slice of ``tilde``: pairs at operators of arity exactly n
     with all arguments related by ``a``.  ``taylor(0, a) == i_sigma0(u)``."""
-    u = a.universe
     if n == 0:
-        return i_sigma0(u)
-    if not _materializable(u):
-        pool = [(p, q) for p, q in a.pairs
-                if p.depth < u.depth and q.depth < u.depth]
-        if stats is not None:
-            stats.note(len(a.pairs) - len(pool))
-        out: Set[TPair] = set()
-        for name, ar in u.signature.operators():
-            if ar != n:
-                continue
-            for combo in product(pool, repeat=ar):
-                out.add((app(name, *(p for p, _ in combo)),
-                         app(name, *(q for _, q in combo))))
-        return TermRel(u, frozenset(out))
+        return i_sigma0(a.universe)
     succ = successors(a)
-    out = set()
-    for t in u.terms():
-        if t.is_var or len(t.args) != n:
-            continue
-        pools = [succ.get(arg) for arg in t.args]
-        if not all(pools):
-            continue
-        for combo in product(*pools):
-            s = app(t.name, *combo)
-            if s in u:
-                out.add((t, s))
-            elif stats is not None:
-                stats.note()
-    return TermRel(u, frozenset(out))
+    return TermRel(a.universe, frozenset(
+        _lift(a.universe, {}, succ, succ, stats, arity=n)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,23 +367,31 @@ def _instantiate(t: Term, subst: Dict[str, Term]) -> Term:
 # reflexive-transitive machinery (sparse: never materializes Delta unless
 # asked for the full relation)
 
+def reach(succ: Mapping[Term, Iterable[Term]], seeds: Iterable[Term],
+          bound: Optional[int] = None) -> Tuple[Set[Term], bool]:
+    """The terms within ``bound`` steps of ``seeds`` (all of them when
+    ``bound`` is None), seeds included, by breadth-first search; and whether
+    the search ran out of frontier, so that the set is the whole reach
+    set."""
+    seen = set(seeds)
+    frontier = list(seen)
+    steps = 0
+    while frontier and (bound is None or steps < bound):
+        steps += 1
+        nxt = []
+        for t in frontier:
+            for s in succ.get(t, ()):
+                if s not in seen:
+                    seen.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    return seen, not frontier
+
+
 def trans_closure(a: TermRel) -> TermRel:
     succ = successors(a)
-    reach: Dict[Term, Set[Term]] = {}
-    for src in succ:
-        seen: Set[Term] = set()
-        frontier = list(succ[src])
-        while frontier:
-            t = frontier.pop()
-            if t in seen:
-                continue
-            seen.add(t)
-            frontier.extend(succ.get(t, ()))
-        reach[src] = seen
-    return TermRel(
-        a.universe,
-        frozenset((p, q) for p, qs in reach.items() for q in qs),
-    )
+    return TermRel(a.universe, frozenset(
+        (p, q) for p, qs in succ.items() for q in reach(succ, qs)[0]))
 
 
 def rt_closure(a: TermRel) -> TermRel:
@@ -448,21 +399,8 @@ def rt_closure(a: TermRel) -> TermRel:
     return delta(a.universe) | trans_closure(a)
 
 
-def reachable_from(a: TermRel, seed: Term) -> Set[Term]:
-    succ = successors(a)
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        t = frontier.pop()
-        for s in succ.get(t, ()):
-            if s not in seen:
-                seen.add(s)
-                frontier.append(s)
-    return seen
-
-
 def star_contains(a: TermRel, p: Term, q: Term) -> bool:
-    return p is q or q in reachable_from(a, p)
+    return p is q or q in reach(successors(a), (p,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +453,7 @@ def sequential_closure(a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
     u = a.universe
     return _semi_naive(
         u, set(a.pairs),
-        lambda old, new, every, st: _check_increment(u, new, st), stats)
+        lambda old, new, every, st: _lift(u, None, new, None, st), stats)
 
 
 def parallel_closure(a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
@@ -524,8 +462,7 @@ def parallel_closure(a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
     seed = set(a.pairs) | i_eta(u).pairs | i_sigma0(u).pairs
     return _semi_naive(
         u, seed,
-        lambda old, new, every, st: _tilde_increment(u, old, new, every, st),
-        stats)
+        lambda old, new, every, st: _lift(u, old, new, every, st), stats)
 
 
 def full_closure(a: TermRel, stats: Optional[OpStats] = None,
@@ -549,23 +486,8 @@ def full_closure(a: TermRel, stats: Optional[OpStats] = None,
 
     def increment(old: Succ, new: Succ, every: Succ,
                   st: OpStats) -> Set[TPair]:
-        fresh = _tilde_increment(u, old, new, every, st) - hats
+        fresh = _lift(u, old, new, every, st) - hats
         hats.update(fresh)
         return contract(fresh)
 
     return _semi_naive(u, contract(hats), increment, stats)
-
-
-# ---------------------------------------------------------------------------
-# conversion to an abstract relation (for the small-carrier algebra)
-
-def to_rel(a: TermRel, carrier: Optional[Tuple[Term, ...]] = None):
-    from .relalg import Rel
-
-    if carrier is None:
-        carrier = a.universe.terms()
-    index = {t: i for i, t in enumerate(carrier)}
-    return carrier, Rel(
-        len(carrier),
-        frozenset((index[p], index[q]) for p, q in a.pairs),
-    )

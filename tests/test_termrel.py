@@ -2,10 +2,12 @@
 inductive steppers of the rewrite module and against each other."""
 
 import random
+from itertools import product
 
 import pytest
 
 import relrew.termrel as tr
+from relrew.relalg import Rel
 from relrew.rewrite import (
     full_step,
     ground_instances,
@@ -125,21 +127,139 @@ def test_taylor_slices():
         assert joined.pairs == tilde(a).pairs
 
 
+# ---------------------------------------------------------------------------
+# reference implementations: each operator with its own enumeration, as the
+# module computed them before they shared one lift kernel
+
+
+def ref_tilde(a, stats):
+    constants = {(c, c) for c in a.universe.constant_terms()}
+    return ref_taylor(None, a, stats) | constants
+
+
+def ref_check_refine(a, stats):
+    u = a.universe
+    out = set()
+    for p, rs in tr.successors(a).items():
+        for t, i in u.occurrences.get(p, ()):
+            head, tail = t.args[:i], t.args[i + 1:]
+            for r in rs:
+                s = app(t.name, *head, r, *tail)
+                if s in u:
+                    out.add((t, s))
+                else:
+                    stats.note()
+    return out
+
+
+def ref_derivative(a, b, stats):
+    u = a.universe
+    out = set()
+    if not tr._materializable(u):
+        apool = [(p, q) for p, q in a.pairs
+                 if p.depth < u.depth and q.depth < u.depth]
+        bpool = [(p, q) for p, q in b.pairs
+                 if p.depth < u.depth and q.depth < u.depth]
+        stats.note(len(a.pairs) - len(apool))
+        stats.note(len(b.pairs) - len(bpool))
+        for name, ar in u.signature.operators():
+            for i in range(ar):
+                for hot in bpool:
+                    for sibs in product(apool, repeat=ar - 1):
+                        combo = sibs[:i] + (hot,) + sibs[i:]
+                        out.add((app(name, *(p for p, _ in combo)),
+                                 app(name, *(q for _, q in combo))))
+        return out
+    asucc, bsucc = tr.successors(a), tr.successors(b)
+    for t in u.terms():
+        for i, arg in enumerate(t.args):
+            pools = [asucc.get(x) for j, x in enumerate(t.args) if j != i]
+            if not bsucc.get(arg) or not all(pools):
+                continue
+            for r in bsucc[arg]:
+                for combo in product(*pools):
+                    s = app(t.name, *combo[:i], r, *combo[i:])
+                    if s in u:
+                        out.add((t, s))
+                    else:
+                        stats.note()
+    return out
+
+
+def ref_taylor(n, a, stats):
+    """All arguments related by ``a`` at operators of arity n, or of every
+    arity >= 1 when n is None."""
+    u = a.universe
+    if n == 0:
+        return set(i_sigma0(u).pairs)
+    out = set()
+    if not tr._materializable(u):
+        pool = [(p, q) for p, q in a.pairs
+                if p.depth < u.depth and q.depth < u.depth]
+        stats.note(len(a.pairs) - len(pool))
+        for name, ar in u.signature.operators():
+            if n is None or ar == n:
+                for combo in product(pool, repeat=ar):
+                    out.add((app(name, *(p for p, _ in combo)),
+                             app(name, *(q for _, q in combo))))
+        return out
+    succ = tr.successors(a)
+    for t in u.terms():
+        if t.is_var or not t.args or n not in (None, len(t.args)):
+            continue
+        pools = [succ.get(arg) for arg in t.args]
+        if not all(pools):
+            continue
+        for combo in product(*pools):
+            s = app(t.name, *combo)
+            if s in u:
+                out.add((t, s))
+            else:
+                stats.note()
+    return out
+
+
+OPERATORS = {
+    "tilde": (lambda a, b, st: tilde(a, st),
+              lambda a, b, st: ref_tilde(a, st)),
+    "check": (lambda a, b, st: check_refine(a, st),
+              lambda a, b, st: ref_check_refine(a, st)),
+    "derivative": (derivative, ref_derivative),
+    "taylor1": (lambda a, b, st: taylor(1, a, st),
+                lambda a, b, st: ref_taylor(1, a, st)),
+    "taylor2": (lambda a, b, st: taylor(2, a, st),
+                lambda a, b, st: ref_taylor(2, a, st)),
+}
+
+
 def test_forward_backward_agree(monkeypatch):
-    """The sparse backward implementations must agree with forward
-    enumeration whenever both apply."""
+    """Both paths of the lift kernel give the pairs and the drop counts of
+    the per-operator reference enumerations, and the two paths give the
+    same pairs.  Right sides of depth 2 make constructions that escape the
+    depth-2 universe forward and pairs too deep to be arguments backward."""
     rng = random.Random(8)
+    shallow, deep = U1.terms(), U2.terms()
+
+    def skewed():
+        return TermRel(U2, frozenset((rng.choice(shallow), rng.choice(deep))
+                                     for _ in range(4)))
+
     samples = [(random_rel(U2, 1, 4, rng), random_rel(U2, 1, 4, rng))
                for _ in range(10)]
-    forward = [
-        (tilde(a).pairs, derivative(a, b).pairs, taylor(2, a).pairs)
-        for a, b in samples
-    ]
-    monkeypatch.setattr(tr, "FORWARD_CAP", 0)
-    for (a, b), (tf, df, yf) in zip(samples, forward):
-        assert tilde(a).pairs == tf
-        assert derivative(a, b).pairs == df
-        assert taylor(2, a).pairs == yf
+    samples += [(skewed(), skewed()) for _ in range(10)]
+    results = {}
+    dropped = {}
+    for cap in (tr.FORWARD_CAP, 0):
+        monkeypatch.setattr(tr, "FORWARD_CAP", cap)
+        for k, (a, b) in enumerate(samples):
+            for name, (op, ref) in OPERATORS.items():
+                st, ref_st = OpStats(), OpStats()
+                got = op(a, b, st).pairs
+                assert got == ref(a, b, ref_st), (cap, name, k)
+                assert st.dropped == ref_st.dropped, (cap, name, k)
+                assert results.setdefault((name, k), got) == got, (name, k)
+                dropped[cap] = dropped.get(cap, 0) + st.dropped
+    assert all(dropped.values())
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +373,40 @@ def test_trans_closure_and_star_contains():
     assert star_contains(a, app("S", ZERO), X)
     assert star_contains(a, X, X)
     assert not star_contains(a, X, ZERO)
+    # x and y lie on a cycle, 0 only leads into it
+    cyc = rel(u, (X, Y), (Y, X), (ZERO, X))
+    plus = trans_closure(cyc)
+    assert (X, X) in plus.pairs and (Y, Y) in plus.pairs
+    assert (ZERO, ZERO) not in plus.pairs
+    assert plus.pairs == {(X, X), (X, Y), (Y, X), (Y, Y), (ZERO, X), (ZERO, Y)}
+
+
+def test_trans_closure_matches_relalg():
+    """The per-source search against Rel.trans_closure, an independent
+    least fixed point, on random relations over the depth-1 universe."""
+    carrier = U1.terms()
+    index = {t: i for i, t in enumerate(carrier)}
+    rng = random.Random(14)
+    for k in (0, 3, 8, 20, 40):
+        for _ in range(5):
+            a = random_rel(U1, 1, k, rng)
+            plus = Rel.from_pairs(len(carrier), ((index[p], index[q])
+                                                 for p, q in a.pairs))
+            assert trans_closure(a).pairs == {
+                (carrier[i], carrier[j])
+                for i, j in plus.trans_closure().pairs}
+
+
+def test_reach_bound_and_exhausted():
+    succ = {X: {Y}, Y: {ZERO}}
+    assert tr.reach(succ, (X,), bound=0) == ({X}, False)
+    assert tr.reach(succ, (X,), bound=1) == ({X, Y}, False)
+    # the last layer is found but not yet expanded
+    assert tr.reach(succ, (X,), bound=2) == ({X, Y, ZERO}, False)
+    assert tr.reach(succ, (X,), bound=3) == ({X, Y, ZERO}, True)
+    assert tr.reach(succ, (X,)) == ({X, Y, ZERO}, True)
+    assert tr.reach(succ, (ZERO,), bound=1) == ({ZERO}, True)
+    assert tr.reach(succ, (Y, ZERO), bound=0) == ({Y, ZERO}, False)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +489,8 @@ def test_closures_match_naive_backward(monkeypatch):
     rng = random.Random(13)
     samples = [random_rel(U2, 2, 3, rng) for _ in range(4)]
     monkeypatch.setattr(tr, "FORWARD_CAP", 0)
-    dropped = sum(_assert_matches_naive(a, ("par", "full", "full-nonreflexive"))
+    dropped = sum(_assert_matches_naive(a, ("seq", "par", "full",
+                                            "full-nonreflexive"))
                   for a in samples)
     assert dropped > 0
 
