@@ -14,7 +14,7 @@ import time
 from relrew.analysis import closure_nodes, seed_terms, spectrum_survey
 from relrew.rewrite import ground_instances, parse_trs
 from relrew.syntax import Universe
-from relrew.termrel import full_closure, rt_closure, sequential_closure
+from relrew.termrel import full_closure, sequential_closure
 
 
 def main():
@@ -38,7 +38,7 @@ def main():
         u = Universe.from_terms(trs.signature, trs.variables, nodes)
         g = ground_instances(trs, u)
         gh = full_closure(g)
-        star = rt_closure(sequential_closure(g))
+        star = sequential_closure(g).kleene_star()
         gap = len(star.pairs - gh.pairs)
         print(f"{depth:>5} {report.nodes:>7} {'y' if report.ok else 'N':>3} "
               f"{len(gh.pairs):>8} {len(star.pairs):>9} {gap:>6} "

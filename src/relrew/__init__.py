@@ -3,7 +3,9 @@
 Modules:
 
 * :mod:`relrew.syntax`   terms, signatures, matching, finite term universes
-* :mod:`relrew.relalg`   finite binary relations with quantale structure
+* :mod:`relrew.relalg`   the one relation class ``Rel`` over ``range(n)`` or
+                         a term universe, with quantale structure, stars by
+                         breadth-first ``reach``, and ``lfp``
 * :mod:`relrew.termrel`  differential operators on term relations and the
                          sequential / parallel / full closures
 * :mod:`relrew.rewrite`  rewrite systems, steppers, reduction graphs
@@ -16,7 +18,6 @@ from .relalg import Rel, lfp
 from .rewrite import TRS, Rule, parse_trs, reduction_graph
 from .syntax import Signature, Term, Universe, app, parse_term, universe, var
 from .termrel import (
-    TermRel,
     check_refine,
     derivative,
     full_closure,
@@ -36,7 +37,6 @@ __all__ = [
     "Signature",
     "TRS",
     "Term",
-    "TermRel",
     "Universe",
     "app",
     "check_refine",

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .relalg import Rel
+from .relalg import Rel, reach, successors
 from .rewrite import (
     TRS,
     full_step,
@@ -35,14 +35,11 @@ from .rewrite import (
 from .syntax import Term, format_term, term_key, universe
 from .termrel import (
     OpStats,
-    TermRel,
     check_refine,
     delta,
     full_closure,
-    reach,
     sequential_closure,
     subst_rel,
-    successors,
 )
 
 HOLDS = "holds"
@@ -488,10 +485,10 @@ class CPReport:
         }
 
 
-def _joinable_pairs(lhs: TermRel, step: TermRel,
+def _joinable_pairs(lhs: Rel, step: Rel,
                     name: str, dropped: int) -> PropertyReport:
     """lhs <= step*;step*° checked via reachability joins."""
-    succ = successors(step)
+    succ = successors(step.pairs)
     cache: Dict[Term, Set[Term]] = {}
 
     def reach_set(t: Term) -> Set[Term]:
@@ -500,7 +497,7 @@ def _joinable_pairs(lhs: TermRel, step: TermRel,
         return cache[t]
 
     witnesses = []
-    for p, q in lhs.sorted_pairs():
+    for p, q in sorted(lhs.pairs):
         if not (reach_set(p) & reach_set(q)):
             witnesses.append((format_term(p), format_term(q)))
     ok = not witnesses
@@ -527,10 +524,10 @@ def check_cp(trs: TRS, depth: int = 2) -> CPReport:
 
     inner = g.converse().compose(check_refine(gs, stats))
     dgs = subst_rel(delta(u), gs, stats)
-    dgs_succ = successors(dgs)
-    gh_succ = successors(gh)
+    dgs_succ = successors(dgs.pairs)
+    gh_succ = successors(gh.pairs)
     cp2_witnesses = []
-    for p, q in inner.sorted_pairs():
+    for p, q in sorted(inner.pairs):
         if not (dgs_succ.get(p, set()) & gh_succ.get(q, set())):
             cp2_witnesses.append((format_term(p), format_term(q)))
     cp2 = PropertyReport(
@@ -541,7 +538,7 @@ def check_cp(trs: TRS, depth: int = 2) -> CPReport:
     )
 
     cp1p_witnesses = [
-        (format_term(p), format_term(q)) for p, q in root_peaks.sorted_pairs()
+        (format_term(p), format_term(q)) for p, q in sorted(root_peaks.pairs)
         if p is not q
     ]
     # CP-1' is a universally quantified statement about root steps; within
@@ -578,7 +575,7 @@ class TechniqueReport:
         }
 
 
-def check_weak_confluence_technique(a: TermRel) -> TechniqueReport:
+def check_weak_confluence_technique(a: Rel) -> TechniqueReport:
     """The weak-confluence proof technique, instantiated: if root peaks
     join and root-vs-inner peaks join, then all one-step peaks of the
     sequential closure join."""

@@ -26,11 +26,10 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import relalg
-from .relalg import Rel, random_coreflexive, random_rel
-from .syntax import Signature, Universe, format_term, term_key, universe
+from .relalg import Rel, lfp, random_coreflexive, random_rel
+from .syntax import Signature, Universe, universe
 from .termrel import (
     OpStats,
-    TermRel,
     check_refine,
     delta,
     derivative,
@@ -39,7 +38,6 @@ from .termrel import (
     i_eta,
     i_sigma0,
     parallel_closure,
-    rt_closure,
     sequential_closure,
     subst_rel,
     taylor,
@@ -51,17 +49,31 @@ ARITHMETIC = Signature({"0": 0, "S": 1, "A": 2, "M": 2})
 SKIP = "skip"
 
 
+# allowed (low, high) values of the integer fields, high None for unbounded;
+# a fixpoint law walks up to 4**lattice_ground point pairs per sample
+_INT_RANGES = {"samples": (1, None), "carrier_max": (2, None),
+               "max_pairs": (0, None), "lattice_ground": (2, 10)}
+
+
 @dataclass(frozen=True)
 class SampleConfig:
     seed: int = 0
     samples: int = 200
     density: float = 0.15
-    support_depth: int = 2
     signature: Signature = field(default_factory=lambda: ARITHMETIC)
     variables: Tuple[str, ...] = ("x", "y")
     carrier_max: int = 5
     lattice_ground: int = 4
     max_pairs: int = 4
+
+    def __post_init__(self):
+        for key, (low, high) in _INT_RANGES.items():
+            value = getattr(self, key)
+            if (not isinstance(value, int) or value < low
+                    or (high is not None and value > high)):
+                allowed = f">= {low}" if high is None else f"in {low}..{high}"
+                raise ValueError(f"SampleConfig key {key!r} must be an "
+                                 f"integer {allowed}, got {value!r}")
 
     @staticmethod
     def from_dict(d: dict) -> "SampleConfig":
@@ -144,41 +156,24 @@ def _run_entries(entries, cfg: SampleConfig,
     return reports
 
 
-def _pairs_str(r) -> List[List[str]]:
-    if isinstance(r, TermRel):
-        return [[format_term(p), format_term(q)] for p, q in r.sorted_pairs()]
-    return [[str(i), str(j)] for i, j in sorted(r.pairs)]
+def _pairs_str(r: Rel) -> List[List[str]]:
+    return [[str(p), str(q)] for p, q in sorted(r.pairs)]
 
 
 def _cex(inputs, witness) -> str:
     payload = {"inputs": [_pairs_str(r) for r in inputs]}
     if witness is not None:
         payload["witness"] = list(witness)
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(payload, sort_keys=True, default=str)
 
 
-def _tr_leq(x: TermRel, y: TermRel, inputs) -> Optional[str]:
-    if x.leq(y):
-        return None
-    p, q = min(x.pairs - y.pairs, key=lambda pq: (term_key(pq[0]), term_key(pq[1])))
-    return _cex(inputs, (format_term(p), format_term(q)))
-
-
-def _tr_eq(x: TermRel, y: TermRel, inputs) -> Optional[str]:
-    diff = x.pairs ^ y.pairs
-    if not diff:
-        return None
-    p, q = min(diff, key=lambda pq: (term_key(pq[0]), term_key(pq[1])))
-    return _cex(inputs, (format_term(p), format_term(q)))
-
-
-def _rel_leq(x: Rel, y: Rel, inputs) -> Optional[str]:
+def _leq(x: Rel, y: Rel, inputs) -> Optional[str]:
     if x.leq(y):
         return None
     return _cex(inputs, min(x.pairs - y.pairs))
 
 
-def _rel_eq(x: Rel, y: Rel, inputs) -> Optional[str]:
+def _eq(x: Rel, y: Rel, inputs) -> Optional[str]:
     diff = x.pairs ^ y.pairs
     if not diff:
         return None
@@ -213,43 +208,43 @@ def relation_law(law_id: str, group: str, kind: str, nrels: int = 3,
 @relation_law("rel-compose-assoc", "quantale", "equality")
 def _law_compose_assoc(n, rels, rng):
     a, b, c = rels
-    return _rel_eq(a.compose(b).compose(c), a.compose(b.compose(c)), rels)
+    return _eq(a.compose(b).compose(c), a.compose(b.compose(c)), rels)
 
 
 @relation_law("rel-id-left", "quantale", "equality", nrels=1)
 def _law_id_left(n, rels, rng):
     (a,) = rels
-    return _rel_eq(Rel.identity(n).compose(a), a, rels)
+    return _eq(Rel.identity(n).compose(a), a, rels)
 
 
 @relation_law("rel-id-right", "quantale", "equality", nrels=1)
 def _law_id_right(n, rels, rng):
     (a,) = rels
-    return _rel_eq(a.compose(Rel.identity(n)), a, rels)
+    return _eq(a.compose(Rel.identity(n)), a, rels)
 
 
 @relation_law("rel-bot-ann-left", "quantale", "equality", nrels=1)
 def _law_bot_left(n, rels, rng):
     (a,) = rels
-    return _rel_eq(Rel.bottom(n).compose(a), Rel.bottom(n), rels)
+    return _eq(Rel.bottom(n).compose(a), Rel.bottom(n), rels)
 
 
 @relation_law("rel-bot-ann-right", "quantale", "equality", nrels=1)
 def _law_bot_right(n, rels, rng):
     (a,) = rels
-    return _rel_eq(a.compose(Rel.bottom(n)), Rel.bottom(n), rels)
+    return _eq(a.compose(Rel.bottom(n)), Rel.bottom(n), rels)
 
 
 @relation_law("rel-dist-join-left", "quantale", "equality")
 def _law_dist_left(n, rels, rng):
     a, b, c = rels
-    return _rel_eq((a | b).compose(c), a.compose(c) | b.compose(c), rels)
+    return _eq((a | b).compose(c), a.compose(c) | b.compose(c), rels)
 
 
 @relation_law("rel-dist-join-right", "quantale", "equality")
 def _law_dist_right(n, rels, rng):
     a, b, c = rels
-    return _rel_eq(a.compose(b | c), a.compose(b) | a.compose(c), rels)
+    return _eq(a.compose(b | c), a.compose(b) | a.compose(c), rels)
 
 
 @relation_law("rel-compose-monotone", "quantale", "implication", nrels=2)
@@ -272,25 +267,25 @@ def _law_lattice_bounds(n, rels, rng):
 @relation_law("rel-conv-involution", "converse", "equality", nrels=1)
 def _law_conv_inv(n, rels, rng):
     (a,) = rels
-    return _rel_eq(a.converse().converse(), a, rels)
+    return _eq(a.converse().converse(), a, rels)
 
 
 @relation_law("rel-conv-id", "converse", "equality", nrels=0)
 def _law_conv_id(n, rels, rng):
-    return _rel_eq(Rel.identity(n).converse(), Rel.identity(n), [])
+    return _eq(Rel.identity(n).converse(), Rel.identity(n), [])
 
 
 @relation_law("rel-conv-compose", "converse", "equality", nrels=2)
 def _law_conv_comp(n, rels, rng):
     a, b = rels
-    return _rel_eq(a.compose(b).converse(),
-                   b.converse().compose(a.converse()), rels)
+    return _eq(a.compose(b).converse(),
+               b.converse().compose(a.converse()), rels)
 
 
 @relation_law("rel-conv-join", "converse", "equality", nrels=2)
 def _law_conv_join(n, rels, rng):
     a, b = rels
-    return _rel_eq((a | b).converse(), a.converse() | b.converse(), rels)
+    return _eq((a | b).converse(), a.converse() | b.converse(), rels)
 
 
 @relation_law("rel-conv-galois", "converse", "implication", nrels=2)
@@ -305,19 +300,19 @@ def _law_modular(n, rels, rng):
     a, b, c = rels
     lhs = a.compose(b) & c
     rhs = (a & c.compose(b.converse())).compose(b)
-    return _rel_leq(lhs, rhs, rels)
+    return _leq(lhs, rhs, rels)
 
 
 @relation_law("rel-residual-right-cancel", "residual", "inequality", nrels=2)
 def _law_resr_cancel(n, rels, rng):
     c, b = rels
-    return _rel_leq(c.residual_right(b).compose(b), c, rels)
+    return _leq(c.residual_right(b).compose(b), c, rels)
 
 
 @relation_law("rel-residual-left-cancel", "residual", "inequality", nrels=2)
 def _law_resl_cancel(n, rels, rng):
     a, c = rels
-    return _rel_leq(a.compose(a.residual_left(c)), c, rels)
+    return _leq(a.compose(a.residual_left(c)), c, rels)
 
 
 @relation_law("rel-residual-right-galois", "residual", "implication")
@@ -346,7 +341,7 @@ def _law_galois_cancel(n, rels, rng):
 def _all_rels(n: int):
     slots = [(i, j) for i in range(n) for j in range(n)]
     for mask in range(1 << len(slots)):
-        yield Rel(n, frozenset(p for k, p in enumerate(slots) if mask >> k & 1))
+        yield Rel(range(n), frozenset(p for k, p in enumerate(slots) if mask >> k & 1))
 
 
 @relation_law("rel-residual-adjoint-oracle", "residual", "equality", nrels=2)
@@ -360,14 +355,14 @@ def _law_res_oracle(n, rels, rng):
     for x in _all_rels(n):
         if x.compose(b).leq(c):
             best = best | x
-    return _rel_eq(c.residual_right(b), best, [c, b])
+    return _eq(c.residual_right(b), best, [c, b])
 
 
 @relation_law("rel-star-unfold", "star", "equality", nrels=1)
 def _law_star_unfold(n, rels, rng):
     (a,) = rels
     s = a.kleene_star()
-    return _rel_eq(s, Rel.identity(n) | a.compose(s), rels)
+    return _eq(s, Rel.identity(n) | a.compose(s), rels)
 
 
 @relation_law("rel-star-closure", "star", "inequality", nrels=1)
@@ -390,8 +385,8 @@ def _law_star_mono(n, rels, rng):
 @relation_law("rel-star-converse", "star", "equality", nrels=1)
 def _law_star_conv(n, rels, rng):
     (a,) = rels
-    return _rel_eq(a.converse().kleene_star(),
-                   a.kleene_star().converse(), rels)
+    return _eq(a.converse().kleene_star(),
+               a.kleene_star().converse(), rels)
 
 
 @relation_law("rel-star-powers", "star", "inequality", nrels=1)
@@ -415,14 +410,14 @@ def _law_plus_unfold(n, rels, rng):
               sampler="coreflexive")
 def _law_corefl_meet(n, rels, rng):
     a, b = rels
-    return _rel_eq(a.compose(b), a & b, rels)
+    return _eq(a.compose(b), a & b, rels)
 
 
 @relation_law("rel-coreflexive-converse", "coreflexive", "equality", nrels=1,
               sampler="coreflexive")
 def _law_corefl_conv(n, rels, rng):
     (a,) = rels
-    return _rel_eq(a.converse(), a, rels)
+    return _eq(a.converse(), a, rels)
 
 
 @relation_law("rel-cr-iff-confluence", "ars", "implication", nrels=1)
@@ -474,7 +469,7 @@ def termrel_law(law_id: str, group: str, kind: str, soft: bool = False,
                 pairs = set()
                 for _ in range(k):
                     pairs.add((rng.choice(sup), rng.choice(sup)))
-                r = TermRel(u, frozenset(pairs))
+                r = Rel(u, frozenset(pairs))
                 if ordered and i == 1:
                     r = r | rels[0]
                 rels.append(r)
@@ -508,23 +503,23 @@ def _tl_subst_compose(u, rels, st, strict=False):
     lhs = subst_rel(a.compose(b), c.compose(d), st, strict=strict)
     rhs = subst_rel(a, c, st, strict=strict).compose(
         subst_rel(b, d, st, strict=strict))
-    return _tr_leq(lhs, rhs, rels)
+    return _leq(lhs, rhs, rels)
 
 
 @termrel_law("subst-converse", "substitution", "equality",
              support=2, work=4, nrels=2, max_pairs=3)
 def _tl_subst_conv(u, rels, st, strict=False):
     a, b = rels
-    return _tr_eq(subst_rel(a, b, st).converse(),
-                  subst_rel(a.converse(), b.converse(), st), rels)
+    return _eq(subst_rel(a, b, st).converse(),
+               subst_rel(a.converse(), b.converse(), st), rels)
 
 
 @termrel_law("subst-monotone", "substitution", "implication",
              support=2, work=4, nrels=2, max_pairs=3)
 def _tl_subst_mono(u, rels, st, strict=False):
     a, b = rels
-    a2 = a | TermRel(u, frozenset(b.sorted_pairs()[:1]))
-    b2 = b | TermRel(u, frozenset(a.sorted_pairs()[:1]))
+    a2 = a | Rel(u, frozenset(sorted(b.pairs)[:1]))
+    b2 = b | Rel(u, frozenset(sorted(a.pairs)[:1]))
     ok = subst_rel(a, b, st).leq(subst_rel(a2, b2, st))
     return _bool(ok, [a, b], "subst not monotone")
 
@@ -533,8 +528,8 @@ def _tl_subst_mono(u, rels, st, strict=False):
              support=2, work=4, nrels=3, max_pairs=3)
 def _tl_subst_join(u, rels, st, strict=False):
     a, b, c = rels
-    return _tr_eq(subst_rel(a | b, c, st),
-                  subst_rel(a, c, st) | subst_rel(b, c, st), rels)
+    return _eq(subst_rel(a | b, c, st),
+               subst_rel(a, c, st) | subst_rel(b, c, st), rels)
 
 
 @termrel_law("subst-assoc", "substitution", "inequality",
@@ -546,14 +541,14 @@ def _tl_subst_assoc(u, rels, st, strict=False):
     a, b, c = rels
     lhs = subst_rel(subst_rel(a, b, st, strict=strict), c, st, strict=strict)
     rhs = subst_rel(a, subst_rel(b, c, st, strict=strict), st, strict=strict)
-    return _tr_leq(lhs, rhs, rels)
+    return _leq(lhs, rhs, rels)
 
 
 @termrel_law("ieta-subst", "substitution", "inequality",
              support=2, work=2, nrels=1)
 def _tl_ieta_subst(u, rels, st, strict=False):
     (b,) = rels
-    return _tr_leq(subst_rel(i_eta(u), b, st), b, rels)
+    return _leq(subst_rel(i_eta(u), b, st), b, rels)
 
 
 @lru_cache(maxsize=None)
@@ -572,15 +567,15 @@ def _tl_tilde_delta(u, rels, st, strict=False):
              support=2, work=3, nrels=2)
 def _tl_tilde_comp(u, rels, st, strict=False):
     a, b = rels
-    return _tr_eq(tilde(a.compose(b), st), tilde(a, st).compose(tilde(b, st)),
-                  rels)
+    return _eq(tilde(a.compose(b), st), tilde(a, st).compose(tilde(b, st)),
+               rels)
 
 
 @termrel_law("tilde-converse", "compat-refinement", "equality",
              support=2, work=3, nrels=1)
 def _tl_tilde_conv(u, rels, st, strict=False):
     (a,) = rels
-    return _tr_eq(tilde(a.converse(), st), tilde(a, st).converse(), rels)
+    return _eq(tilde(a.converse(), st), tilde(a, st).converse(), rels)
 
 
 @termrel_law("tilde-monotone", "compat-refinement", "implication",
@@ -596,15 +591,15 @@ def _tl_tilde_join(u, rels, st, strict=False):
     # only an inequality: tilde(a|b) may mix a-steps and b-steps in
     # different argument positions of the same operator
     a, b = rels
-    return _tr_leq(tilde(a, st) | tilde(b, st), tilde(a | b, st), rels)
+    return _leq(tilde(a, st) | tilde(b, st), tilde(a | b, st), rels)
 
 
 @termrel_law("tilde-subst", "compat-refinement", "inequality",
              support=2, work=5, nrels=2, max_pairs=3)
 def _tl_tilde_subst(u, rels, st, strict=False):
     a, b = rels
-    return _tr_leq(subst_rel(tilde(a, st), b, st), tilde(subst_rel(a, b, st), st),
-                   rels)
+    return _leq(subst_rel(tilde(a, st), b, st), tilde(subst_rel(a, b, st), st),
+                rels)
 
 
 @termrel_law("tilde-var-disjoint", "compat-refinement", "equality",
@@ -631,21 +626,21 @@ def _tl_hat_delta(u, rels, st, strict=False):
              support=2, work=3, nrels=2)
 def _tl_hat_comp(u, rels, st, strict=False):
     a, b = rels
-    return _tr_eq(hat(a.compose(b), st), hat(a, st).compose(hat(b, st)), rels)
+    return _eq(hat(a.compose(b), st), hat(a, st).compose(hat(b, st)), rels)
 
 
 @termrel_law("hat-converse", "compat-refinement", "equality",
              support=2, work=3, nrels=1)
 def _tl_hat_conv(u, rels, st, strict=False):
     (a,) = rels
-    return _tr_eq(hat(a.converse(), st), hat(a, st).converse(), rels)
+    return _eq(hat(a.converse(), st), hat(a, st).converse(), rels)
 
 
 @termrel_law("hat-join", "compat-refinement", "inequality",
              support=2, work=3, nrels=2)
 def _tl_hat_join(u, rels, st, strict=False):
     a, b = rels
-    return _tr_leq(hat(a, st) | hat(b, st), hat(a | b, st), rels)
+    return _leq(hat(a, st) | hat(b, st), hat(a | b, st), rels)
 
 
 @termrel_law("hat-subst", "compat-refinement", "inequality",
@@ -654,18 +649,12 @@ def _tl_hat_subst(u, rels, st, strict=False):
     a, b = rels
     lhs = subst_rel(hat(a, st), b, st)
     rhs = hat(subst_rel(a, b, st), st) | b
-    return _tr_leq(lhs, rhs, rels)
+    return _leq(lhs, rhs, rels)
 
 
 @lru_cache(maxsize=None)
 def _cached_delta_fixpoint(u: Universe) -> bool:
-    x = TermRel.bottom(u)
-    while True:
-        y = hat(x)
-        if y.pairs == x.pairs:
-            break
-        x = y
-    return x.pairs == delta(u).pairs
+    return lfp(hat, Rel.bottom(u)) == delta(u)
 
 
 @termrel_law("delta-hat-fixpoint", "compat-refinement", "equality",
@@ -690,8 +679,8 @@ def _tl_check_delta(u, rels, st, strict=False):
              support=1, work=2, nrels=2)
 def _tl_check_comp(u, rels, st, strict=False):
     a, b = rels
-    return _tr_leq(check_refine(a.compose(b), st),
-                   check_refine(a, st).compose(check_refine(b, st)), rels)
+    return _leq(check_refine(a.compose(b), st),
+                check_refine(a, st).compose(check_refine(b, st)), rels)
 
 
 @termrel_law("check-interchange", "seq-refinement", "inequality",
@@ -701,15 +690,15 @@ def _tl_check_inter(u, rels, st, strict=False):
     ca, cb = check_refine(a, st), check_refine(b, st)
     lhs = ca.compose(cb)
     rhs = check_refine(a.compose(b), st) | cb.compose(ca)
-    return _tr_leq(lhs, rhs, rels)
+    return _leq(lhs, rhs, rels)
 
 
 @termrel_law("check-converse", "seq-refinement", "equality",
              support=1, work=2, nrels=1)
 def _tl_check_conv(u, rels, st, strict=False):
     (a,) = rels
-    return _tr_eq(check_refine(a.converse(), st),
-                  check_refine(a, st).converse(), rels)
+    return _eq(check_refine(a.converse(), st),
+               check_refine(a, st).converse(), rels)
 
 
 @termrel_law("check-monotone", "seq-refinement", "implication",
@@ -724,15 +713,15 @@ def _tl_check_mono(u, rels, st, strict=False):
              support=1, work=2, nrels=2)
 def _tl_check_join(u, rels, st, strict=False):
     a, b = rels
-    return _tr_eq(check_refine(a | b, st),
-                  check_refine(a, st) | check_refine(b, st), rels)
+    return _eq(check_refine(a | b, st),
+               check_refine(a, st) | check_refine(b, st), rels)
 
 
 @termrel_law("check-is-derivative", "seq-refinement", "equality",
              support=1, work=2, nrels=1)
 def _tl_check_deriv(u, rels, st, strict=False):
     (a,) = rels
-    return _tr_eq(check_refine(a, st), derivative(delta(u), a, st), rels)
+    return _eq(check_refine(a, st), derivative(delta(u), a, st), rels)
 
 
 @termrel_law("deriv-delta", "derivative", "inequality",
@@ -755,22 +744,22 @@ def _tl_deriv_comp(u, rels, st, strict=False):
     a, a2, b, b2 = rels
     lhs = derivative(a.compose(a2), b.compose(b2), st)
     rhs = derivative(a, b, st).compose(derivative(a2, b2, st))
-    return _tr_leq(lhs, rhs, rels)
+    return _leq(lhs, rhs, rels)
 
 
 @termrel_law("deriv-converse", "derivative", "equality",
              support=2, work=3, nrels=2)
 def _tl_deriv_conv(u, rels, st, strict=False):
     a, b = rels
-    return _tr_eq(derivative(a, b, st).converse(),
-                  derivative(a.converse(), b.converse(), st), rels)
+    return _eq(derivative(a, b, st).converse(),
+               derivative(a.converse(), b.converse(), st), rels)
 
 
 @termrel_law("deriv-below-tilde", "derivative", "inequality",
              support=2, work=3, nrels=2)
 def _tl_deriv_tilde(u, rels, st, strict=False):
     a, b = rels
-    return _tr_leq(derivative(a, b, st), tilde(a | b, st), rels)
+    return _leq(derivative(a, b, st), tilde(a | b, st), rels)
 
 
 @termrel_law("tilde-increment", "derivative", "equality",
@@ -780,7 +769,7 @@ def _tl_tilde_increment(u, rels, st, strict=False):
     # to tilde lies in the derivative with d in one position
     x, d = rels
     xd = x | d
-    return _tr_eq(tilde(xd, st), tilde(x, st) | derivative(xd, d, st), rels)
+    return _eq(tilde(xd, st), tilde(x, st) | derivative(xd, d, st), rels)
 
 
 @termrel_law("deriv-join", "derivative", "equality",
@@ -788,15 +777,15 @@ def _tl_tilde_increment(u, rels, st, strict=False):
 def _tl_deriv_join(u, rels, st, strict=False):
     a, b = rels
     d = delta(u)
-    return _tr_eq(derivative(d, a | b, st),
-                  derivative(d, a, st) | derivative(d, b, st), rels)
+    return _eq(derivative(d, a | b, st),
+               derivative(d, a, st) | derivative(d, b, st), rels)
 
 
 @termrel_law("tilde-is-derivative", "derivative", "equality",
              support=2, work=3, nrels=1)
 def _tl_tilde_deriv(u, rels, st, strict=False):
     (a,) = rels
-    return _tr_eq(tilde(a, st), derivative(a, a, st) | i_sigma0(u), rels)
+    return _eq(tilde(a, st), derivative(a, a, st) | i_sigma0(u), rels)
 
 
 @lru_cache(maxsize=None)
@@ -816,8 +805,8 @@ def _tl_taylor_delta(u, rels, st, strict=False):
 def _tl_taylor_comp(u, rels, st, strict=False):
     a, b = rels
     for n in range(u.signature.max_arity() + 1):
-        res = _tr_eq(taylor(n, a.compose(b), st),
-                     taylor(n, a, st).compose(taylor(n, b, st)), rels)
+        res = _eq(taylor(n, a.compose(b), st),
+                  taylor(n, a, st).compose(taylor(n, b, st)), rels)
         if res is not None:
             return res
     return None
@@ -828,8 +817,8 @@ def _tl_taylor_comp(u, rels, st, strict=False):
 def _tl_taylor_conv(u, rels, st, strict=False):
     (a,) = rels
     for n in range(u.signature.max_arity() + 1):
-        res = _tr_eq(taylor(n, a.converse(), st), taylor(n, a, st).converse(),
-                     rels)
+        res = _eq(taylor(n, a.converse(), st), taylor(n, a, st).converse(),
+                  rels)
         if res is not None:
             return res
     return None
@@ -848,7 +837,7 @@ def _tl_taylor_mono(u, rels, st, strict=False):
              support=2, work=3, nrels=1)
 def _tl_taylor_zero(u, rels, st, strict=False):
     (a,) = rels
-    return _tr_eq(taylor(0, a, st), i_sigma0(u), rels)
+    return _eq(taylor(0, a, st), i_sigma0(u), rels)
 
 
 @termrel_law("taylor-subst", "taylor", "inequality",
@@ -857,8 +846,8 @@ def _tl_taylor_subst(u, rels, st, strict=False):
     a, b = rels
     ab = subst_rel(a, b, st)
     for n in range(u.signature.max_arity() + 1):
-        res = _tr_leq(subst_rel(taylor(n, a, st), b, st), taylor(n, ab, st),
-                      rels)
+        res = _leq(subst_rel(taylor(n, a, st), b, st), taylor(n, ab, st),
+                   rels)
         if res is not None:
             return res
     return None
@@ -871,7 +860,7 @@ def _tl_taylor_power(u, rels, st, strict=False):
     ca = check_refine(a, st)
     power = delta(u)
     for n in range(u.signature.max_arity() + 1):
-        res = _tr_leq(taylor(n, a, st), power, rels)
+        res = _leq(taylor(n, a, st), power, rels)
         if res is not None:
             return res
         power = power.compose(ca)
@@ -882,10 +871,10 @@ def _tl_taylor_power(u, rels, st, strict=False):
              support=2, work=3, nrels=1)
 def _tl_taylor_expansion(u, rels, st, strict=False):
     (a,) = rels
-    joined = TermRel.bottom(u)
+    joined = Rel.bottom(u)
     for n in range(u.signature.max_arity() + 1):
         joined = joined | taylor(n, a, st)
-    return _tr_eq(tilde(a, st), joined, rels)
+    return _eq(tilde(a, st), joined, rels)
 
 
 # --- sequential closure -----------------------------------------------------
@@ -894,7 +883,7 @@ def _tl_taylor_expansion(u, rels, st, strict=False):
              support=1, work=2, nrels=1)
 def _tl_seqclo_ext(u, rels, st, strict=False):
     (a,) = rels
-    return _tr_leq(a, sequential_closure(a, st), rels)
+    return _leq(a, sequential_closure(a, st), rels)
 
 
 @termrel_law("seqclo-closed", "seq-closure", "inequality",
@@ -902,7 +891,7 @@ def _tl_seqclo_ext(u, rels, st, strict=False):
 def _tl_seqclo_closed(u, rels, st, strict=False):
     (a,) = rels
     s = sequential_closure(a, st)
-    return _tr_leq(check_refine(s, st), s, rels)
+    return _leq(check_refine(s, st), s, rels)
 
 
 @termrel_law("seqclo-idempotent", "seq-closure", "equality",
@@ -910,7 +899,7 @@ def _tl_seqclo_closed(u, rels, st, strict=False):
 def _tl_seqclo_idem(u, rels, st, strict=False):
     (a,) = rels
     s = sequential_closure(a, st)
-    return _tr_eq(sequential_closure(s, st), s, rels)
+    return _eq(sequential_closure(s, st), s, rels)
 
 
 @termrel_law("seqclo-monotone", "seq-closure", "implication",
@@ -925,25 +914,25 @@ def _tl_seqclo_mono(u, rels, st, strict=False):
              support=1, work=2, nrels=1)
 def _tl_seqclo_conv(u, rels, st, strict=False):
     (a,) = rels
-    return _tr_eq(sequential_closure(a.converse(), st),
-                  sequential_closure(a, st).converse(), rels)
+    return _eq(sequential_closure(a.converse(), st),
+               sequential_closure(a, st).converse(), rels)
 
 
 @termrel_law("seqclo-compose", "seq-closure", "inequality",
              support=0, work=2, nrels=2)
 def _tl_seqclo_comp(u, rels, st, strict=False):
     a, b = rels
-    return _tr_leq(sequential_closure(a.compose(b), st),
-                   sequential_closure(a, st).compose(sequential_closure(b, st)),
-                   rels)
+    return _leq(sequential_closure(a.compose(b), st),
+                sequential_closure(a, st).compose(sequential_closure(b, st)),
+                rels)
 
 
 @termrel_law("seqclo-star", "seq-closure", "inequality",
              support=0, work=2, nrels=1)
 def _tl_seqclo_star(u, rels, st, strict=False):
     (a,) = rels
-    return _tr_leq(sequential_closure(rt_closure(a), st),
-                   rt_closure(sequential_closure(a, st)), rels)
+    return _leq(sequential_closure(a.kleene_star(), st),
+                sequential_closure(a, st).kleene_star(), rels)
 
 
 @termrel_law("seqclo-five-way", "seq-closure", "inequality",
@@ -957,15 +946,15 @@ def _tl_seqclo_five(u, rels, st, strict=False):
            | check_refine(sa, st).compose(b)
            | check_refine(sa.compose(sb), st)
            | check_refine(sb, st).compose(check_refine(sa, st)))
-    return _tr_leq(lhs, rhs, rels)
+    return _leq(lhs, rhs, rels)
 
 
 @termrel_law("check-star", "seq-closure", "inequality",
              support=0, work=2, nrels=1)
 def _tl_check_star(u, rels, st, strict=False):
     (a,) = rels
-    return _tr_leq(check_refine(rt_closure(a), st),
-                   rt_closure(check_refine(a, st)), rels)
+    return _leq(check_refine(a.kleene_star(), st),
+                check_refine(a, st).kleene_star(), rels)
 
 
 # --- parallel closure --------------------------------------------------------
@@ -974,7 +963,7 @@ def _tl_check_star(u, rels, st, strict=False):
              support=1, work=2, nrels=1)
 def _tl_parclo_ext(u, rels, st, strict=False):
     (a,) = rels
-    return _tr_leq(a, parallel_closure(a, st), rels)
+    return _leq(a, parallel_closure(a, st), rels)
 
 
 @termrel_law("parclo-closed-hat", "par-closure", "inequality",
@@ -982,7 +971,7 @@ def _tl_parclo_ext(u, rels, st, strict=False):
 def _tl_parclo_hat(u, rels, st, strict=False):
     (a,) = rels
     p = parallel_closure(a, st)
-    return _tr_leq(hat(p, st), p, rels)
+    return _leq(hat(p, st), p, rels)
 
 
 @termrel_law("parclo-closed-check", "par-closure", "inequality",
@@ -990,7 +979,7 @@ def _tl_parclo_hat(u, rels, st, strict=False):
 def _tl_parclo_check(u, rels, st, strict=False):
     (a,) = rels
     p = parallel_closure(a, st)
-    return _tr_leq(check_refine(p, st), p, rels)
+    return _leq(check_refine(p, st), p, rels)
 
 
 @termrel_law("parclo-idempotent", "par-closure", "equality",
@@ -998,7 +987,7 @@ def _tl_parclo_check(u, rels, st, strict=False):
 def _tl_parclo_idem(u, rels, st, strict=False):
     (a,) = rels
     p = parallel_closure(a, st)
-    return _tr_eq(parallel_closure(p, st), p, rels)
+    return _eq(parallel_closure(p, st), p, rels)
 
 
 @termrel_law("parclo-monotone", "par-closure", "implication",
@@ -1013,24 +1002,24 @@ def _tl_parclo_mono(u, rels, st, strict=False):
              support=1, work=2, nrels=1)
 def _tl_parclo_refl(u, rels, st, strict=False):
     (a,) = rels
-    return _tr_leq(delta(u), parallel_closure(a, st), rels)
+    return _leq(delta(u), parallel_closure(a, st), rels)
 
 
 @termrel_law("parclo-compose", "par-closure", "inequality",
              support=0, work=2, nrels=2)
 def _tl_parclo_comp(u, rels, st, strict=False):
     a, b = rels
-    return _tr_leq(parallel_closure(a.compose(b), st),
-                   parallel_closure(a, st).compose(parallel_closure(b, st)),
-                   rels)
+    return _leq(parallel_closure(a.compose(b), st),
+                parallel_closure(a, st).compose(parallel_closure(b, st)),
+                rels)
 
 
 @termrel_law("parclo-converse", "par-closure", "equality",
              support=1, work=2, nrels=1)
 def _tl_parclo_conv(u, rels, st, strict=False):
     (a,) = rels
-    return _tr_eq(parallel_closure(a.converse(), st),
-                  parallel_closure(a, st).converse(), rels)
+    return _eq(parallel_closure(a.converse(), st),
+               parallel_closure(a, st).converse(), rels)
 
 
 @termrel_law("parclo-subst-stable", "par-closure", "inequality",
@@ -1039,7 +1028,7 @@ def _tl_parclo_subst(u, rels, st, strict=False):
     (a,) = rels
     ai = subst_rel(a, delta(u), st)
     p = parallel_closure(ai, st)
-    return _tr_leq(subst_rel(delta(u), p, st), p, rels)
+    return _leq(subst_rel(delta(u), p, st), p, rels)
 
 
 # --- fundamental theorems and the spectrum ----------------------------------
@@ -1048,53 +1037,53 @@ def _tl_parclo_subst(u, rels, st, strict=False):
              support=1, work=2, nrels=1)
 def _tl_fund1(u, rels, st, strict=False):
     (a,) = rels
-    return _tr_leq(sequential_closure(a, st), parallel_closure(a, st), rels)
+    return _leq(sequential_closure(a, st), parallel_closure(a, st), rels)
 
 
 @termrel_law("fund-par-below-seqstar", "spectrum", "inequality",
              support=1, work=2, nrels=1)
 def _tl_fund2(u, rels, st, strict=False):
     (a,) = rels
-    return _tr_leq(parallel_closure(a, st),
-                   rt_closure(sequential_closure(a, st)), rels)
+    return _leq(parallel_closure(a, st),
+                sequential_closure(a, st).kleene_star(), rels)
 
 
 @termrel_law("fund-stars-equal", "spectrum", "equality",
              support=1, work=2, nrels=1)
 def _tl_fund3(u, rels, st, strict=False):
     (a,) = rels
-    return _tr_eq(rt_closure(sequential_closure(a, st)),
-                  rt_closure(parallel_closure(a, st)), rels)
+    return _eq(sequential_closure(a, st).kleene_star(),
+               parallel_closure(a, st).kleene_star(), rels)
 
 
 @termrel_law("spectrum-subst-extensive", "spectrum", "inequality",
              support=1, work=2, nrels=1)
 def _tl_spec_subst(u, rels, st, strict=False):
     (a,) = rels
-    return _tr_leq(a, subst_rel(a, delta(u), st), rels)
+    return _leq(a, subst_rel(a, delta(u), st), rels)
 
 
 @termrel_law("spectrum-par-below-full", "spectrum", "inequality",
              support=1, work=2, nrels=1)
 def _tl_spec_parfull(u, rels, st, strict=False):
     (a,) = rels
-    return _tr_leq(parallel_closure(a, st), full_closure(a, st), rels)
+    return _leq(parallel_closure(a, st), full_closure(a, st), rels)
 
 
 @termrel_law("spectrum-full-below-seqstar", "spectrum", "inequality",
              support=1, work=2, nrels=1)
 def _tl_spec_fullstar(u, rels, st, strict=False):
     (a,) = rels
-    return _tr_leq(full_closure(a, st),
-                   rt_closure(sequential_closure(a, st)), rels)
+    return _leq(full_closure(a, st),
+                sequential_closure(a, st).kleene_star(), rels)
 
 
 @termrel_law("spectrum-full-star-equal", "spectrum", "equality",
              support=1, work=2, nrels=1)
 def _tl_spec_starseq(u, rels, st, strict=False):
     (a,) = rels
-    return _tr_eq(rt_closure(full_closure(a, st)),
-                  rt_closure(sequential_closure(a, st)), rels)
+    return _eq(full_closure(a, st).kleene_star(),
+               sequential_closure(a, st).kleene_star(), rels)
 
 
 def run_termrel_law_suite(cfg: SampleConfig,
@@ -1129,16 +1118,6 @@ def _rand_mono(g: int, rng: random.Random) -> Callable[[int], int]:
     return _mk_mono(steps)
 
 
-def _lfp_fn(f: Callable[[int], int], cap: int = 64) -> int:
-    x = 0
-    for _ in range(cap):
-        y = f(x)
-        if y == x:
-            return x
-        x = y
-    raise RuntimeError("lattice iteration did not converge")
-
-
 def _fn_leq(f, g, points) -> bool:
     return all(f(x) | g(x) == g(x) for x in points)
 
@@ -1160,7 +1139,7 @@ def _mask_str(x: int) -> str:
 @fixpoint_law("fix-knaster-tarski", "fixpoint", "equality")
 def _fl_kt(g, points, rng):
     f = _rand_mono(g, rng)
-    mu = _lfp_fn(f)
+    mu = lfp(f, 0)
     meet = (1 << g) - 1
     for x in points:
         if f(x) | x == x:  # prefixpoint
@@ -1171,7 +1150,7 @@ def _fl_kt(g, points, rng):
 @fixpoint_law("fix-kleene-iteration", "fixpoint", "equality")
 def _fl_kleene(g, points, rng):
     f = _rand_mono(g, rng)
-    mu = _lfp_fn(f)
+    mu = lfp(f, 0)
     join = 0
     x = 0
     for _ in range(len(points) + 1):
@@ -1186,7 +1165,7 @@ def _fl_mu_mono(g, points, rng):
     f = _rand_mono(g, rng)
     extra = _rand_mono(g, rng)
     h = lambda x: f(x) | extra(x)
-    ok = _lfp_fn(f) | _lfp_fn(h) == _lfp_fn(h)
+    ok = lfp(f, 0) | lfp(h, 0) == lfp(h, 0)
     return _bool(ok, [], "mu not monotone")
 
 
@@ -1194,8 +1173,8 @@ def _fl_mu_mono(g, points, rng):
 def _fl_rolling(g, points, rng):
     f = _rand_mono(g, rng)
     h = _rand_mono(g, rng)
-    lhs = _lfp_fn(lambda x: f(h(x)))
-    rhs = f(_lfp_fn(lambda x: h(f(x))))
+    lhs = lfp(lambda x: f(h(x)), 0)
+    rhs = f(lfp(lambda x: h(f(x)), 0))
     return _bool(lhs == rhs, [],
                  f"rolling rule: {_mask_str(lhs)} != {_mask_str(rhs)}")
 
@@ -1216,8 +1195,8 @@ def _fl_diagonal(g, points, rng):
                 out |= q
         return out
 
-    lhs = _lfp_fn(lambda x: op(x, x))
-    rhs = _lfp_fn(lambda x: _lfp_fn(lambda y: op(x, y)))
+    lhs = lfp(lambda x: op(x, x), 0)
+    rhs = lfp(lambda x: lfp(lambda y: op(x, y), 0), 0)
     return _bool(lhs == rhs, [],
                  f"diagonal rule: {_mask_str(lhs)} != {_mask_str(rhs)}")
 
@@ -1244,7 +1223,7 @@ def _fl_fusion_simple(g, points, rng):
         ff = _rand_mono(g, rng)
         if not all(ff(gg(x)) | gg(hh(x)) == gg(hh(x)) for x in points):
             return SKIP
-    ok = _lfp_fn(ff) | gg(_lfp_fn(hh)) == gg(_lfp_fn(hh))
+    ok = lfp(ff, 0) | gg(lfp(hh, 0)) == gg(lfp(hh, 0))
     return _bool(ok, [], "simple mu-fusion broken")
 
 
@@ -1285,7 +1264,7 @@ def _fl_fusion_leq(g, points, rng):
         hh = _rand_mono(g, rng)
         if not all(ff(gg(x)) | hh(ff(x)) == hh(ff(x)) for x in points):
             return SKIP
-    ok = ff(_lfp_fn(gg)) | _lfp_fn(hh) == _lfp_fn(hh)
+    ok = ff(lfp(gg, 0)) | lfp(hh, 0) == lfp(hh, 0)
     return _bool(ok, [], "mu-fusion (<=) broken")
 
 
@@ -1294,8 +1273,8 @@ def _fl_fusion_eq(g, points, rng):
     ff, finv = _perm_lift(g, rng)
     gg = _rand_mono(g, rng)
     hh = lambda x: ff(gg(finv(x)))  # F;G = H;F by construction
-    lhs = ff(_lfp_fn(gg))
-    rhs = _lfp_fn(hh)
+    lhs = ff(lfp(gg, 0))
+    rhs = lfp(hh, 0)
     return _bool(lhs == rhs, [],
                  f"mu-fusion (=): {_mask_str(lhs)} != {_mask_str(rhs)}")
 
@@ -1310,7 +1289,7 @@ def _fl_bonks(g, points, rng):
         if not all(f(h(x)) | h(f(x)) == h(f(x)) for x in points):
             return SKIP
     a = rng.randint(0, (1 << g) - 1)
-    big_g = lambda s: _lfp_fn(lambda x: s | f(x))
+    big_g = lambda s: lfp(lambda x: s | f(x), 0)
     ok = big_g(h(a)) | h(big_g(a)) == h(big_g(a))
     return _bool(ok, [], "lifting lemma for inflationary closures broken")
 

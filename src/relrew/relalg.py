@@ -1,9 +1,12 @@
 """Binary relations over a finite carrier, with quantale structure.
 
-A ``Rel`` is a set of index pairs over an ordered carrier.  The module
+A ``Rel`` is a set of pairs over a carrier: ``range(n)`` for abstract
+relations, or a term ``Universe`` for relations on terms.  The module
 provides the complete-lattice operations, relational composition and
-converse, both residuals of composition, closure operators, and a generic
-least-fixed-point iterator for monotone maps on this lattice.
+converse, both residuals of composition, the transitive and reflexive-
+transitive closures by breadth-first ``reach``, and ``lfp``, the naive
+Kleene iteration for monotone maps on any lattice whose elements compare
+with ``==``.
 """
 
 from __future__ import annotations
@@ -11,9 +14,17 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Iterable, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterable,
+                    Mapping, Optional, Set, Tuple, TypeVar, Union)
 
-Pair = Tuple[int, int]
+X = TypeVar("X")
+# range(n) or a term Universe: iterable, with membership by ``in``
+Carrier = Iterable[Hashable]
+Pair = Tuple[Hashable, Hashable]
+Succ = Dict[Hashable, Set[Hashable]]
+
+# iteration cap shared by lfp and the term closures' semi-naive loop
+MAX_LFP_ITER = 10_000
 
 _corrupt_compose = False
 
@@ -31,41 +42,57 @@ def corrupted_compose():
         _corrupt_compose = False
 
 
+def _carrier(c: Union[int, Carrier]) -> Carrier:
+    return range(c) if isinstance(c, int) else c
+
+
 @dataclass(frozen=True)
 class Rel:
-    """A binary relation on {0, ..., n-1} for a fixed carrier size n."""
+    """A binary relation on a finite carrier: ``range(n)`` or a term
+    ``Universe``.  The constructors take an int ``n`` for ``range(n)``.
 
-    n: int
+    Only ``from_pairs`` checks that the pairs lie in the carrier; the
+    operations cannot leave it, so they build their results unchecked."""
+
+    carrier: Carrier
     pairs: FrozenSet[Pair]
 
-    def __post_init__(self):
-        for i, j in self.pairs:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"pair {(i, j)} outside carrier of size {self.n}")
+    @property
+    def n(self) -> int:
+        """The size of a ``range(n)`` carrier."""
+        return len(self.carrier)
 
     # -- constructors -------------------------------------------------------
     @staticmethod
-    def from_pairs(n: int, pairs: Iterable[Pair]) -> "Rel":
-        return Rel(n, frozenset(pairs))
+    def from_pairs(carrier: Union[int, Carrier],
+                   pairs: Iterable[Pair]) -> "Rel":
+        carrier = _carrier(carrier)
+        pairs = frozenset(pairs)
+        for p, q in pairs:
+            if p not in carrier or q not in carrier:
+                raise ValueError(f"pair {(p, q)} outside the carrier")
+        return Rel(carrier, pairs)
 
     @staticmethod
-    def bottom(n: int) -> "Rel":
-        return Rel(n, frozenset())
+    def bottom(carrier: Union[int, Carrier]) -> "Rel":
+        return Rel(_carrier(carrier), frozenset())
 
     @staticmethod
-    def top(n: int) -> "Rel":
-        return Rel(n, frozenset((i, j) for i in range(n) for j in range(n)))
+    def top(carrier: Union[int, Carrier]) -> "Rel":
+        c = _carrier(carrier)
+        return Rel(c, frozenset((p, q) for p in c for q in c))
 
     @staticmethod
-    def identity(n: int) -> "Rel":
-        return Rel(n, frozenset((i, i) for i in range(n)))
+    def identity(carrier: Union[int, Carrier]) -> "Rel":
+        c = _carrier(carrier)
+        return Rel(c, frozenset((p, p) for p in c))
 
     # -- lattice ------------------------------------------------------------
     def join(self, other: "Rel") -> "Rel":
-        return Rel(self.n, self.pairs | other.pairs)
+        return Rel(self.carrier, self.pairs | other.pairs)
 
     def meet(self, other: "Rel") -> "Rel":
-        return Rel(self.n, self.pairs & other.pairs)
+        return Rel(self.carrier, self.pairs & other.pairs)
 
     def leq(self, other: "Rel") -> bool:
         return self.pairs <= other.pairs
@@ -79,62 +106,60 @@ class Rel:
     # -- monoid and converse --------------------------------------------------
     def compose(self, other: "Rel") -> "Rel":
         """x (a;b) y iff x a z and z b y for some z."""
-        succ = {}
-        for i, j in other.pairs:
-            succ.setdefault(i, []).append(j)
+        succ = successors(other.pairs)
         out = set()
-        for i, j in self.pairs:
-            for k in succ.get(j, ()):
-                out.add((i, k))
+        for p, q in self.pairs:
+            for r in succ.get(q, ()):
+                out.add((p, r))
         if _corrupt_compose and out:
             out.discard(min(out))
-        return Rel(self.n, frozenset(out))
+        return Rel(self.carrier, frozenset(out))
 
     def converse(self) -> "Rel":
-        return Rel(self.n, frozenset((j, i) for i, j in self.pairs))
+        return Rel(self.carrier, frozenset((q, p) for p, q in self.pairs))
 
     def is_coreflexive(self) -> bool:
-        return all(i == j for i, j in self.pairs)
+        return all(p == q for p, q in self.pairs)
 
     # -- residuals ------------------------------------------------------------
     def residual_right(self, b: "Rel") -> "Rel":
         """c/b: the largest x with x;b <= c (self is c)."""
         out = set()
-        for i in range(self.n):
-            for j in range(self.n):
+        for i in self.carrier:
+            for j in self.carrier:
                 if all((i, k) in self.pairs for (j2, k) in b.pairs if j2 == j):
                     out.add((i, j))
-        return Rel(self.n, frozenset(out))
+        return Rel(self.carrier, frozenset(out))
 
     def residual_left(self, c: "Rel") -> "Rel":
         """self\\c: the largest x with self;x <= c."""
         out = set()
-        for i in range(self.n):
-            for j in range(self.n):
+        for i in self.carrier:
+            for j in self.carrier:
                 if all((k, j) in c.pairs for (k, i2) in self.pairs if i2 == i):
                     out.add((i, j))
-        return Rel(self.n, frozenset(out))
+        return Rel(self.carrier, frozenset(out))
 
     # -- closures --------------------------------------------------------------
-    def refl_closure(self) -> "Rel":
-        return self.join(Rel.identity(self.n))
-
     def sym_closure(self) -> "Rel":
         return self.join(self.converse())
 
     def trans_closure(self) -> "Rel":
-        """a+ as the least fixed point of x |-> a join a;x."""
-        return lfp(lambda x: self.join(self.compose(x)), Rel.bottom(self.n))
+        """a+: each source paired with everything its successors reach."""
+        succ = successors(self.pairs)
+        return Rel(self.carrier, frozenset(
+            (p, q) for p, qs in succ.items() for q in reach(succ, qs)[0]))
 
     def kleene_star(self) -> "Rel":
-        """a* as the least fixed point of x |-> id join a;x."""
-        return lfp(
-            lambda x: Rel.identity(self.n).join(self.compose(x)),
-            Rel.bottom(self.n),
-        )
+        """a* = id | a+ over the whole carrier."""
+        return Rel.identity(self.carrier) | self.trans_closure()
+
+    def star_contains(self, p: Any, q: Any) -> bool:
+        """Whether p a* q, by one search from p."""
+        return p == q or q in reach(successors(self.pairs), (p,))[0]
 
     def power(self, k: int) -> "Rel":
-        out = Rel.identity(self.n)
+        out = Rel.identity(self.carrier)
         for _ in range(k):
             out = out.compose(self)
         return out
@@ -143,12 +168,40 @@ class Rel:
         return len(self.pairs)
 
 
-def lfp(f: Callable[[Rel], Rel], bottom: Rel, max_iter: int = 10_000) -> Rel:
+def successors(pairs: Iterable[Pair]) -> Succ:
+    succ: Succ = {}
+    for p, q in pairs:
+        succ.setdefault(p, set()).add(q)
+    return succ
+
+
+def reach(succ: Mapping[Any, Iterable[Any]], seeds: Iterable[Any],
+          bound: Optional[int] = None) -> Tuple[Set[Any], bool]:
+    """The elements within ``bound`` steps of ``seeds`` (all of them when
+    ``bound`` is None), seeds included, by breadth-first search; and whether
+    the search is exhausted, so that the set is the whole reach set: no
+    element of the last frontier has a successor outside it."""
+    seen = set(seeds)
+    frontier = list(seen)
+    steps = 0
+    while frontier and (bound is None or steps < bound):
+        steps += 1
+        nxt = []
+        for t in frontier:
+            for s in succ.get(t, ()):
+                if s not in seen:
+                    seen.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    return seen, all(s in seen for t in frontier for s in succ.get(t, ()))
+
+
+def lfp(f: Callable[[X], X], bottom: X) -> X:
     """Least fixed point of a monotone f by iteration from bottom."""
     x = bottom
-    for _ in range(max_iter):
+    for _ in range(MAX_LFP_ITER):
         y = f(x)
-        if y.pairs == x.pairs:
+        if y == x:
             return x
         x = y
     raise RuntimeError("fixed-point iteration did not converge")
@@ -158,9 +211,9 @@ def random_rel(n: int, density: float, rng: random.Random) -> Rel:
     pairs = frozenset(
         (i, j) for i in range(n) for j in range(n) if rng.random() < density
     )
-    return Rel(n, pairs)
+    return Rel(range(n), pairs)
 
 
 def random_coreflexive(n: int, density: float, rng: random.Random) -> Rel:
     pairs = frozenset((i, i) for i in range(n) if rng.random() < density)
-    return Rel(n, pairs)
+    return Rel(range(n), pairs)

@@ -24,6 +24,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from .relalg import Rel, reach, successors
 from .syntax import (
     Signature,
     Term,
@@ -39,7 +40,7 @@ from .syntax import (
     plug,
     term_key,
 )
-from .termrel import OpStats, TermRel, _successors, reach
+from .termrel import OpStats
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,7 @@ class ReductionGraph:
         )
 
     def reachable(self, seed: Term) -> Set[Term]:
-        return reach(_successors(self.edges), (seed,))[0]
+        return reach(successors(self.edges), (seed,))[0]
 
 
 def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
@@ -283,7 +284,7 @@ def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
 # the rule relation on a universe
 
 def ground_instances(trs: TRS, u: Universe,
-                     stats: Optional[OpStats] = None) -> TermRel:
+                     stats: Optional[OpStats] = None) -> Rel:
     """All substitution instances of the rules that fit in the universe,
     as a relation (the root-step relation).  Instances whose left side is
     in the universe but whose right side escapes it are counted as dropped.
@@ -295,7 +296,7 @@ def ground_instances(trs: TRS, u: Universe,
                 pairs.add((t, r))
             elif stats is not None:
                 stats.note()
-    return TermRel(u, frozenset(pairs))
+    return Rel(u, frozenset(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,10 @@ class Term:
         cls._intern[key] = t
         return t
 
-    # interning makes identity-based eq/hash correct
+    # interning makes identity-based eq/hash correct; the order is term_key's
+    def __lt__(self, other: "Term") -> bool:
+        return term_key(self) < term_key(other)
+
     def __repr__(self) -> str:
         return f"Term({format_term(self)!r})"
 
@@ -303,6 +306,9 @@ class Universe:
         )
 
     # -- enumeration --------------------------------------------------------
+    def __iter__(self) -> Iterator[Term]:
+        return iter(self.terms())
+
     def size(self) -> int:
         if self.explicit is not None:
             return len(self.explicit)

@@ -1,8 +1,9 @@
-"""Relations on a finite term universe and their differential operators.
+"""Differential operators on relations over a finite term universe.
 
-A ``TermRel`` is a sparse set of term pairs drawn from a fixed universe.
-On top of the usual relation-algebra structure this module implements the
-term-specific operators:
+A term relation is a :class:`relrew.relalg.Rel` whose carrier is a
+``Universe``: a sparse set of term pairs, with the relation algebra (join,
+compose, converse, stars by ``reach``) of that class.  This module
+implements the term-specific operators:
 
 * ``i_eta`` / ``i_sigma0``     identity on variables / on constants
 * ``tilde``                    compatible refinement (same outermost operator,
@@ -14,7 +15,6 @@ term-specific operators:
 * ``taylor``                   the arity-n slice of ``tilde``
 * ``subst_rel``                relational substitution ``a[b]``
 * sequential / parallel / full closures as least fixed points
-* ``reach``                    breadth-first reachability, optionally bounded
 
 Everything is computed inside the universe: constructed pairs that would
 leave it are dropped and counted in an ``OpStats`` so callers can tell an
@@ -42,10 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Set,
-                    Tuple)
+from typing import Dict, List, Optional, Set, Tuple
 
-from .syntax import Term, Universe, app, term_key
+from . import relalg
+from .relalg import Rel, successors
+from .syntax import Term, Universe, app
 
 TPair = Tuple[Term, Term]
 Succ = Dict[Term, Set[Term]]
@@ -74,96 +75,19 @@ class OpStats:
         self.dropped += k
 
 
-@dataclass(frozen=True)
-class TermRel:
-    universe: Universe
-    pairs: FrozenSet[TPair]
-
-    # -- constructors -------------------------------------------------------
-    @staticmethod
-    def make(u: Universe, pairs: Iterable[TPair],
-             stats: Optional[OpStats] = None) -> "TermRel":
-        """Build a relation, clipping pairs that fall outside the universe."""
-        kept = set()
-        dropped = 0
-        for p, q in pairs:
-            if p in u and q in u:
-                kept.add((p, q))
-            else:
-                dropped += 1
-        if stats is not None and dropped:
-            stats.note(dropped)
-        return TermRel(u, frozenset(kept))
-
-    @staticmethod
-    def bottom(u: Universe) -> "TermRel":
-        return TermRel(u, frozenset())
-
-    # -- lattice ------------------------------------------------------------
-    def join(self, other: "TermRel") -> "TermRel":
-        return TermRel(self.universe, self.pairs | other.pairs)
-
-    def meet(self, other: "TermRel") -> "TermRel":
-        return TermRel(self.universe, self.pairs & other.pairs)
-
-    def leq(self, other: "TermRel") -> bool:
-        return self.pairs <= other.pairs
-
-    def __or__(self, other: "TermRel") -> "TermRel":
-        return self.join(other)
-
-    def __and__(self, other: "TermRel") -> "TermRel":
-        return self.meet(other)
-
-    def compose(self, other: "TermRel") -> "TermRel":
-        succ = successors(other)
-        out = set()
-        for p, q in self.pairs:
-            for r in succ.get(q, ()):
-                out.add((p, r))
-        return TermRel(self.universe, frozenset(out))
-
-    def converse(self) -> "TermRel":
-        return TermRel(self.universe, frozenset((q, p) for p, q in self.pairs))
-
-    def restricted(self, depth: int) -> "TermRel":
-        return TermRel(
-            self.universe,
-            frozenset((p, q) for p, q in self.pairs
-                      if p.depth <= depth and q.depth <= depth),
-        )
-
-    def sorted_pairs(self) -> List[TPair]:
-        return sorted(self.pairs, key=lambda pq: (term_key(pq[0]), term_key(pq[1])))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def successors(a: TermRel) -> Succ:
-    return _successors(a.pairs)
-
-
-def _successors(pairs: Iterable[TPair]) -> Succ:
-    succ: Succ = {}
-    for p, q in pairs:
-        succ.setdefault(p, set()).add(q)
-    return succ
-
-
 # ---------------------------------------------------------------------------
 # identities
 
-def delta(u: Universe) -> TermRel:
-    return TermRel(u, frozenset((t, t) for t in u.terms()))
+def delta(u: Universe) -> Rel:
+    return Rel.identity(u)
 
 
-def i_eta(u: Universe) -> TermRel:
-    return TermRel(u, frozenset((v, v) for v in u.var_terms()))
+def i_eta(u: Universe) -> Rel:
+    return Rel(u, frozenset((v, v) for v in u.var_terms()))
 
 
-def i_sigma0(u: Universe) -> TermRel:
-    return TermRel(u, frozenset((c, c) for c in u.constant_terms()))
+def i_sigma0(u: Universe) -> Rel:
+    return Rel(u, frozenset((c, c) for c in u.constant_terms()))
 
 
 def _materializable(u: Universe) -> bool:
@@ -237,47 +161,46 @@ def _lift(u: Universe, before: Optional[Succ], hot: Succ,
     return out
 
 
-def tilde(a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
+def tilde(a: Rel, stats: Optional[OpStats] = None) -> Rel:
     """Same outermost operator, all arguments related by ``a``.
     Relates every constant of the universe to itself."""
-    succ = successors(a)
-    out = _lift(a.universe, {}, succ, succ, stats)
-    return TermRel(a.universe, frozenset(out) | i_sigma0(a.universe).pairs)
+    succ = successors(a.pairs)
+    out = _lift(a.carrier, {}, succ, succ, stats)
+    return Rel(a.carrier, frozenset(out) | i_sigma0(a.carrier).pairs)
 
 
-def hat(a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
-    return i_eta(a.universe) | tilde(a, stats)
+def hat(a: Rel, stats: Optional[OpStats] = None) -> Rel:
+    return i_eta(a.carrier) | tilde(a, stats)
 
 
-def check_refine(a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
+def check_refine(a: Rel, stats: Optional[OpStats] = None) -> Rel:
     """Exactly one argument position rewritten by ``a``, all siblings
     identical.  Only defined at operators of arity >= 1."""
-    return TermRel(a.universe, frozenset(
-        _lift(a.universe, None, successors(a), None, stats)))
+    return Rel(a.carrier, frozenset(
+        _lift(a.carrier, None, successors(a.pairs), None, stats)))
 
 
-def derivative(a: TermRel, b: TermRel,
-               stats: Optional[OpStats] = None) -> TermRel:
+def derivative(a: Rel, b: Rel, stats: Optional[OpStats] = None) -> Rel:
     """One argument position rewritten by ``b``, siblings componentwise by
     ``a``.  ``check_refine(b) == derivative(delta(u), b)`` and
     ``tilde(a) == derivative(a, a) | i_sigma0(u)``.  Assembled backward,
     the pairs of ``a`` too deep to be siblings are noted as drops too."""
-    u = a.universe
+    u = a.carrier
     if stats is not None and not _materializable(u):
         stats.note(sum(1 for p, q in a.pairs
                        if max(p.depth, q.depth) >= u.depth))
-    asucc = successors(a)
-    return TermRel(u, frozenset(_lift(u, asucc, successors(b), asucc, stats)))
+    asucc = successors(a.pairs)
+    return Rel(u, frozenset(_lift(u, asucc, successors(b.pairs), asucc, stats)))
 
 
-def taylor(n: int, a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
+def taylor(n: int, a: Rel, stats: Optional[OpStats] = None) -> Rel:
     """The arity-n slice of ``tilde``: pairs at operators of arity exactly n
     with all arguments related by ``a``.  ``taylor(0, a) == i_sigma0(u)``."""
     if n == 0:
-        return i_sigma0(a.universe)
-    succ = successors(a)
-    return TermRel(a.universe, frozenset(
-        _lift(a.universe, {}, succ, succ, stats, arity=n)))
+        return i_sigma0(a.carrier)
+    succ = successors(a.pairs)
+    return Rel(a.carrier, frozenset(
+        _lift(a.carrier, {}, succ, succ, stats, arity=n)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +222,9 @@ def _var_occurrence_depths(t: Term) -> Dict[str, int]:
     return out
 
 
-def subst_rel(a: TermRel, b: TermRel,
+def subst_rel(a: Rel, b: Rel,
               stats: Optional[OpStats] = None,
-              strict: bool = False) -> TermRel:
+              strict: bool = False) -> Rel:
     """a[b]: instantiate each pair of ``a`` at its occurring variables with
     pairs of ``b``.  A pair (t, s) of ``a`` contributes (t^sigma, s^rho)
     whenever sigma(x) b rho(x) for every variable x occurring in t or s.
@@ -312,9 +235,9 @@ def subst_rel(a: TermRel, b: TermRel,
     no substitution is b-related to any other, so the strict result is
     empty.  (Images of non-occurring variables never show up in the result,
     so this is the only divergence.)"""
-    u = a.universe
+    u = a.carrier
     if strict and not b.pairs and u.variables:
-        return TermRel.bottom(u)
+        return Rel.bottom(u)
     bpairs = list(b.pairs)
     explicit = u.explicit is not None
     out: Set[TPair] = set()
@@ -352,7 +275,7 @@ def subst_rel(a: TermRel, b: TermRel,
                     stats.note()
             else:
                 out.add((t, s))
-    return TermRel(u, frozenset(out))
+    return Rel(u, frozenset(out))
 
 
 def _instantiate(t: Term, subst: Dict[str, Term]) -> Term:
@@ -364,55 +287,12 @@ def _instantiate(t: Term, subst: Dict[str, Term]) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# reflexive-transitive machinery (sparse: never materializes Delta unless
-# asked for the full relation)
-
-def reach(succ: Mapping[Term, Iterable[Term]], seeds: Iterable[Term],
-          bound: Optional[int] = None) -> Tuple[Set[Term], bool]:
-    """The terms within ``bound`` steps of ``seeds`` (all of them when
-    ``bound`` is None), seeds included, by breadth-first search; and whether
-    the search ran out of frontier, so that the set is the whole reach
-    set."""
-    seen = set(seeds)
-    frontier = list(seen)
-    steps = 0
-    while frontier and (bound is None or steps < bound):
-        steps += 1
-        nxt = []
-        for t in frontier:
-            for s in succ.get(t, ()):
-                if s not in seen:
-                    seen.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return seen, not frontier
-
-
-def trans_closure(a: TermRel) -> TermRel:
-    succ = successors(a)
-    return TermRel(a.universe, frozenset(
-        (p, q) for p, qs in succ.items() for q in reach(succ, qs)[0]))
-
-
-def rt_closure(a: TermRel) -> TermRel:
-    """a* = Delta | a+ over the whole universe."""
-    return delta(a.universe) | trans_closure(a)
-
-
-def star_contains(a: TermRel, p: Term, q: Term) -> bool:
-    return p is q or q in reach(successors(a), (p,))[0]
-
-
-# ---------------------------------------------------------------------------
 # closures of reductions
 
-MAX_LFP_ITER = 10_000
-
-
 def _semi_naive(u: Universe, seed: Set[TPair], increment,
-                stats: Optional[OpStats]) -> TermRel:
+                stats: Optional[OpStats]) -> Rel:
     """Least fixed point of a join-distributive step by semi-naive
-    evaluation.  ``seed`` is the step applied to the empty relation, and
+    evaluation (``relalg.lfp`` is the naive iteration).  ``seed`` is the step applied to the empty relation, and
     ``increment(old, new, every, gen_stats)`` returns what the step adds
     for the argument combinations that use at least one pair of the last
     generation ``new``.
@@ -423,13 +303,13 @@ def _semi_naive(u: Universe, seed: Set[TPair], increment,
     the drops found so far after each generation therefore notes the same
     total as the naive iteration."""
     x = set(seed)
-    new = _successors(seed)
-    every = _successors(seed)
+    new = successors(seed)
+    every = successors(seed)
     old: Succ = {}
     running = 0
-    for _ in range(MAX_LFP_ITER):
+    for _ in range(relalg.MAX_LFP_ITER):
         if not new:
-            return TermRel(u, frozenset(x))
+            return Rel(u, frozenset(x))
         gen = OpStats()
         produced = increment(old, new, every, gen)
         running += gen.dropped
@@ -438,7 +318,7 @@ def _semi_naive(u: Universe, seed: Set[TPair], increment,
         _merge(old, new)
         fresh = produced - x
         x |= fresh
-        new = _successors(fresh)
+        new = successors(fresh)
         _merge(every, new)
     raise RuntimeError("fixed-point iteration did not converge")
 
@@ -448,33 +328,33 @@ def _merge(into: Succ, succ: Succ) -> None:
         into.setdefault(p, set()).update(qs)
 
 
-def sequential_closure(a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
+def sequential_closure(a: Rel, stats: Optional[OpStats] = None) -> Rel:
     """a^s = lfp x. a | check_refine(x): one rewrite somewhere in a context."""
-    u = a.universe
+    u = a.carrier
     return _semi_naive(
         u, set(a.pairs),
         lambda old, new, every, st: _lift(u, None, new, None, st), stats)
 
 
-def parallel_closure(a: TermRel, stats: Optional[OpStats] = None) -> TermRel:
+def parallel_closure(a: Rel, stats: Optional[OpStats] = None) -> Rel:
     """a^p = lfp x. a | hat(x): simultaneous rewrites of disjoint subterms."""
-    u = a.universe
+    u = a.carrier
     seed = set(a.pairs) | i_eta(u).pairs | i_sigma0(u).pairs
     return _semi_naive(
         u, seed,
         lambda old, new, every, st: _lift(u, old, new, every, st), stats)
 
 
-def full_closure(a: TermRel, stats: Optional[OpStats] = None,
-                 reflexive: bool = True) -> TermRel:
+def full_closure(a: Rel, stats: Optional[OpStats] = None,
+                 reflexive: bool = True) -> Rel:
     """a^h = lfp x. hat(x);(a | Delta): rewrite all arguments in parallel,
     then optionally contract the root.
 
     With ``reflexive=False`` the root step is mandatory (lfp x. hat(x);a),
     which yields a strictly smaller, non-reflexive relation.
     """
-    u = a.universe
-    asucc = successors(a)
+    u = a.carrier
+    asucc = successors(a.pairs)
     hats = set(i_eta(u).pairs | i_sigma0(u).pairs)  # hat(x) so far
 
     def contract(h: Set[TPair]) -> Set[TPair]:

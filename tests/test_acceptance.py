@@ -28,7 +28,7 @@ from relrew.rewrite import (
     sequential_step,
 )
 from relrew.syntax import Universe, universe
-from relrew.termrel import TermRel, full_closure, parallel_closure
+from relrew.termrel import full_closure, parallel_closure
 
 
 def _report(n, ok, detail):
@@ -133,7 +133,7 @@ def test_criterion_6_cp_pipeline(arith):
         pairs = frozenset(
             (rng.choice(sup), rng.choice(sup)) for _ in range(rng.randint(0, 5))
         )
-        rep = check_weak_confluence_technique(TermRel(u, pairs))
+        rep = check_weak_confluence_technique(Rel(u, pairs))
         if rep.premises_hold and rep.overflow_dropped == 0:
             exercised += 1
             if not rep.conclusion.ok:

@@ -24,7 +24,6 @@ from relrew.analysis import (
 from relrew.relalg import Rel, random_rel
 from relrew.rewrite import ground_instances, parse_trs, sequential_step
 from relrew.syntax import format_term, term_key, universe
-from relrew.termrel import TermRel
 
 NONCONFLUENT = "sig a/0 b/0 c/0\nrule a -> b\nrule a -> c\n"
 
@@ -254,7 +253,7 @@ def test_technique_implication_random(arith):
         pairs = frozenset(
             (rng.choice(sup), rng.choice(sup)) for _ in range(rng.randint(0, 5))
         )
-        report = check_weak_confluence_technique(TermRel(u, pairs))
+        report = check_weak_confluence_technique(Rel(u, pairs))
         if report.premises_hold and report.overflow_dropped == 0:
             checked += 1
             assert report.conclusion.ok

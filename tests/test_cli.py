@@ -132,6 +132,13 @@ def test_check_laws_unknown_config_key(tmp_path, capsys):
     assert "sead" in capsys.readouterr().err
 
 
+def test_check_laws_out_of_range_config(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"samples": -3}))
+    assert main(["check-laws", str(cfgfile)]) == EXIT_INPUT
+    assert "samples" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -173,6 +180,15 @@ def test_analyze_weak_bound_cuts_join_unconfirmed(tmp_path):
                  "rule c -> e\n")
     assert main(["analyze", str(f), "weak", "--bound", "1"]) == EXIT_UNCONFIRMED
     assert main(["analyze", str(f), "weak", "--bound", "3"]) == EXIT_OK
+
+
+def test_analyze_weak_bound_zero_definitive_failure(tmp_path):
+    """b and c are normal forms, so the zero-step join searches from them
+    are complete and the peak b <- a -> c is a counterexample."""
+    f = tmp_path / "bad.trs"
+    f.write_text(NONCONFLUENT)
+    assert main(["analyze", str(f), "weak", "--depth", "0",
+                 "--bound", "0"]) == EXIT_FAILS
 
 
 # Runs the CLI after allocating objects and interning terms, so that the

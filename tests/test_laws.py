@@ -4,6 +4,8 @@ the mutation self-test."""
 import json
 import pathlib
 
+import pytest
+
 from relrew.laws import (
     SampleConfig,
     catalog,
@@ -13,6 +15,7 @@ from relrew.laws import (
     run_relation_law_suite,
     run_termrel_law_suite,
 )
+from relrew.relalg import corrupted_compose
 
 MANIFEST = pathlib.Path(__file__).parent / "data" / "law_manifest.json"
 
@@ -79,6 +82,34 @@ def test_mutation_breaks_relation_laws():
     failing = [r for r in reports if r.verdict == "fail"]
     assert failing, "corrupted composition went unnoticed"
     assert all(r.counterexamples for r in failing)
+
+
+def test_mutation_breaks_termrel_laws():
+    """Term relations share the one compose, so its corruption reaches
+    the term-relation laws too."""
+    with corrupted_compose():
+        reports = run_termrel_law_suite(
+            SampleConfig(samples=5),
+            ["tilde-compose", "hat-compose", "check-compose"])
+    assert len(reports) == 3
+    assert any(r.verdict == "fail" for r in reports)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("samples", 0), ("samples", -3), ("carrier_max", 1), ("max_pairs", -1),
+    ("lattice_ground", 1), ("lattice_ground", 11), ("samples", "5"),
+    ("support_depth", 2),
+])
+def test_config_rejects_bad_values(key, value):
+    with pytest.raises(ValueError, match=key):
+        SampleConfig.from_dict({key: value})
+
+
+def test_config_accepts_range_ends():
+    for d in ({"samples": 1, "carrier_max": 2, "max_pairs": 0,
+               "lattice_ground": 2}, {"lattice_ground": 10}):
+        cfg = SampleConfig.from_dict(d)
+        assert all(getattr(cfg, k) == v for k, v in d.items())
 
 
 def test_config_from_dict():

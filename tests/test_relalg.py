@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relrew.relalg import Rel, corrupted_compose, lfp, random_rel
+from relrew.syntax import Signature, app, universe
 
 
 def rels(max_n=4):
     def build(n, mask_bits):
         slots = [(i, j) for i in range(n) for j in range(n)]
-        return Rel(n, frozenset(p for k, p in enumerate(slots) if mask_bits >> k & 1))
+        return Rel(range(n), frozenset(p for k, p in enumerate(slots)
+                                       if mask_bits >> k & 1))
 
     return st.integers(1, max_n).flatmap(
         lambda n: st.builds(build, st.just(n), st.integers(0, 2 ** (n * n) - 1))
@@ -41,7 +43,7 @@ def floyd_warshall_star(a: Rel) -> Rel:
                 for j in range(n):
                     if reach[k][j]:
                         reach[i][j] = True
-    return Rel(n, frozenset(
+    return Rel(range(n), frozenset(
         (i, j) for i in range(n) for j in range(n) if reach[i][j]
     ))
 
@@ -49,7 +51,8 @@ def floyd_warshall_star(a: Rel) -> Rel:
 def all_rels(n):
     slots = [(i, j) for i in range(n) for j in range(n)]
     for mask in range(1 << len(slots)):
-        yield Rel(n, frozenset(p for k, p in enumerate(slots) if mask >> k & 1))
+        yield Rel(range(n), frozenset(p for k, p in enumerate(slots)
+                                      if mask >> k & 1))
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +83,12 @@ def test_converse_involution():
 
 def test_pair_out_of_carrier_rejected():
     with pytest.raises(ValueError):
-        Rel(2, frozenset({(0, 2)}))
+        Rel.from_pairs(2, [(0, 2)])
+    u = universe(Signature({"0": 0, "S": 1}), (), 1)
+    zero = app("0")
+    assert Rel.from_pairs(u, [(zero, app("S", zero))]).carrier is u
+    with pytest.raises(ValueError):
+        Rel.from_pairs(u, [(zero, app("S", app("S", zero)))])
 
 
 def test_is_coreflexive():

@@ -6,8 +6,9 @@ from itertools import product
 
 import pytest
 
+import relrew.relalg as relalg
 import relrew.termrel as tr
-from relrew.relalg import Rel
+from relrew.relalg import Rel, lfp, reach, successors
 from relrew.rewrite import (
     full_step,
     ground_instances,
@@ -17,7 +18,6 @@ from relrew.rewrite import (
 from relrew.syntax import Signature, app, universe, var
 from relrew.termrel import (
     OpStats,
-    TermRel,
     check_refine,
     delta,
     derivative,
@@ -26,13 +26,10 @@ from relrew.termrel import (
     i_eta,
     i_sigma0,
     parallel_closure,
-    rt_closure,
     sequential_closure,
-    star_contains,
     subst_rel,
     taylor,
     tilde,
-    trans_closure,
 )
 
 SIG = Signature({"0": 0, "S": 1, "A": 2, "M": 2})
@@ -44,12 +41,12 @@ X, Y, ZERO = var("x"), var("y"), app("0")
 
 
 def rel(u, *pairs):
-    return TermRel(u, frozenset(pairs))
+    return Rel(u, frozenset(pairs))
 
 
 def random_rel(u, support_depth, k, rng):
     sup = u.terms_up_to(support_depth)
-    return TermRel(u, frozenset(
+    return Rel(u, frozenset(
         (rng.choice(sup), rng.choice(sup)) for _ in range(k)
     ))
 
@@ -61,14 +58,6 @@ def test_identity_relations():
     assert len(delta(U1).pairs) == 24
     assert i_eta(U1).pairs == frozenset({(X, X), (Y, Y)})
     assert i_sigma0(U1).pairs == frozenset({(ZERO, ZERO)})
-
-
-def test_make_clips_and_counts():
-    st = OpStats()
-    deep = app("S", app("S", app("S", ZERO)))
-    r = TermRel.make(U1, [(ZERO, deep), (X, Y)], st)
-    assert r.pairs == frozenset({(X, Y)})
-    assert st.dropped == 1
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +110,7 @@ def test_taylor_slices():
     for _ in range(20):
         a = random_rel(U2, 1, 4, rng)
         assert taylor(0, a).pairs == i_sigma0(U2).pairs
-        joined = TermRel.bottom(U2)
+        joined = Rel.bottom(U2)
         for n in range(SIG.max_arity() + 1):
             joined = joined | taylor(n, a)
         assert joined.pairs == tilde(a).pairs
@@ -133,14 +122,14 @@ def test_taylor_slices():
 
 
 def ref_tilde(a, stats):
-    constants = {(c, c) for c in a.universe.constant_terms()}
+    constants = {(c, c) for c in a.carrier.constant_terms()}
     return ref_taylor(None, a, stats) | constants
 
 
 def ref_check_refine(a, stats):
-    u = a.universe
+    u = a.carrier
     out = set()
-    for p, rs in tr.successors(a).items():
+    for p, rs in successors(a.pairs).items():
         for t, i in u.occurrences.get(p, ()):
             head, tail = t.args[:i], t.args[i + 1:]
             for r in rs:
@@ -153,7 +142,7 @@ def ref_check_refine(a, stats):
 
 
 def ref_derivative(a, b, stats):
-    u = a.universe
+    u = a.carrier
     out = set()
     if not tr._materializable(u):
         apool = [(p, q) for p, q in a.pairs
@@ -170,7 +159,7 @@ def ref_derivative(a, b, stats):
                         out.add((app(name, *(p for p, _ in combo)),
                                  app(name, *(q for _, q in combo))))
         return out
-    asucc, bsucc = tr.successors(a), tr.successors(b)
+    asucc, bsucc = successors(a.pairs), successors(b.pairs)
     for t in u.terms():
         for i, arg in enumerate(t.args):
             pools = [asucc.get(x) for j, x in enumerate(t.args) if j != i]
@@ -189,7 +178,7 @@ def ref_derivative(a, b, stats):
 def ref_taylor(n, a, stats):
     """All arguments related by ``a`` at operators of arity n, or of every
     arity >= 1 when n is None."""
-    u = a.universe
+    u = a.carrier
     if n == 0:
         return set(i_sigma0(u).pairs)
     out = set()
@@ -203,7 +192,7 @@ def ref_taylor(n, a, stats):
                     out.add((app(name, *(p for p, _ in combo)),
                              app(name, *(q for _, q in combo))))
         return out
-    succ = tr.successors(a)
+    succ = successors(a.pairs)
     for t in u.terms():
         if t.is_var or not t.args or n not in (None, len(t.args)):
             continue
@@ -241,7 +230,7 @@ def test_forward_backward_agree(monkeypatch):
     shallow, deep = U1.terms(), U2.terms()
 
     def skewed():
-        return TermRel(U2, frozenset((rng.choice(shallow), rng.choice(deep))
+        return Rel(U2, frozenset((rng.choice(shallow), rng.choice(deep))
                                      for _ in range(4)))
 
     samples = [(random_rel(U2, 1, 4, rng), random_rel(U2, 1, 4, rng))
@@ -282,7 +271,7 @@ def test_subst_instantiates():
 def test_subst_occurring_vs_strict():
     ground = (ZERO, app("S", ZERO))
     a = rel(U2, ground, (app("S", X), X))
-    empty = TermRel.bottom(U2)
+    empty = Rel.bottom(U2)
     # occurring-variables reading: ground pairs survive an empty image set
     assert subst_rel(a, empty).pairs == frozenset({ground})
     # all-variables reading: nothing survives
@@ -345,10 +334,10 @@ def test_spectrum_inclusions_on_u2(arith):
     gs = sequential_closure(g)
     gp = parallel_closure(g)
     gh = full_closure(g)
-    star = rt_closure(gs)
+    star = gs.kleene_star()
     assert gs.leq(gp) and gp.leq(gh) and gh.leq(star)
-    assert rt_closure(gp).pairs == star.pairs
-    assert rt_closure(gh).pairs == star.pairs
+    assert gp.kleene_star().pairs == star.pairs
+    assert gh.kleene_star().pairs == star.pairs
 
 
 def test_full_closure_is_strictly_below_seq_star(arith):
@@ -357,7 +346,7 @@ def test_full_closure_is_strictly_below_seq_star(arith):
     Witness: A(S(0),0) -> S(A(0,0)) -> S(0) needs two steps."""
     g = ground_instances(arith, U2)
     gh = full_closure(g)
-    star = rt_closure(sequential_closure(g))
+    star = sequential_closure(g).kleene_star()
     peak = app("A", app("S", ZERO), ZERO)
     target = app("S", ZERO)
     assert (peak, target) in star.pairs
@@ -367,83 +356,73 @@ def test_full_closure_is_strictly_below_seq_star(arith):
 def test_trans_closure_and_star_contains():
     u = U1
     a = rel(u, (app("S", ZERO), ZERO), (ZERO, X))
-    plus = trans_closure(a)
+    plus = a.trans_closure()
     assert (app("S", ZERO), X) in plus.pairs
     assert (app("S", ZERO), app("S", ZERO)) not in plus.pairs
-    assert star_contains(a, app("S", ZERO), X)
-    assert star_contains(a, X, X)
-    assert not star_contains(a, X, ZERO)
+    assert a.star_contains(app("S", ZERO), X)
+    assert a.star_contains(X, X)
+    assert not a.star_contains(X, ZERO)
     # x and y lie on a cycle, 0 only leads into it
     cyc = rel(u, (X, Y), (Y, X), (ZERO, X))
-    plus = trans_closure(cyc)
+    plus = cyc.trans_closure()
     assert (X, X) in plus.pairs and (Y, Y) in plus.pairs
     assert (ZERO, ZERO) not in plus.pairs
     assert plus.pairs == {(X, X), (X, Y), (Y, X), (Y, Y), (ZERO, X), (ZERO, Y)}
 
 
 def test_trans_closure_matches_relalg():
-    """The per-source search against Rel.trans_closure, an independent
-    least fixed point, on random relations over the depth-1 universe."""
-    carrier = U1.terms()
-    index = {t: i for i, t in enumerate(carrier)}
+    """The searches behind a+ and a* against the least fixed points of
+    x |-> a | a;x and x |-> Delta | a;x, on random relations over the
+    depth-1 universe."""
     rng = random.Random(14)
     for k in (0, 3, 8, 20, 40):
         for _ in range(5):
             a = random_rel(U1, 1, k, rng)
-            plus = Rel.from_pairs(len(carrier), ((index[p], index[q])
-                                                 for p, q in a.pairs))
-            assert trans_closure(a).pairs == {
-                (carrier[i], carrier[j])
-                for i, j in plus.trans_closure().pairs}
+            plus = lfp(lambda x: a | a.compose(x), Rel.bottom(U1))
+            star = lfp(lambda x: delta(U1) | a.compose(x), Rel.bottom(U1))
+            assert a.trans_closure() == plus
+            assert a.kleene_star() == star
 
 
 def test_reach_bound_and_exhausted():
     succ = {X: {Y}, Y: {ZERO}}
-    assert tr.reach(succ, (X,), bound=0) == ({X}, False)
-    assert tr.reach(succ, (X,), bound=1) == ({X, Y}, False)
-    # the last layer is found but not yet expanded
-    assert tr.reach(succ, (X,), bound=2) == ({X, Y, ZERO}, False)
-    assert tr.reach(succ, (X,), bound=3) == ({X, Y, ZERO}, True)
-    assert tr.reach(succ, (X,)) == ({X, Y, ZERO}, True)
-    assert tr.reach(succ, (ZERO,), bound=1) == ({ZERO}, True)
-    assert tr.reach(succ, (Y, ZERO), bound=0) == ({Y, ZERO}, False)
+    assert reach(succ, (X,), bound=0) == ({X}, False)
+    assert reach(succ, (X,), bound=1) == ({X, Y}, False)
+    # the last layer has no successors, so nothing was cut off
+    assert reach(succ, (X,), bound=2) == ({X, Y, ZERO}, True)
+    assert reach(succ, (X,), bound=3) == ({X, Y, ZERO}, True)
+    assert reach(succ, (X,)) == ({X, Y, ZERO}, True)
+    assert reach(succ, (ZERO,), bound=1) == ({ZERO}, True)
+    assert reach(succ, (Y, ZERO), bound=0) == ({Y, ZERO}, True)
+    assert reach({X: {Y}, Y: {X}}, (X,), bound=1) == ({X, Y}, True)
 
 
 # ---------------------------------------------------------------------------
 # semi-naive closures against the naive iteration
 
-def _naive_lfp(step, u):
-    x = frozenset()
-    while True:
-        y = step(x)
-        if y == x:
-            return TermRel(u, x)
-        x = y
-
-
 def naive_closure(name, a, st):
     """The closures as the naive iteration computes them: the whole step is
     re-applied to the whole relation every round."""
-    u = a.universe
-    asucc = tr.successors(a)
+    u = a.carrier
+    asucc = successors(a.pairs)
 
     def full_step(reflexive):
         def step(x):
             out = set()
-            for p, q in hat(TermRel(u, x), st).pairs:
+            for p, q in hat(x, st).pairs:
                 if reflexive:
                     out.add((p, q))
                 out.update((p, r) for r in asucc.get(q, ()))
-            return frozenset(out)
+            return Rel(u, frozenset(out))
         return step
 
     steps = {
-        "seq": lambda x: (a | check_refine(TermRel(u, x), st)).pairs,
-        "par": lambda x: (a | hat(TermRel(u, x), st)).pairs,
+        "seq": lambda x: a | check_refine(x, st),
+        "par": lambda x: a | hat(x, st),
         "full": full_step(True),
         "full-nonreflexive": full_step(False),
     }
-    return _naive_lfp(steps[name], u)
+    return lfp(steps[name], Rel.bottom(u))
 
 
 CLOSURES = {
@@ -497,8 +476,10 @@ def test_closures_match_naive_backward(monkeypatch):
 
 def test_closure_iteration_cap(monkeypatch):
     a = rel(U1, (X, Y))   # S(x) -> S(y) needs a second generation
-    monkeypatch.setattr(tr, "MAX_LFP_ITER", 1)
+    monkeypatch.setattr(relalg, "MAX_LFP_ITER", 1)
     for closure in CLOSURES.values():
         with pytest.raises(RuntimeError):
             closure(a, None)
-    assert sequential_closure(TermRel.bottom(U1)).pairs == frozenset()
+    with pytest.raises(RuntimeError):
+        naive_closure("seq", a, None)
+    assert sequential_closure(Rel.bottom(U1)).pairs == frozenset()
