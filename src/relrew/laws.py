@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import relalg
 from .relalg import Rel, lfp, random_coreflexive, random_rel
-from .syntax import Signature, Universe, universe
+from .syntax import Signature, TermError, Universe, universe
 from .termrel import (
     OpStats,
     check_refine,
@@ -74,6 +74,18 @@ class SampleConfig:
                 allowed = f">= {low}" if high is None else f"in {low}..{high}"
                 raise ValueError(f"SampleConfig key {key!r} must be an "
                                  f"integer {allowed}, got {value!r}")
+        # density is only read as ``rng.random() < density + 0.1``
+        if (isinstance(self.density, bool)
+                or not isinstance(self.density, (int, float))):
+            raise ValueError("SampleConfig key 'density' must be a number, "
+                             f"got {self.density!r}")
+        if not isinstance(self.signature, Signature):
+            raise ValueError("SampleConfig key 'signature' must map operator "
+                             f"names to arities, got {self.signature!r}")
+        if not (isinstance(self.variables, tuple)
+                and all(isinstance(v, str) for v in self.variables)):
+            raise ValueError("SampleConfig key 'variables' must be a list of "
+                             f"strings, got {self.variables!r}")
 
     @staticmethod
     def from_dict(d: dict) -> "SampleConfig":
@@ -82,9 +94,12 @@ class SampleConfig:
             raise ValueError(
                 f"unknown SampleConfig key(s): {', '.join(unknown)}")
         kwargs = dict(d)
-        if "signature" in kwargs and not isinstance(kwargs["signature"], Signature):
-            kwargs["signature"] = Signature(kwargs["signature"])
-        if "variables" in kwargs:
+        if isinstance(kwargs.get("signature"), dict):
+            try:
+                kwargs["signature"] = Signature(kwargs["signature"])
+            except TermError as e:
+                raise ValueError(f"SampleConfig key 'signature': {e}") from None
+        if isinstance(kwargs.get("variables"), list):
             kwargs["variables"] = tuple(kwargs["variables"])
         return SampleConfig(**kwargs)
 

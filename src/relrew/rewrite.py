@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -41,6 +41,9 @@ from .syntax import (
     term_key,
 )
 from .termrel import OpStats
+
+# a root rewrite: (rule index, substitution items sorted by variable, result)
+Reduct = Tuple[int, Tuple[Tuple[str, Term], ...], Term]
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,21 @@ class TRS:
     def parse(self, text: str) -> Term:
         return parse_term(text, self.signature, self.variables)
 
+    @cached_property
+    def head_index(self) -> Dict[str, Tuple[Tuple[int, Rule], ...]]:
+        """The rules with their indices, grouped by the head symbol of the
+        left side, each group in rule order."""
+        index: Dict[str, List[Tuple[int, Rule]]] = {}
+        for i, rule in enumerate(self.rules):
+            index.setdefault(rule.lhs.name, []).append((i, rule))
+        return {name: tuple(group) for name, group in index.items()}
+
+    @cached_property
+    def reduct_table(self) -> Dict[Term, Tuple[Reduct, ...]]:
+        """``root_reducts``' memo for this instance, keyed by term alone:
+        hashing the TRS itself would walk all its rules on every lookup."""
+        return {}
+
 
 def parse_trs(text: str) -> TRS:
     """Parse the line-oriented rewrite-system format::
@@ -98,6 +116,8 @@ def parse_trs(text: str) -> TRS:
                 name, slash, ar = tok.partition("/")
                 if not slash or not ar.lstrip("-").isdigit():
                     raise TermError(f"line {lineno}: expected NAME/ARITY, got {tok!r}")
+                if name in variables:
+                    raise TermError(f"line {lineno}: {name!r} is already a variable")
                 if name in arities and arities[name] != int(ar):
                     raise TermError(f"line {lineno}: conflicting arity for {name!r}")
                 arities[name] = int(ar)
@@ -139,13 +159,22 @@ def format_trs(trs: TRS) -> str:
 # ---------------------------------------------------------------------------
 # single steps
 
-def root_reducts(trs: TRS, t: Term) -> List[Tuple[int, Dict[str, Term], Term]]:
-    """All rule applications at the root: (rule index, substitution, result)."""
-    out = []
-    for i, rule in enumerate(trs.rules):
-        sigma = match(rule.lhs, t)
-        if sigma is not None:
-            out.append((i, sigma, apply_subst(rule.rhs, sigma)))
+def root_reducts(trs: TRS, t: Term) -> Tuple[Reduct, ...]:
+    """All rule applications at the root of t, in rule order: (rule index,
+    substitution items sorted by variable, result).  Only the rules whose
+    left side has t's head symbol are tried, and the answer is kept in the
+    TRS's ``reduct_table``."""
+    table = trs.reduct_table
+    out = table.get(t)
+    if out is None:
+        found = []
+        if not t.is_var:
+            for i, rule in trs.head_index.get(t.name, ()):
+                sigma = match(rule.lhs, t)
+                if sigma is not None:
+                    found.append((i, tuple(sorted(sigma.items())),
+                                  apply_subst(rule.rhs, sigma)))
+        out = table[t] = tuple(found)
     return out
 
 
@@ -162,12 +191,8 @@ def sequential_steps(trs: TRS, t: Term) -> List[Tuple[Term, StepWitness]]:
     """All single-position rewrites of t, with their witnesses."""
     out = []
     for context, sub in decompose(t):
-        for i, sigma, reduct in root_reducts(trs, sub):
-            target = plug(context, reduct)
-            witness = StepWitness(
-                context, i, tuple(sorted(sigma.items()))
-            )
-            out.append((target, witness))
+        for i, subst, reduct in root_reducts(trs, sub):
+            out.append((plug(context, reduct), StepWitness(context, i, subst)))
     return out
 
 

@@ -36,6 +36,8 @@ class Signature:
         for name, ar in arities.items():
             if not _NAME_RE.fullmatch(name) or name == HOLE:
                 raise TermError(f"bad operator name: {name!r}")
+            if isinstance(ar, bool) or not isinstance(ar, int):
+                raise TermError(f"arity of {name!r} must be an integer, got {ar!r}")
             if ar < 0:
                 raise TermError(f"negative arity for {name}")
         self._arities = dict(arities)
@@ -299,6 +301,11 @@ class Universe:
 
     # -- membership ---------------------------------------------------------
     def __contains__(self, t: Term) -> bool:
+        """Full membership check for a term from outside the universe's
+        relations (``Rel.from_pairs``, the right sides of
+        ``ground_instances``): a depth universe also walks the term for
+        well-formedness.  ``termrel._lift`` skips that walk, since what it
+        builds is well-formed by construction."""
         if self.explicit is not None:
             return t in self.explicit
         return t.depth <= self.depth and is_well_formed(

@@ -111,10 +111,18 @@ def _lift(u: Universe, before: Optional[Succ], hot: Succ,
     assembled backward from the pairs that fit one level down, and the
     ``hot`` pairs too deep for that are noted instead.  Identical siblings
     always take the first path: assembling them backward would enumerate
-    the universe anyway."""
+    the universe anyway.
+
+    Membership holds by construction up to depth: each constructed term
+    takes its operator from a parent in the universe and its arguments from
+    relations over it.  So a construction stays in a depth universe exactly
+    when ``depth <= u.depth``, and in an explicit one when it is in
+    ``u.explicit``; the full ``Universe.__contains__`` walk is never
+    needed here."""
     out: Set[TPair] = set()
     if before is None or _materializable(u):
         occurrences = u.occurrences
+        explicit, limit = u.explicit, u.depth
         for p, qs in hot.items():
             for t, i in occurrences.get(p, ()):
                 args = t.args
@@ -126,7 +134,8 @@ def _lift(u: Universe, before: Optional[Succ], hot: Succ,
                     head, tail = args[:i], args[i + 1:]
                     for q in qs:
                         s = app(t.name, *head, q, *tail)
-                        if s in u:
+                        if (s.depth <= limit if explicit is None
+                                else s in explicit):
                             out.add((t, s))
                         elif stats is not None:
                             stats.note()
@@ -138,7 +147,8 @@ def _lift(u: Universe, before: Optional[Succ], hot: Succ,
                     continue
                 for combo in product(*pools):
                     s = app(t.name, *combo)
-                    if s in u:
+                    if (s.depth <= limit if explicit is None
+                            else s in explicit):
                         out.add((t, s))
                     elif stats is not None:
                         stats.note()

@@ -139,6 +139,31 @@ def test_check_laws_out_of_range_config(tmp_path, capsys):
     assert "samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"density": "x"}, "density"),
+    ({"signature": {"f": "x"}}, "signature"),
+    ({"variables": 3}, "variables"),
+])
+def test_check_laws_mistyped_config(tmp_path, capsys, config, key):
+    """A config value of the wrong type is an input error (exit 3) that
+    names its key, not a traceback with the exit code of a failing law."""
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(config))
+    code = main(["check-laws", str(cfgfile),
+                 "--law", "rel-modular", "--law", "tilde-compose"])
+    assert code == EXIT_INPUT
+    assert key in capsys.readouterr().err
+
+
+def test_reduce_operator_declared_after_variable(tmp_path, capsys):
+    """``var x`` then ``sig x/0`` must not turn the variable into a
+    constant and so the rule ``f(x) -> x`` into a ground rule."""
+    p = tmp_path / "shadow.trs"
+    p.write_text("var x\nsig x/0 f/1\nrule f(x) -> x\n")
+    assert main(["reduce", str(p), "f(x)"]) == EXIT_INPUT
+    assert "line 2" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # analyze
 

@@ -6,7 +6,10 @@ import pathlib
 
 import pytest
 
+import relrew.laws as laws
+import relrew.termrel as tr
 from relrew.laws import (
+    TERMREL_ENTRIES,
     SampleConfig,
     catalog,
     reports_to_json,
@@ -16,6 +19,7 @@ from relrew.laws import (
     run_termrel_law_suite,
 )
 from relrew.relalg import corrupted_compose
+from relrew.syntax import term_key
 
 MANIFEST = pathlib.Path(__file__).parent / "data" / "law_manifest.json"
 
@@ -93,6 +97,36 @@ def test_mutation_breaks_termrel_laws():
             ["tilde-compose", "hat-compose", "check-compose"])
     assert len(reports) == 3
     assert any(r.verdict == "fail" for r in reports)
+
+
+def test_lift_mutation_breaks_termrel_laws(monkeypatch):
+    """A congruence lift that loses the least pair of each non-empty result
+    is caught by the tilde, check and sequential-closure laws."""
+    lift = tr._lift
+
+    def lossy(*args, **kwargs):
+        out = lift(*args, **kwargs)
+        if out:
+            out.discard(min(out, key=lambda pq: (term_key(pq[0]),
+                                                  term_key(pq[1]))))
+        return out
+
+    # the laws' process-wide ``_cached_*`` verdicts must neither hide the
+    # mutation nor keep what it computed for later tests
+    caches = [f for name, f in vars(laws).items() if name.startswith("_cached_")]
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(tr, "_lift", lossy)
+    groups = ("compat-refinement", "seq-refinement", "seq-closure")
+    ids = [law.id for law, _ in TERMREL_ENTRIES if law.group in groups]
+    try:
+        reports = run_termrel_law_suite(SampleConfig(samples=5), ids)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    for group in groups:
+        assert any(r.verdict == "fail" for r in reports
+                   if r.group == group), group
 
 
 @pytest.mark.parametrize("key, value", [

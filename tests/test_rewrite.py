@@ -1,11 +1,13 @@
 """Rule parsing, single steps, reduction graphs, and exports."""
 
 import json
+import pathlib
 
 import pytest
 
 from relrew.rewrite import (
     Rule,
+    StepWitness,
     format_trs,
     full_step,
     graph_to_dot,
@@ -19,7 +21,8 @@ from relrew.rewrite import (
     sequential_step,
     sequential_steps,
 )
-from relrew.syntax import TermError, app, apply_subst, plug, universe, var
+from relrew.syntax import (TermError, app, apply_subst, decompose, plug,
+                           universe, var)
 from relrew.termrel import OpStats
 
 X, Y, ZERO = var("x"), var("y"), app("0")
@@ -46,6 +49,9 @@ def test_format_parse_round_trip(arith):
     ("frob A/2", "directive"),                        # unknown directive
     ("sig A/x", "ARITY"),                             # malformed sig token
     ("sig A/1\nvar A", "operator"),                   # var shadows operator
+    # a name declared both ways is rejected in either order, on its line
+    ("sig x/0 f/1\nvar x\nrule f(x) -> x", "line 2: 'x' is already an operator"),
+    ("var x\nsig x/0 f/1\nrule f(x) -> x", "line 2: 'x' is already a variable"),
     ("sig A/2 0/0\nrule A(0,0) = 0", "->"),           # missing arrow
 ])
 def test_parse_diagnostics(text, needle):
@@ -104,6 +110,92 @@ def test_is_normal_form(arith):
     assert is_normal_form(arith, arith.parse("S(S(0))"))
     assert not is_normal_form(arith, arith.parse("A(0,0)"))
     assert is_normal_form(arith, X)
+
+
+# a left side headed by a constant, two rules with the same head, and a
+# non-linear left side
+HEADS_TEXT = """\
+sig c/0 d/0 g/1 f/2
+var x y
+rule c -> d
+rule g(x) -> c
+rule g(g(x)) -> x
+rule f(x,x) -> x
+rule f(x,y) -> g(y)
+"""
+
+
+def _naive_match(pattern, subject, subst):
+    if pattern.is_var:
+        if pattern.name in subst:
+            return subst[pattern.name] is subject
+        subst[pattern.name] = subject
+        return True
+    return (not subject.is_var and pattern.name == subject.name
+            and len(pattern.args) == len(subject.args)
+            and all(_naive_match(p, s, subst)
+                    for p, s in zip(pattern.args, subject.args)))
+
+
+def _naive_reducts(trs, t):
+    """Every rule tried at the root, with no index and no memo."""
+    out = []
+    for i, rule in enumerate(trs.rules):
+        subst = {}
+        if _naive_match(rule.lhs, t, subst):
+            out.append((i, tuple(sorted(subst.items())),
+                        apply_subst(rule.rhs, subst)))
+    return out
+
+
+def _reference_trs():
+    root = pathlib.Path(__file__).parent.parent / "perfbench" / "data"
+    texts = [(root / name).read_text() for name in ("arith.trs",
+                                                      "nonconfluent.trs")]
+    return [parse_trs(text) for text in texts + [HEADS_TEXT]]
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_root_reducts_match_naive_matcher(k):
+    """The head index and the reduct table give exactly what trying every
+    rule gives, as tuples in rule order, and the witnesses of
+    ``sequential_steps`` are the ones built from the naive matches."""
+    trs = _reference_trs()[k]
+    u = universe(trs.signature, trs.variables, 2)
+    matched = 0
+    for t in u.terms():
+        for _ in range(2):  # the second call reads the table
+            got = root_reducts(trs, t)
+            assert isinstance(got, tuple)
+            assert all(isinstance(r, tuple) and isinstance(r[1], tuple)
+                       for r in got)
+            assert list(got) == _naive_reducts(trs, t), t
+        matched += bool(got)
+        naive_steps = [(plug(c, r), StepWitness(c, i, subst))
+                       for c, s in decompose(t)
+                       for i, subst, r in _naive_reducts(trs, s)]
+        assert sequential_steps(trs, t) == naive_steps, t
+    assert matched
+
+
+def test_root_reducts_cover_heads_cases():
+    trs = parse_trs(HEADS_TEXT)
+    c, d = app("c"), app("d")
+    assert root_reducts(trs, c) == ((0, (), d),)
+    assert [i for i, _, _ in root_reducts(trs, app("g", app("g", c)))] == [1, 2]
+    assert [i for i, _, _ in root_reducts(trs, app("f", c, c))] == [3, 4]
+    assert [i for i, _, _ in root_reducts(trs, app("f", c, d))] == [4]
+    assert root_reducts(trs, X) == ()
+
+
+def test_reduct_table_is_per_instance():
+    first, second = parse_trs(HEADS_TEXT), parse_trs(HEADS_TEXT)
+    assert first == second
+    t = app("f", app("c"), app("c"))
+    root_reducts(first, t)
+    assert t in first.reduct_table
+    assert second.reduct_table is not first.reduct_table
+    assert t not in second.reduct_table
 
 
 # ---------------------------------------------------------------------------

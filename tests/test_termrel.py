@@ -251,6 +251,26 @@ def test_forward_backward_agree(monkeypatch):
     assert all(dropped.values())
 
 
+def test_lift_membership_by_construction(monkeypatch):
+    """Over the lazy depth-2 universe the lift keeps constructions of depth
+    2 and drops, counting them, those of depth 3.  Its depth test admits
+    only pairs that pass the full membership check, on both paths."""
+    assert U2.explicit is None
+    a = rel(U2, (X, app("S", X)), (ZERO, app("S", app("S", ZERO))),
+            (Y, app("A", Y, ZERO)))
+    for cap in (tr.FORWARD_CAP, 0):
+        monkeypatch.setattr(tr, "FORWARD_CAP", cap)
+        for name, op in (("tilde", tilde), ("check", check_refine),
+                         ("deriv", lambda r, st: derivative(r, r, st)),
+                         ("taylor", lambda r, st: taylor(2, r, st))):
+            st = OpStats()
+            pairs = op(a, st).pairs
+            assert st.dropped, (cap, name)
+            assert any(max(p.depth, q.depth) == 2 for p, q in pairs), (cap, name)
+            for p, q in pairs:
+                assert p in U2 and q in U2, (cap, name, p, q)
+
+
 # ---------------------------------------------------------------------------
 # substitution
 
