@@ -9,25 +9,30 @@ random finite structures.
 * fixpoint suite   — fixed-point calculus rules on small powerset lattices
                      with randomly generated monotone functions.
 
+A law that is one formula over its input relations is a row: its id,
+group, kind, the names of its inputs in draw order, the formula and the
+sampler parameters.  The formula is parsed once, when the module loads, and
+evaluated on every sample.  Laws that are not one formula are Python
+functions.
+
 Each law is checked on ``cfg.samples`` independently drawn samples; laws with
 side conditions skip samples that do not satisfy them (skip counts are
-reported).  Laws whose right-hand sides involve closures on a truncated
-universe are marked *soft*: a failing sample that dropped pairs counts as
-"unconfirmed" rather than as a counterexample.  Everything is deterministic
-in ``cfg.seed``.
+reported).  Everything is deterministic in ``cfg.seed``.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, fields
-from functools import lru_cache
+import re
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import relalg
 from .relalg import Rel, lfp, random_coreflexive, random_rel
-from .syntax import Signature, TermError, Universe, universe
+from .syntax import Signature, TermError, universe
 from .termrel import (
     OpStats,
     check_refine,
@@ -109,7 +114,9 @@ class Law:
     id: str
     group: str
     kind: str  # equality | inequality | implication
-    soft: bool = False
+    formula: Optional[str] = None  # None for a law written in Python
+    # no input relations and nothing drawn: one evaluation serves every sample
+    constant: bool = False
 
 
 @dataclass
@@ -117,27 +124,19 @@ class LawReport:
     law_id: str
     group: str
     kind: str
-    soft: bool
     samples: int
     skips: int
-    unconfirmed: int
     overflow_dropped: int
     counterexamples: List[str]
     verdict: str
+    # kept for the report shape: no law is soft, so nothing is unconfirmed
+    soft: bool = False
+    unconfirmed: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "law": self.law_id,
-            "group": self.group,
-            "kind": self.kind,
-            "soft": self.soft,
-            "samples": self.samples,
-            "skips": self.skips,
-            "unconfirmed": self.unconfirmed,
-            "overflow_dropped": self.overflow_dropped,
-            "counterexamples": self.counterexamples,
-            "verdict": self.verdict,
-        }
+        out = asdict(self)
+        out["law"] = out.pop("law_id")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -151,23 +150,21 @@ def _run_entries(entries, cfg: SampleConfig,
         if wanted is not None and law.id not in wanted:
             continue
         rng = random.Random(f"{cfg.seed}:{law.id}")
-        skips = unconfirmed = dropped = 0
+        # a constant law is evaluated once per run, with stats of its own
+        once = runner(cfg, rng, OpStats()) if law.constant else None
+        skips = dropped = 0
         cexs: List[str] = []
         for _ in range(cfg.samples):
             st = OpStats()
-            res = runner(cfg, rng, st)
+            res = once if law.constant else runner(cfg, rng, st)
             dropped += st.dropped
             if res is SKIP:
                 skips += 1
-            elif res is not None:
-                if law.soft and st.dropped:
-                    unconfirmed += 1
-                elif len(cexs) < 3:  # keep only the first few
-                    cexs.append(res)
+            elif res is not None and len(cexs) < 3:  # keep only the first few
+                cexs.append(res)
         verdict = "pass" if not cexs else "fail"
-        reports.append(LawReport(law.id, law.group, law.kind, law.soft,
-                                 cfg.samples, skips, unconfirmed, dropped,
-                                 cexs, verdict))
+        reports.append(LawReport(law.id, law.group, law.kind, cfg.samples,
+                                 skips, dropped, cexs, verdict))
     return reports
 
 
@@ -200,69 +197,167 @@ def _bool(ok: bool, inputs, note: str) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
+# formula rows
+#
+#   prop := cmp (("and" | "iff") cmp)*        cmp := expr ("<=" | "=") expr
+#   expr := post, joined by "|" (loosest), "&", then ";" "/" "\" (compose
+#           and the residuals c/b, a\c); all are left-associative
+#   post := atom ("°" | "*" | "+" | "[" expr "]")*   converse, a*, a+, a[b]
+#   atom := NAME "(" expr ("," expr)* ")" | NAME | INT | "(" expr ")"
+#
+# A NAME is an input, a constant or, applied, a term-relation operator.
+# ``Delta`` is the identity of the sample's carrier, so it serves both suites.
+
+_CONSTANTS = {"Delta": Rel.identity, "Bot": Rel.bottom, "Top": Rel.top,
+              "I_eta": i_eta, "I_sigma0": i_sigma0}
+# each takes the sample's OpStats as its last argument
+_NAMED = {"tilde": tilde, "hat": hat, "check": check_refine,
+          "deriv": derivative, "taylor": taylor, "seqclo": sequential_closure,
+          "parclo": parallel_closure, "fullclo": full_closure}
+_ALGEBRA = {"°": Rel.converse, "*": Rel.kleene_star, "+": Rel.trans_closure,
+            ";": Rel.compose, "/": Rel.residual_right,
+            "\\": Rel.residual_left, "&": Rel.meet, "|": Rel.join,
+            "<=": Rel.leq, "=": lambda x, y: x.pairs == y.pairs,
+            "and": lambda p, q: p and q, "iff": lambda p, q: p == q}
+_LEVEL = {"and": 0, "iff": 0, "<=": 1, "=": 1, "|": 2, "&": 3,
+          ";": 4, "/": 4, "\\": 4}
+_TOKEN = re.compile(r"\s*(<=|\w+|\S)")
+
+
+def _parse(formula: str, inputs: str):
+    """The tree of ``formula`` by precedence climbing.  A leaf is an input
+    or constant name, or an int; a node is a tuple (operator, *operands),
+    with ``a[b]`` as ("[]", a, b)."""
+    tokens = _TOKEN.findall(formula)[::-1]  # the next token is the last
+
+    def take(expected=None):
+        tok = tokens.pop() if tokens else None
+        if tok is None or expected not in (None, tok):
+            raise ValueError(f"formula {formula!r}: {tok!r} is not "
+                             f"{expected or 'an operand'}")
+        return tok
+
+    def expr(level):
+        node = post()
+        while tokens and _LEVEL.get(tokens[-1], -1) >= level:
+            op = take()
+            node = (op, node, expr(_LEVEL[op] + 1))
+        return node
+
+    def post():
+        tok = take()
+        if tok.isdigit():
+            return int(tok)
+        if tok == "(":
+            node = expr(2)
+            take(")")
+        elif tok in _NAMED:
+            take("(")
+            node = (tok, expr(2))
+            while tokens and tokens[-1] == ",":
+                take()
+                node += (expr(2),)
+            take(")")
+        elif tok in inputs.split() or tok in _CONSTANTS:
+            node = tok
+        else:
+            raise ValueError(f"formula {formula!r}: unknown name {tok!r}")
+        while tokens and tokens[-1] in ("°", "*", "+", "["):
+            op = take()
+            if op == "[":
+                node = ("[]", node, expr(2))
+                take("]")
+            else:
+                node = (op, node)
+        return node
+
+    tree = expr(0)
+    if tokens or _LEVEL.get(tree[0], 2) > 1:
+        raise ValueError(f"formula {formula!r} is not a proposition")
+    return tree
+
+
+def _value(node, memo: dict, carrier, st: Optional[OpStats], strict: bool):
+    """The value of ``node`` on one sample.  ``memo`` starts with the inputs
+    by name and keeps every subexpression computed, so each distinct one is
+    computed once."""
+    if isinstance(node, int):
+        return node
+    if node not in memo:
+        if isinstance(node, str):
+            memo[node] = _CONSTANTS[node](carrier)
+            return memo[node]
+        op, *args = node
+        vals = [_value(a, memo, carrier, st, strict) for a in args]
+        if op == "[]":
+            memo[node] = subst_rel(*vals, st, strict=strict)
+        elif op in _NAMED:
+            memo[node] = _NAMED[op](*vals, st)
+        else:
+            memo[node] = _ALGEBRA[op](*vals)
+    return memo[node]
+
+
+def _holds(tree, names: List[str], note: Optional[str], carrier, rels,
+           st: Optional[OpStats] = None, strict: bool = False):
+    """A row's check on one sample: with a ``note`` the formula's truth as
+    a ``_bool``, else its one comparison as an ``_eq``/``_leq`` with a
+    witness pair."""
+    memo = dict(zip(names, rels))
+    if note is not None:
+        return _bool(_value(tree, memo, carrier, st, strict), rels, note)
+    op, lhs, rhs = tree
+    return (_leq if op == "<=" else _eq)(
+        _value(lhs, memo, carrier, st, strict),
+        _value(rhs, memo, carrier, st, strict), rels)
+
+
+# ---------------------------------------------------------------------------
 # relation suite
 
 RELATION_ENTRIES: List[Tuple[Law, Callable]] = []
 
 
-def relation_law(law_id: str, group: str, kind: str, nrels: int = 3,
-                 sampler: str = "plain"):
+def relation_law(law_id: str, group: str, kind: str, inputs: str,
+                 sampler: str = "plain", formula: Optional[str] = None):
+    """Register a relation law on the relations named in ``inputs``, drawn
+    in that order over ``range(n)``, ``2 <= n <= cfg.carrier_max``."""
+    count = len(inputs.split())
+
     def deco(fn):
         def runner(cfg: SampleConfig, rng: random.Random, st: OpStats):
             n = rng.randint(2, cfg.carrier_max)
             if sampler == "coreflexive":
-                rels = [random_coreflexive(n, 0.5, rng) for _ in range(nrels)]
+                rels = [random_coreflexive(n, 0.5, rng) for _ in range(count)]
             else:
-                rels = [random_rel(n, cfg.density + 0.1, rng) for _ in range(nrels)]
+                rels = [random_rel(n, cfg.density + 0.1, rng)
+                        for _ in range(count)]
             return fn(n, rels, rng)
-        RELATION_ENTRIES.append((Law(law_id, group, kind), runner))
+        RELATION_ENTRIES.append((Law(law_id, group, kind, formula), runner))
         return fn
     return deco
 
 
-@relation_law("rel-compose-assoc", "quantale", "equality")
-def _law_compose_assoc(n, rels, rng):
-    a, b, c = rels
-    return _eq(a.compose(b).compose(c), a.compose(b.compose(c)), rels)
+def relation_row(group: str, law_id: str, kind: str, inputs: str,
+                 formula: str, note: Optional[str] = None,
+                 sampler: str = "plain"):
+    """Register a formula row; a run of rows binds its group by partial."""
+    check = partial(_holds, _parse(formula, inputs), inputs.split(), note)
+    relation_law(law_id, group, kind, inputs, sampler, formula)(
+        lambda n, rels, rng: check(n, rels))
 
 
-@relation_law("rel-id-left", "quantale", "equality", nrels=1)
-def _law_id_left(n, rels, rng):
-    (a,) = rels
-    return _eq(Rel.identity(n).compose(a), a, rels)
+row = partial(relation_row, "quantale")
+row("rel-compose-assoc", "equality", "a b c", "(a;b);c = a;(b;c)")
+row("rel-id-left", "equality", "a", "Delta;a = a")
+row("rel-id-right", "equality", "a", "a;Delta = a")
+row("rel-bot-ann-left", "equality", "a", "Bot;a = Bot")
+row("rel-bot-ann-right", "equality", "a", "a;Bot = Bot")
+row("rel-dist-join-left", "equality", "a b c", "(a | b);c = a;c | b;c")
+row("rel-dist-join-right", "equality", "a b c", "a;(b | c) = a;b | a;c")
 
 
-@relation_law("rel-id-right", "quantale", "equality", nrels=1)
-def _law_id_right(n, rels, rng):
-    (a,) = rels
-    return _eq(a.compose(Rel.identity(n)), a, rels)
-
-
-@relation_law("rel-bot-ann-left", "quantale", "equality", nrels=1)
-def _law_bot_left(n, rels, rng):
-    (a,) = rels
-    return _eq(Rel.bottom(n).compose(a), Rel.bottom(n), rels)
-
-
-@relation_law("rel-bot-ann-right", "quantale", "equality", nrels=1)
-def _law_bot_right(n, rels, rng):
-    (a,) = rels
-    return _eq(a.compose(Rel.bottom(n)), Rel.bottom(n), rels)
-
-
-@relation_law("rel-dist-join-left", "quantale", "equality")
-def _law_dist_left(n, rels, rng):
-    a, b, c = rels
-    return _eq((a | b).compose(c), a.compose(c) | b.compose(c), rels)
-
-
-@relation_law("rel-dist-join-right", "quantale", "equality")
-def _law_dist_right(n, rels, rng):
-    a, b, c = rels
-    return _eq(a.compose(b | c), a.compose(b) | a.compose(c), rels)
-
-
-@relation_law("rel-compose-monotone", "quantale", "implication", nrels=2)
+@relation_law("rel-compose-monotone", "quantale", "implication", "a c")
 def _law_comp_mono(n, rels, rng):
     a, c = rels
     b = a | random_rel(n, 0.2, rng)
@@ -270,126 +365,54 @@ def _law_comp_mono(n, rels, rng):
     return _bool(ok, [a, b, c], "composition not monotone")
 
 
-@relation_law("rel-lattice-bounds", "lattice", "inequality", nrels=2)
-def _law_lattice_bounds(n, rels, rng):
-    a, b = rels
-    ok = (Rel.bottom(n).leq(a) and a.leq(Rel.top(n))
-          and (a & b).leq(a) and a.leq(a | b)
-          and (a & b).leq(a | b))
-    return _bool(ok, rels, "lattice bound violated")
+relation_row("lattice", "rel-lattice-bounds", "inequality", "a b",
+             "Bot <= a and a <= Top and a & b <= a and a <= a | b"
+             " and a & b <= a | b", "lattice bound violated")
+row = partial(relation_row, "converse")
+row("rel-conv-involution", "equality", "a", "a°° = a")
+row("rel-conv-id", "equality", "", "Delta° = Delta")
+row("rel-conv-compose", "equality", "a b", "(a;b)° = b°;a°")
+row("rel-conv-join", "equality", "a b", "(a | b)° = a° | b°")
+row("rel-conv-galois", "implication", "a b", "a° <= b iff a <= b°",
+    "converse self-adjunction broken")
+relation_row("modular", "rel-modular", "inequality", "a b c",
+             "a;b & c <= (a & c;b°);b")
+row = partial(relation_row, "residual")
+row("rel-residual-right-cancel", "inequality", "c b", "(c/b);b <= c")
+row("rel-residual-left-cancel", "inequality", "a c", r"a;(a\c) <= c")
+row("rel-residual-right-galois", "implication", "x b c",
+    "x <= c/b iff x;b <= c", "right residual adjunction broken")
+row("rel-residual-left-galois", "implication", "a x c",
+    r"x <= a\c iff a;x <= c", "left residual adjunction broken")
+# F = (-;b), G = (-/b): F(G(a)) <= a and a <= G(F(a))
+row("rel-galois-cancellation", "inequality", "a b",
+    "(a/b);b <= a and a <= (a;b)/b", "Galois cancellation broken")
 
 
-@relation_law("rel-conv-involution", "converse", "equality", nrels=1)
-def _law_conv_inv(n, rels, rng):
-    (a,) = rels
-    return _eq(a.converse().converse(), a, rels)
-
-
-@relation_law("rel-conv-id", "converse", "equality", nrels=0)
-def _law_conv_id(n, rels, rng):
-    return _eq(Rel.identity(n).converse(), Rel.identity(n), [])
-
-
-@relation_law("rel-conv-compose", "converse", "equality", nrels=2)
-def _law_conv_comp(n, rels, rng):
-    a, b = rels
-    return _eq(a.compose(b).converse(),
-               b.converse().compose(a.converse()), rels)
-
-
-@relation_law("rel-conv-join", "converse", "equality", nrels=2)
-def _law_conv_join(n, rels, rng):
-    a, b = rels
-    return _eq((a | b).converse(), a.converse() | b.converse(), rels)
-
-
-@relation_law("rel-conv-galois", "converse", "implication", nrels=2)
-def _law_conv_galois(n, rels, rng):
-    a, b = rels
-    ok = (a.converse().leq(b)) == (a.leq(b.converse()))
-    return _bool(ok, rels, "converse self-adjunction broken")
-
-
-@relation_law("rel-modular", "modular", "inequality")
-def _law_modular(n, rels, rng):
-    a, b, c = rels
-    lhs = a.compose(b) & c
-    rhs = (a & c.compose(b.converse())).compose(b)
-    return _leq(lhs, rhs, rels)
-
-
-@relation_law("rel-residual-right-cancel", "residual", "inequality", nrels=2)
-def _law_resr_cancel(n, rels, rng):
-    c, b = rels
-    return _leq(c.residual_right(b).compose(b), c, rels)
-
-
-@relation_law("rel-residual-left-cancel", "residual", "inequality", nrels=2)
-def _law_resl_cancel(n, rels, rng):
-    a, c = rels
-    return _leq(a.compose(a.residual_left(c)), c, rels)
-
-
-@relation_law("rel-residual-right-galois", "residual", "implication")
-def _law_resr_galois(n, rels, rng):
-    x, b, c = rels
-    ok = (x.leq(c.residual_right(b))) == (x.compose(b).leq(c))
-    return _bool(ok, rels, "right residual adjunction broken")
-
-
-@relation_law("rel-residual-left-galois", "residual", "implication")
-def _law_resl_galois(n, rels, rng):
-    a, x, c = rels
-    ok = (x.leq(a.residual_left(c))) == (a.compose(x).leq(c))
-    return _bool(ok, rels, "left residual adjunction broken")
-
-
-@relation_law("rel-galois-cancellation", "residual", "inequality", nrels=2)
-def _law_galois_cancel(n, rels, rng):
-    a, b = rels
-    # F = (-;b), G = (-/b): F(G(a)) <= a and a <= G(F(a))
-    ok = (a.residual_right(b).compose(b).leq(a)
-          and a.leq(a.compose(b).residual_right(b)))
-    return _bool(ok, rels, "Galois cancellation broken")
-
-
-def _all_rels(n: int):
-    slots = [(i, j) for i in range(n) for j in range(n)]
-    for mask in range(1 << len(slots)):
-        yield Rel(range(n), frozenset(p for k, p in enumerate(slots) if mask >> k & 1))
-
-
-@relation_law("rel-residual-adjoint-oracle", "residual", "equality", nrels=2)
+@relation_law("rel-residual-adjoint-oracle", "residual", "equality", "c b")
 def _law_res_oracle(n, rels, rng):
-    if n > 3:
-        n = 3
+    n = min(n, 3)
     c = random_rel(n, 0.3, rng)
     b = random_rel(n, 0.3, rng)
     # the adjoint formula: g(c) = join of every x with x;b <= c
     best = Rel.bottom(n)
-    for x in _all_rels(n):
+    slots = [(i, j) for i in range(n) for j in range(n)]
+    for mask in range(1 << len(slots)):
+        x = Rel(range(n), frozenset(p for k, p in enumerate(slots)
+                                    if mask >> k & 1))
         if x.compose(b).leq(c):
             best = best | x
     return _eq(c.residual_right(b), best, [c, b])
 
 
-@relation_law("rel-star-unfold", "star", "equality", nrels=1)
-def _law_star_unfold(n, rels, rng):
-    (a,) = rels
-    s = a.kleene_star()
-    return _eq(s, Rel.identity(n) | a.compose(s), rels)
+row = partial(relation_row, "star")
+row("rel-star-unfold", "equality", "a", "a* = Delta | a;a*")
+row("rel-star-closure", "inequality", "a",
+    "a <= a* and Delta <= a* and a*;a* <= a* and a** = a*",
+    "star closure-operator law broken")
 
 
-@relation_law("rel-star-closure", "star", "inequality", nrels=1)
-def _law_star_closure(n, rels, rng):
-    (a,) = rels
-    s = a.kleene_star()
-    ok = (a.leq(s) and Rel.identity(n).leq(s)
-          and s.compose(s).leq(s) and s.kleene_star().pairs == s.pairs)
-    return _bool(ok, rels, "star closure-operator law broken")
-
-
-@relation_law("rel-star-monotone", "star", "implication", nrels=1)
+@relation_law("rel-star-monotone", "star", "implication", "a")
 def _law_star_mono(n, rels, rng):
     (a,) = rels
     b = a | random_rel(n, 0.2, rng)
@@ -397,14 +420,10 @@ def _law_star_mono(n, rels, rng):
                  "star not monotone")
 
 
-@relation_law("rel-star-converse", "star", "equality", nrels=1)
-def _law_star_conv(n, rels, rng):
-    (a,) = rels
-    return _eq(a.converse().kleene_star(),
-               a.kleene_star().converse(), rels)
+row("rel-star-converse", "equality", "a", "a°* = a*°")
 
 
-@relation_law("rel-star-powers", "star", "inequality", nrels=1)
+@relation_law("rel-star-powers", "star", "inequality", "a")
 def _law_star_powers(n, rels, rng):
     (a,) = rels
     s = a.kleene_star()
@@ -412,30 +431,14 @@ def _law_star_powers(n, rels, rng):
     return _bool(ok, rels, "a^n <= a* broken")
 
 
-@relation_law("rel-trans-closure-unfold", "star", "equality", nrels=1)
-def _law_plus_unfold(n, rels, rng):
-    (a,) = rels
-    plus = a.trans_closure()
-    ok = (plus.pairs == (a | a.compose(plus)).pairs
-          and plus.pairs == a.compose(a.kleene_star()).pairs)
-    return _bool(ok, rels, "transitive closure unfold broken")
+row("rel-trans-closure-unfold", "equality", "a",
+    "a+ = a | a;a+ and a+ = a;a*", "transitive closure unfold broken")
+row = partial(relation_row, "coreflexive", sampler="coreflexive")
+row("rel-coreflexive-meet", "equality", "a b", "a;b = a & b")
+row("rel-coreflexive-converse", "equality", "a", "a° = a")
 
 
-@relation_law("rel-coreflexive-meet", "coreflexive", "equality", nrels=2,
-              sampler="coreflexive")
-def _law_corefl_meet(n, rels, rng):
-    a, b = rels
-    return _eq(a.compose(b), a & b, rels)
-
-
-@relation_law("rel-coreflexive-converse", "coreflexive", "equality", nrels=1,
-              sampler="coreflexive")
-def _law_corefl_conv(n, rels, rng):
-    (a,) = rels
-    return _eq(a.converse(), a, rels)
-
-
-@relation_law("rel-cr-iff-confluence", "ars", "implication", nrels=1)
+@relation_law("rel-cr-iff-confluence", "ars", "implication", "a")
 def _law_cr_iff(n, rels, rng):
     from .analysis import is_church_rosser, is_confluent
 
@@ -447,10 +450,8 @@ def _law_cr_iff(n, rels, rng):
 def run_relation_law_suite(cfg: SampleConfig,
                            law_ids: Optional[Sequence[str]] = None,
                            corrupt_compose: bool = False) -> List[LawReport]:
-    if corrupt_compose:
-        with relalg.corrupted_compose():
-            return _run_entries(RELATION_ENTRIES, cfg, law_ids)
-    return _run_entries(RELATION_ENTRIES, cfg, law_ids)
+    with relalg.corrupted_compose() if corrupt_compose else nullcontext():
+        return _run_entries(RELATION_ENTRIES, cfg, law_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +460,12 @@ def run_relation_law_suite(cfg: SampleConfig,
 TERMREL_ENTRIES: List[Tuple[Law, Callable]] = []
 
 
-def termrel_law(law_id: str, group: str, kind: str, soft: bool = False,
-                support: int = 2, work: int = 3, nrels: int = 1,
+def termrel_law(law_id: str, group: str, kind: str, inputs: str,
+                support: int = 2, work: int = 3,
                 max_pairs: Optional[int] = None, strict_retry: bool = False,
-                ordered: bool = False):
-    """Register a term-relation law.
+                ordered: bool = False, formula: Optional[str] = None):
+    """Register a term-relation law on the relations named in ``inputs``,
+    drawn in that order.
 
     ``support``/``work`` are the headroom table: inputs are drawn with
     support depth ``support`` and the law is evaluated over the depth-
@@ -473,18 +475,17 @@ def termrel_law(law_id: str, group: str, kind: str, soft: bool = False,
     ``strict_retry`` re-checks failures under the all-variables reading of
     relational substitution before reporting them.
     """
+    count = len(inputs.split())
+
     def deco(fn):
         def runner(cfg: SampleConfig, rng: random.Random, st: OpStats):
             u = universe(cfg.signature, cfg.variables, work)
             sup = universe(cfg.signature, cfg.variables, support).terms()
             cap = max_pairs if max_pairs is not None else cfg.max_pairs
             rels = []
-            for i in range(nrels):
-                k = rng.randint(0, cap)
-                pairs = set()
-                for _ in range(k):
-                    pairs.add((rng.choice(sup), rng.choice(sup)))
-                r = Rel(u, frozenset(pairs))
+            for i in range(count):
+                r = Rel(u, frozenset({(rng.choice(sup), rng.choice(sup))
+                                      for _ in range(rng.randint(0, cap))}))
                 if ordered and i == 1:
                     r = r | rels[0]
                 rels.append(r)
@@ -493,44 +494,29 @@ def termrel_law(law_id: str, group: str, kind: str, soft: bool = False,
                 if fn(u, rels, st, strict=True) is None:
                     return None
             return res
-        TERMREL_ENTRIES.append((Law(law_id, group, kind, soft), runner))
+        TERMREL_ENTRIES.append(
+            (Law(law_id, group, kind, formula, constant=not count), runner))
         return fn
     return deco
 
 
-@lru_cache(maxsize=None)
-def _cached_delta_subst(u: Universe) -> bool:
-    st = OpStats()
-    d = delta(u)
-    return subst_rel(d, d, st).pairs == d.pairs
+def termrel_row(group: str, law_id: str, kind: str, inputs: str,
+                formula: str, note: Optional[str] = None, **sampling):
+    """Register a formula row; a run of rows binds its group by partial."""
+    termrel_law(law_id, group, kind, inputs, formula=formula, **sampling)(
+        partial(_holds, _parse(formula, inputs), inputs.split(), note))
 
 
-@termrel_law("subst-delta-delta", "substitution", "equality",
-             support=2, work=2, nrels=0)
-def _tl_subst_delta(u, rels, st, strict=False):
-    return _bool(_cached_delta_subst(u), [], "Delta[Delta] != Delta")
+row = partial(termrel_row, "substitution")
+row("subst-delta-delta", "equality", "", "Delta[Delta] = Delta",
+    "Delta[Delta] != Delta", work=2)
+row("subst-compose", "inequality", "a b c d", "(a;b)[c;d] <= a[c];b[d]",
+    work=4, max_pairs=3, strict_retry=True)
+row("subst-converse", "equality", "a b", "a[b]° = a°[b°]", work=4, max_pairs=3)
 
 
-@termrel_law("subst-compose", "substitution", "inequality",
-             support=2, work=4, nrels=4, max_pairs=3, strict_retry=True)
-def _tl_subst_compose(u, rels, st, strict=False):
-    a, b, c, d = rels
-    lhs = subst_rel(a.compose(b), c.compose(d), st, strict=strict)
-    rhs = subst_rel(a, c, st, strict=strict).compose(
-        subst_rel(b, d, st, strict=strict))
-    return _leq(lhs, rhs, rels)
-
-
-@termrel_law("subst-converse", "substitution", "equality",
-             support=2, work=4, nrels=2, max_pairs=3)
-def _tl_subst_conv(u, rels, st, strict=False):
-    a, b = rels
-    return _eq(subst_rel(a, b, st).converse(),
-               subst_rel(a.converse(), b.converse(), st), rels)
-
-
-@termrel_law("subst-monotone", "substitution", "implication",
-             support=2, work=4, nrels=2, max_pairs=3)
+@termrel_law("subst-monotone", "substitution", "implication", "a b",
+             work=4, max_pairs=3)
 def _tl_subst_mono(u, rels, st, strict=False):
     a, b = rels
     a2 = a | Rel(u, frozenset(sorted(b.pairs)[:1]))
@@ -539,308 +525,103 @@ def _tl_subst_mono(u, rels, st, strict=False):
     return _bool(ok, [a, b], "subst not monotone")
 
 
-@termrel_law("subst-join", "substitution", "equality",
-             support=2, work=4, nrels=3, max_pairs=3)
-def _tl_subst_join(u, rels, st, strict=False):
-    a, b, c = rels
-    return _eq(subst_rel(a | b, c, st),
-               subst_rel(a, c, st) | subst_rel(b, c, st), rels)
+row("subst-join", "equality", "a b c", "(a | b)[c] = a[c] | b[c]",
+    work=4, max_pairs=3)
+# the action law holds laxly only: distinct variables may pick images that
+# share a variable, which couples the outer instantiation on the left but
+# not on the right
+row("subst-assoc", "inequality", "a b c", "a[b][c] <= a[b[c]]",
+    work=6, max_pairs=3, strict_retry=True)
+row("ieta-subst", "inequality", "b", "I_eta[b] <= b", work=2)
+row = partial(termrel_row, "compat-refinement")
+row("tilde-delta", "inequality", "", "tilde(Delta) <= Delta",
+    "~Delta not below Delta", work=2)
+row("tilde-compose", "equality", "a b", "tilde(a;b) = tilde(a);tilde(b)")
+row("tilde-converse", "equality", "a", "tilde(a°) = tilde(a)°")
+row("tilde-monotone", "implication", "a b", "tilde(a) <= tilde(b)",
+    "tilde not monotone", ordered=True)
+# only an inequality: tilde(a|b) may mix a-steps and b-steps in different
+# argument positions of the same operator
+row("tilde-join", "inequality", "a b", "tilde(a) | tilde(b) <= tilde(a | b)")
+row("tilde-subst", "inequality", "a b", "tilde(a)[b] <= tilde(a[b])",
+    work=5, max_pairs=3)
+row("tilde-var-disjoint", "equality", "a", "I_eta & tilde(a) = Bot",
+    "I_eta meets tilde(a)")
+row("hat-delta", "equality", "", "hat(Delta) = Delta", "hat(Delta) != Delta",
+    work=2)
+row("hat-compose", "equality", "a b", "hat(a;b) = hat(a);hat(b)")
+row("hat-converse", "equality", "a", "hat(a°) = hat(a)°")
+row("hat-join", "inequality", "a b", "hat(a) | hat(b) <= hat(a | b)")
+row("hat-subst", "inequality", "a b", "hat(a)[b] <= hat(a[b]) | b",
+    work=5, max_pairs=3)
 
 
-@termrel_law("subst-assoc", "substitution", "inequality",
-             support=2, work=6, nrels=3, max_pairs=3, strict_retry=True)
-def _tl_subst_assoc(u, rels, st, strict=False):
-    # the action law holds laxly only: distinct variables may pick images
-    # that share a variable, which couples the outer instantiation on the
-    # left but not on the right
-    a, b, c = rels
-    lhs = subst_rel(subst_rel(a, b, st, strict=strict), c, st, strict=strict)
-    rhs = subst_rel(a, subst_rel(b, c, st, strict=strict), st, strict=strict)
-    return _leq(lhs, rhs, rels)
-
-
-@termrel_law("ieta-subst", "substitution", "inequality",
-             support=2, work=2, nrels=1)
-def _tl_ieta_subst(u, rels, st, strict=False):
-    (b,) = rels
-    return _leq(subst_rel(i_eta(u), b, st), b, rels)
-
-
-@lru_cache(maxsize=None)
-def _cached_tilde_delta(u: Universe) -> bool:
-    d = delta(u)
-    return tilde(d).leq(d)
-
-
-@termrel_law("tilde-delta", "compat-refinement", "inequality",
-             support=2, work=2, nrels=0)
-def _tl_tilde_delta(u, rels, st, strict=False):
-    return _bool(_cached_tilde_delta(u), [], "~Delta not below Delta")
-
-
-@termrel_law("tilde-compose", "compat-refinement", "equality",
-             support=2, work=3, nrels=2)
-def _tl_tilde_comp(u, rels, st, strict=False):
-    a, b = rels
-    return _eq(tilde(a.compose(b), st), tilde(a, st).compose(tilde(b, st)),
-               rels)
-
-
-@termrel_law("tilde-converse", "compat-refinement", "equality",
-             support=2, work=3, nrels=1)
-def _tl_tilde_conv(u, rels, st, strict=False):
-    (a,) = rels
-    return _eq(tilde(a.converse(), st), tilde(a, st).converse(), rels)
-
-
-@termrel_law("tilde-monotone", "compat-refinement", "implication",
-             support=2, work=3, nrels=2, ordered=True)
-def _tl_tilde_mono(u, rels, st, strict=False):
-    a, b = rels
-    return _bool(tilde(a, st).leq(tilde(b, st)), rels, "tilde not monotone")
-
-
-@termrel_law("tilde-join", "compat-refinement", "inequality",
-             support=2, work=3, nrels=2)
-def _tl_tilde_join(u, rels, st, strict=False):
-    # only an inequality: tilde(a|b) may mix a-steps and b-steps in
-    # different argument positions of the same operator
-    a, b = rels
-    return _leq(tilde(a, st) | tilde(b, st), tilde(a | b, st), rels)
-
-
-@termrel_law("tilde-subst", "compat-refinement", "inequality",
-             support=2, work=5, nrels=2, max_pairs=3)
-def _tl_tilde_subst(u, rels, st, strict=False):
-    a, b = rels
-    return _leq(subst_rel(tilde(a, st), b, st), tilde(subst_rel(a, b, st), st),
-                rels)
-
-
-@termrel_law("tilde-var-disjoint", "compat-refinement", "equality",
-             support=2, work=3, nrels=1)
-def _tl_tilde_vars(u, rels, st, strict=False):
-    (a,) = rels
-    return _bool(not (i_eta(u) & tilde(a, st)).pairs, rels,
-                 "I_eta meets tilde(a)")
-
-
-@lru_cache(maxsize=None)
-def _cached_hat_delta(u: Universe) -> bool:
-    d = delta(u)
-    return hat(d).pairs == d.pairs
-
-
-@termrel_law("hat-delta", "compat-refinement", "equality",
-             support=2, work=2, nrels=0)
-def _tl_hat_delta(u, rels, st, strict=False):
-    return _bool(_cached_hat_delta(u), [], "hat(Delta) != Delta")
-
-
-@termrel_law("hat-compose", "compat-refinement", "equality",
-             support=2, work=3, nrels=2)
-def _tl_hat_comp(u, rels, st, strict=False):
-    a, b = rels
-    return _eq(hat(a.compose(b), st), hat(a, st).compose(hat(b, st)), rels)
-
-
-@termrel_law("hat-converse", "compat-refinement", "equality",
-             support=2, work=3, nrels=1)
-def _tl_hat_conv(u, rels, st, strict=False):
-    (a,) = rels
-    return _eq(hat(a.converse(), st), hat(a, st).converse(), rels)
-
-
-@termrel_law("hat-join", "compat-refinement", "inequality",
-             support=2, work=3, nrels=2)
-def _tl_hat_join(u, rels, st, strict=False):
-    a, b = rels
-    return _leq(hat(a, st) | hat(b, st), hat(a | b, st), rels)
-
-
-@termrel_law("hat-subst", "compat-refinement", "inequality",
-             support=2, work=5, nrels=2, max_pairs=3)
-def _tl_hat_subst(u, rels, st, strict=False):
-    a, b = rels
-    lhs = subst_rel(hat(a, st), b, st)
-    rhs = hat(subst_rel(a, b, st), st) | b
-    return _leq(lhs, rhs, rels)
-
-
-@lru_cache(maxsize=None)
-def _cached_delta_fixpoint(u: Universe) -> bool:
-    return lfp(hat, Rel.bottom(u)) == delta(u)
-
-
-@termrel_law("delta-hat-fixpoint", "compat-refinement", "equality",
-             support=2, work=2, nrels=0)
+@termrel_law("delta-hat-fixpoint", "compat-refinement", "equality", "",
+             work=2)
 def _tl_delta_fix(u, rels, st, strict=False):
-    return _bool(_cached_delta_fixpoint(u), [], "lfp of hat is not Delta")
+    return _bool(lfp(hat, Rel.bottom(u)) == delta(u), [],
+                 "lfp of hat is not Delta")
 
 
-@lru_cache(maxsize=None)
-def _cached_check_delta(u: Universe) -> bool:
-    d = delta(u)
-    return check_refine(d).leq(d)
+row = partial(termrel_row, "seq-refinement", support=1, work=2)
+row("check-delta", "inequality", "", "check(Delta) <= Delta",
+    "check(Delta) not below Delta")
+row("check-compose", "inequality", "a b", "check(a;b) <= check(a);check(b)")
+row("check-interchange", "inequality", "a b",
+    "check(a);check(b) <= check(a;b) | check(b);check(a)")
+row("check-converse", "equality", "a", "check(a°) = check(a)°")
+row("check-monotone", "implication", "a b", "check(a) <= check(b)",
+    "check not monotone", ordered=True)
+row("check-join", "equality", "a b", "check(a | b) = check(a) | check(b)")
+row("check-is-derivative", "equality", "a", "check(a) = deriv(Delta, a)")
+row = partial(termrel_row, "derivative")
+row("deriv-delta", "inequality", "", "deriv(Delta, Delta) <= Delta",
+    "d_Delta(Delta) not below Delta", support=1, work=2)
+row("deriv-monotone", "implication", "a b", "deriv(a, a) <= deriv(b, b)",
+    "derivative not monotone", ordered=True)
+row("deriv-compose", "inequality", "a a2 b b2",
+    "deriv(a;a2, b;b2) <= deriv(a, b);deriv(a2, b2)", max_pairs=3)
+row("deriv-converse", "equality", "a b", "deriv(a, b)° = deriv(a°, b°)")
+row("deriv-below-tilde", "inequality", "a b", "deriv(a, b) <= tilde(a | b)")
+# the step of the semi-naive parallel closure: what a new pair d adds to
+# tilde lies in the derivative with d in one position
+row("tilde-increment", "equality", "x d",
+    "tilde(x | d) = tilde(x) | deriv(x | d, d)")
+row("deriv-join", "equality", "a b",
+    "deriv(Delta, a | b) = deriv(Delta, a) | deriv(Delta, b)",
+    support=1, work=2)
+row("tilde-is-derivative", "equality", "a", "tilde(a) = deriv(a, a) | I_sigma0")
 
 
-@termrel_law("check-delta", "seq-refinement", "inequality",
-             support=1, work=2, nrels=0)
-def _tl_check_delta(u, rels, st, strict=False):
-    return _bool(_cached_check_delta(u), [], "check(Delta) not below Delta")
-
-
-@termrel_law("check-compose", "seq-refinement", "inequality",
-             support=1, work=2, nrels=2)
-def _tl_check_comp(u, rels, st, strict=False):
-    a, b = rels
-    return _leq(check_refine(a.compose(b), st),
-                check_refine(a, st).compose(check_refine(b, st)), rels)
-
-
-@termrel_law("check-interchange", "seq-refinement", "inequality",
-             support=1, work=2, nrels=2)
-def _tl_check_inter(u, rels, st, strict=False):
-    a, b = rels
-    ca, cb = check_refine(a, st), check_refine(b, st)
-    lhs = ca.compose(cb)
-    rhs = check_refine(a.compose(b), st) | cb.compose(ca)
-    return _leq(lhs, rhs, rels)
-
-
-@termrel_law("check-converse", "seq-refinement", "equality",
-             support=1, work=2, nrels=1)
-def _tl_check_conv(u, rels, st, strict=False):
-    (a,) = rels
-    return _eq(check_refine(a.converse(), st),
-               check_refine(a, st).converse(), rels)
-
-
-@termrel_law("check-monotone", "seq-refinement", "implication",
-             support=1, work=2, nrels=2, ordered=True)
-def _tl_check_mono(u, rels, st, strict=False):
-    a, b = rels
-    return _bool(check_refine(a, st).leq(check_refine(b, st)), rels,
-                 "check not monotone")
-
-
-@termrel_law("check-join", "seq-refinement", "equality",
-             support=1, work=2, nrels=2)
-def _tl_check_join(u, rels, st, strict=False):
-    a, b = rels
-    return _eq(check_refine(a | b, st),
-               check_refine(a, st) | check_refine(b, st), rels)
-
-
-@termrel_law("check-is-derivative", "seq-refinement", "equality",
-             support=1, work=2, nrels=1)
-def _tl_check_deriv(u, rels, st, strict=False):
-    (a,) = rels
-    return _eq(check_refine(a, st), derivative(delta(u), a, st), rels)
-
-
-@termrel_law("deriv-delta", "derivative", "inequality",
-             support=1, work=2, nrels=0)
-def _tl_deriv_delta(u, rels, st, strict=False):
-    return _bool(_cached_check_delta(u), [], "d_Delta(Delta) not below Delta")
-
-
-@termrel_law("deriv-monotone", "derivative", "implication",
-             support=2, work=3, nrels=2, ordered=True)
-def _tl_deriv_mono(u, rels, st, strict=False):
-    a, b = rels
-    return _bool(derivative(a, a, st).leq(derivative(b, b, st)), rels,
-                 "derivative not monotone")
-
-
-@termrel_law("deriv-compose", "derivative", "inequality",
-             support=2, work=3, nrels=4, max_pairs=3)
-def _tl_deriv_comp(u, rels, st, strict=False):
-    a, a2, b, b2 = rels
-    lhs = derivative(a.compose(a2), b.compose(b2), st)
-    rhs = derivative(a, b, st).compose(derivative(a2, b2, st))
-    return _leq(lhs, rhs, rels)
-
-
-@termrel_law("deriv-converse", "derivative", "equality",
-             support=2, work=3, nrels=2)
-def _tl_deriv_conv(u, rels, st, strict=False):
-    a, b = rels
-    return _eq(derivative(a, b, st).converse(),
-               derivative(a.converse(), b.converse(), st), rels)
-
-
-@termrel_law("deriv-below-tilde", "derivative", "inequality",
-             support=2, work=3, nrels=2)
-def _tl_deriv_tilde(u, rels, st, strict=False):
-    a, b = rels
-    return _leq(derivative(a, b, st), tilde(a | b, st), rels)
-
-
-@termrel_law("tilde-increment", "derivative", "equality",
-             support=2, work=3, nrels=2)
-def _tl_tilde_increment(u, rels, st, strict=False):
-    # the step of the semi-naive parallel closure: what a new pair d adds
-    # to tilde lies in the derivative with d in one position
-    x, d = rels
-    xd = x | d
-    return _eq(tilde(xd, st), tilde(x, st) | derivative(xd, d, st), rels)
-
-
-@termrel_law("deriv-join", "derivative", "equality",
-             support=1, work=2, nrels=2)
-def _tl_deriv_join(u, rels, st, strict=False):
-    a, b = rels
-    d = delta(u)
-    return _eq(derivative(d, a | b, st),
-               derivative(d, a, st) | derivative(d, b, st), rels)
-
-
-@termrel_law("tilde-is-derivative", "derivative", "equality",
-             support=2, work=3, nrels=1)
-def _tl_tilde_deriv(u, rels, st, strict=False):
-    (a,) = rels
-    return _eq(tilde(a, st), derivative(a, a, st) | i_sigma0(u), rels)
-
-
-@lru_cache(maxsize=None)
-def _cached_taylor_delta(u: Universe) -> bool:
-    d = delta(u)
-    return all(taylor(n, d).leq(d) for n in range(u.signature.max_arity() + 1))
-
-
-@termrel_law("taylor-delta", "taylor", "inequality",
-             support=2, work=2, nrels=0)
+@termrel_law("taylor-delta", "taylor", "inequality", "", work=2)
 def _tl_taylor_delta(u, rels, st, strict=False):
-    return _bool(_cached_taylor_delta(u), [], "taylor(Delta) not below Delta")
+    d = delta(u)
+    ok = all(taylor(n, d).leq(d) for n in range(u.signature.max_arity() + 1))
+    return _bool(ok, [], "taylor(Delta) not below Delta")
 
 
-@termrel_law("taylor-compose", "taylor", "equality",
-             support=2, work=3, nrels=2)
+def _first(results) -> Optional[str]:
+    """The first counterexample of a lazy sequence of checks."""
+    return next((r for r in results if r is not None), None)
+
+
+@termrel_law("taylor-compose", "taylor", "equality", "a b")
 def _tl_taylor_comp(u, rels, st, strict=False):
     a, b = rels
-    for n in range(u.signature.max_arity() + 1):
-        res = _eq(taylor(n, a.compose(b), st),
-                  taylor(n, a, st).compose(taylor(n, b, st)), rels)
-        if res is not None:
-            return res
-    return None
+    return _first(_eq(taylor(n, a.compose(b), st),
+                      taylor(n, a, st).compose(taylor(n, b, st)), rels)
+                  for n in range(u.signature.max_arity() + 1))
 
 
-@termrel_law("taylor-converse", "taylor", "equality",
-             support=2, work=3, nrels=1)
+@termrel_law("taylor-converse", "taylor", "equality", "a")
 def _tl_taylor_conv(u, rels, st, strict=False):
     (a,) = rels
-    for n in range(u.signature.max_arity() + 1):
-        res = _eq(taylor(n, a.converse(), st), taylor(n, a, st).converse(),
-                  rels)
-        if res is not None:
-            return res
-    return None
+    return _first(_eq(taylor(n, a.converse(), st),
+                      taylor(n, a, st).converse(), rels)
+                  for n in range(u.signature.max_arity() + 1))
 
 
-@termrel_law("taylor-monotone", "taylor", "implication",
-             support=2, work=3, nrels=2, ordered=True)
+@termrel_law("taylor-monotone", "taylor", "implication", "a b", ordered=True)
 def _tl_taylor_mono(u, rels, st, strict=False):
     a, b = rels
     ok = all(taylor(n, a, st).leq(taylor(n, b, st))
@@ -848,28 +629,21 @@ def _tl_taylor_mono(u, rels, st, strict=False):
     return _bool(ok, rels, "taylor not monotone")
 
 
-@termrel_law("taylor-zero", "taylor", "equality",
-             support=2, work=3, nrels=1)
-def _tl_taylor_zero(u, rels, st, strict=False):
-    (a,) = rels
-    return _eq(taylor(0, a, st), i_sigma0(u), rels)
+termrel_row("taylor", "taylor-zero", "equality", "a",
+            "taylor(0, a) = I_sigma0")
 
 
-@termrel_law("taylor-subst", "taylor", "inequality",
-             support=2, work=5, nrels=2, max_pairs=3)
+@termrel_law("taylor-subst", "taylor", "inequality", "a b",
+             work=5, max_pairs=3)
 def _tl_taylor_subst(u, rels, st, strict=False):
     a, b = rels
     ab = subst_rel(a, b, st)
-    for n in range(u.signature.max_arity() + 1):
-        res = _leq(subst_rel(taylor(n, a, st), b, st), taylor(n, ab, st),
-                   rels)
-        if res is not None:
-            return res
-    return None
+    return _first(_leq(subst_rel(taylor(n, a, st), b, st), taylor(n, ab, st),
+                       rels) for n in range(u.signature.max_arity() + 1))
 
 
-@termrel_law("taylor-deriv-power", "taylor", "inequality",
-             support=1, work=2, nrels=1)
+@termrel_law("taylor-deriv-power", "taylor", "inequality", "a",
+             support=1, work=2)
 def _tl_taylor_power(u, rels, st, strict=False):
     (a,) = rels
     ca = check_refine(a, st)
@@ -882,8 +656,7 @@ def _tl_taylor_power(u, rels, st, strict=False):
     return None
 
 
-@termrel_law("taylor-expansion", "taylor", "equality",
-             support=2, work=3, nrels=1)
+@termrel_law("taylor-expansion", "taylor", "equality", "a")
 def _tl_taylor_expansion(u, rels, st, strict=False):
     (a,) = rels
     joined = Rel.bottom(u)
@@ -892,66 +665,20 @@ def _tl_taylor_expansion(u, rels, st, strict=False):
     return _eq(tilde(a, st), joined, rels)
 
 
-# --- sequential closure -----------------------------------------------------
-
-@termrel_law("seqclo-extensive", "seq-closure", "inequality",
-             support=1, work=2, nrels=1)
-def _tl_seqclo_ext(u, rels, st, strict=False):
-    (a,) = rels
-    return _leq(a, sequential_closure(a, st), rels)
-
-
-@termrel_law("seqclo-closed", "seq-closure", "inequality",
-             support=1, work=2, nrels=1)
-def _tl_seqclo_closed(u, rels, st, strict=False):
-    (a,) = rels
-    s = sequential_closure(a, st)
-    return _leq(check_refine(s, st), s, rels)
+row = partial(termrel_row, "seq-closure", support=1, work=2)
+row("seqclo-extensive", "inequality", "a", "a <= seqclo(a)")
+row("seqclo-closed", "inequality", "a", "check(seqclo(a)) <= seqclo(a)")
+row("seqclo-idempotent", "equality", "a", "seqclo(seqclo(a)) = seqclo(a)")
+row("seqclo-monotone", "implication", "a b", "seqclo(a) <= seqclo(b)",
+    "sequential closure not monotone", ordered=True)
+row("seqclo-converse", "equality", "a", "seqclo(a°) = seqclo(a)°")
+row("seqclo-compose", "inequality", "a b",
+    "seqclo(a;b) <= seqclo(a);seqclo(b)", support=0)
+row("seqclo-star", "inequality", "a", "seqclo(a*) <= seqclo(a)*", support=0)
 
 
-@termrel_law("seqclo-idempotent", "seq-closure", "equality",
-             support=1, work=2, nrels=1)
-def _tl_seqclo_idem(u, rels, st, strict=False):
-    (a,) = rels
-    s = sequential_closure(a, st)
-    return _eq(sequential_closure(s, st), s, rels)
-
-
-@termrel_law("seqclo-monotone", "seq-closure", "implication",
-             support=1, work=2, nrels=2, ordered=True)
-def _tl_seqclo_mono(u, rels, st, strict=False):
-    a, b = rels
-    return _bool(sequential_closure(a, st).leq(sequential_closure(b, st)),
-                 rels, "sequential closure not monotone")
-
-
-@termrel_law("seqclo-converse", "seq-closure", "equality",
-             support=1, work=2, nrels=1)
-def _tl_seqclo_conv(u, rels, st, strict=False):
-    (a,) = rels
-    return _eq(sequential_closure(a.converse(), st),
-               sequential_closure(a, st).converse(), rels)
-
-
-@termrel_law("seqclo-compose", "seq-closure", "inequality",
-             support=0, work=2, nrels=2)
-def _tl_seqclo_comp(u, rels, st, strict=False):
-    a, b = rels
-    return _leq(sequential_closure(a.compose(b), st),
-                sequential_closure(a, st).compose(sequential_closure(b, st)),
-                rels)
-
-
-@termrel_law("seqclo-star", "seq-closure", "inequality",
-             support=0, work=2, nrels=1)
-def _tl_seqclo_star(u, rels, st, strict=False):
-    (a,) = rels
-    return _leq(sequential_closure(a.kleene_star(), st),
-                sequential_closure(a, st).kleene_star(), rels)
-
-
-@termrel_law("seqclo-five-way", "seq-closure", "inequality",
-             support=1, work=2, nrels=2)
+@termrel_law("seqclo-five-way", "seq-closure", "inequality", "a b",
+             support=1, work=2)
 def _tl_seqclo_five(u, rels, st, strict=False):
     a, b = rels
     sa, sb = sequential_closure(a, st), sequential_closure(b, st)
@@ -964,141 +691,31 @@ def _tl_seqclo_five(u, rels, st, strict=False):
     return _leq(lhs, rhs, rels)
 
 
-@termrel_law("check-star", "seq-closure", "inequality",
-             support=0, work=2, nrels=1)
-def _tl_check_star(u, rels, st, strict=False):
-    (a,) = rels
-    return _leq(check_refine(a.kleene_star(), st),
-                check_refine(a, st).kleene_star(), rels)
+row("check-star", "inequality", "a", "check(a*) <= check(a)*", support=0)
 
+row = partial(termrel_row, "par-closure", support=1, work=2)
+row("parclo-extensive", "inequality", "a", "a <= parclo(a)")
+row("parclo-closed-hat", "inequality", "a", "hat(parclo(a)) <= parclo(a)")
+row("parclo-closed-check", "inequality", "a", "check(parclo(a)) <= parclo(a)")
+row("parclo-idempotent", "equality", "a", "parclo(parclo(a)) = parclo(a)")
+row("parclo-monotone", "implication", "a b", "parclo(a) <= parclo(b)",
+    "parallel closure not monotone", ordered=True)
+row("parclo-reflexive", "inequality", "a", "Delta <= parclo(a)")
+row("parclo-compose", "inequality", "a b",
+    "parclo(a;b) <= parclo(a);parclo(b)", support=0)
+row("parclo-converse", "equality", "a", "parclo(a°) = parclo(a)°")
+row("parclo-subst-stable", "inequality", "a",
+    "Delta[parclo(a[Delta])] <= parclo(a[Delta])", work=1, max_pairs=3)
 
-# --- parallel closure --------------------------------------------------------
-
-@termrel_law("parclo-extensive", "par-closure", "inequality",
-             support=1, work=2, nrels=1)
-def _tl_parclo_ext(u, rels, st, strict=False):
-    (a,) = rels
-    return _leq(a, parallel_closure(a, st), rels)
-
-
-@termrel_law("parclo-closed-hat", "par-closure", "inequality",
-             support=1, work=2, nrels=1)
-def _tl_parclo_hat(u, rels, st, strict=False):
-    (a,) = rels
-    p = parallel_closure(a, st)
-    return _leq(hat(p, st), p, rels)
-
-
-@termrel_law("parclo-closed-check", "par-closure", "inequality",
-             support=1, work=2, nrels=1)
-def _tl_parclo_check(u, rels, st, strict=False):
-    (a,) = rels
-    p = parallel_closure(a, st)
-    return _leq(check_refine(p, st), p, rels)
-
-
-@termrel_law("parclo-idempotent", "par-closure", "equality",
-             support=1, work=2, nrels=1)
-def _tl_parclo_idem(u, rels, st, strict=False):
-    (a,) = rels
-    p = parallel_closure(a, st)
-    return _eq(parallel_closure(p, st), p, rels)
-
-
-@termrel_law("parclo-monotone", "par-closure", "implication",
-             support=1, work=2, nrels=2, ordered=True)
-def _tl_parclo_mono(u, rels, st, strict=False):
-    a, b = rels
-    return _bool(parallel_closure(a, st).leq(parallel_closure(b, st)), rels,
-                 "parallel closure not monotone")
-
-
-@termrel_law("parclo-reflexive", "par-closure", "inequality",
-             support=1, work=2, nrels=1)
-def _tl_parclo_refl(u, rels, st, strict=False):
-    (a,) = rels
-    return _leq(delta(u), parallel_closure(a, st), rels)
-
-
-@termrel_law("parclo-compose", "par-closure", "inequality",
-             support=0, work=2, nrels=2)
-def _tl_parclo_comp(u, rels, st, strict=False):
-    a, b = rels
-    return _leq(parallel_closure(a.compose(b), st),
-                parallel_closure(a, st).compose(parallel_closure(b, st)),
-                rels)
-
-
-@termrel_law("parclo-converse", "par-closure", "equality",
-             support=1, work=2, nrels=1)
-def _tl_parclo_conv(u, rels, st, strict=False):
-    (a,) = rels
-    return _eq(parallel_closure(a.converse(), st),
-               parallel_closure(a, st).converse(), rels)
-
-
-@termrel_law("parclo-subst-stable", "par-closure", "inequality",
-             support=1, work=1, nrels=1, max_pairs=3)
-def _tl_parclo_subst(u, rels, st, strict=False):
-    (a,) = rels
-    ai = subst_rel(a, delta(u), st)
-    p = parallel_closure(ai, st)
-    return _leq(subst_rel(delta(u), p, st), p, rels)
-
-
-# --- fundamental theorems and the spectrum ----------------------------------
-
-@termrel_law("fund-seq-below-par", "spectrum", "inequality",
-             support=1, work=2, nrels=1)
-def _tl_fund1(u, rels, st, strict=False):
-    (a,) = rels
-    return _leq(sequential_closure(a, st), parallel_closure(a, st), rels)
-
-
-@termrel_law("fund-par-below-seqstar", "spectrum", "inequality",
-             support=1, work=2, nrels=1)
-def _tl_fund2(u, rels, st, strict=False):
-    (a,) = rels
-    return _leq(parallel_closure(a, st),
-                sequential_closure(a, st).kleene_star(), rels)
-
-
-@termrel_law("fund-stars-equal", "spectrum", "equality",
-             support=1, work=2, nrels=1)
-def _tl_fund3(u, rels, st, strict=False):
-    (a,) = rels
-    return _eq(sequential_closure(a, st).kleene_star(),
-               parallel_closure(a, st).kleene_star(), rels)
-
-
-@termrel_law("spectrum-subst-extensive", "spectrum", "inequality",
-             support=1, work=2, nrels=1)
-def _tl_spec_subst(u, rels, st, strict=False):
-    (a,) = rels
-    return _leq(a, subst_rel(a, delta(u), st), rels)
-
-
-@termrel_law("spectrum-par-below-full", "spectrum", "inequality",
-             support=1, work=2, nrels=1)
-def _tl_spec_parfull(u, rels, st, strict=False):
-    (a,) = rels
-    return _leq(parallel_closure(a, st), full_closure(a, st), rels)
-
-
-@termrel_law("spectrum-full-below-seqstar", "spectrum", "inequality",
-             support=1, work=2, nrels=1)
-def _tl_spec_fullstar(u, rels, st, strict=False):
-    (a,) = rels
-    return _leq(full_closure(a, st),
-                sequential_closure(a, st).kleene_star(), rels)
-
-
-@termrel_law("spectrum-full-star-equal", "spectrum", "equality",
-             support=1, work=2, nrels=1)
-def _tl_spec_starseq(u, rels, st, strict=False):
-    (a,) = rels
-    return _eq(full_closure(a, st).kleene_star(),
-               sequential_closure(a, st).kleene_star(), rels)
+row = partial(termrel_row, "spectrum", support=1, work=2)
+row("fund-seq-below-par", "inequality", "a", "seqclo(a) <= parclo(a)")
+row("fund-par-below-seqstar", "inequality", "a", "parclo(a) <= seqclo(a)*")
+row("fund-stars-equal", "equality", "a", "seqclo(a)* = parclo(a)*")
+row("spectrum-subst-extensive", "inequality", "a", "a <= a[Delta]")
+row("spectrum-par-below-full", "inequality", "a", "parclo(a) <= fullclo(a)")
+row("spectrum-full-below-seqstar", "inequality", "a", "fullclo(a) <= seqclo(a)*")
+row("spectrum-full-star-equal", "equality", "a", "fullclo(a)* = seqclo(a)*")
+del row
 
 
 def run_termrel_law_suite(cfg: SampleConfig,
@@ -1113,10 +730,12 @@ def run_termrel_law_suite(cfg: SampleConfig,
 
 FIXPOINT_ENTRIES: List[Tuple[Law, Callable]] = []
 
-MonoFn = Tuple[Tuple[int, int], ...]
 
+def _rand_mono(g: int, rng: random.Random) -> Callable[[int], int]:
+    k = rng.randint(0, 3)
+    top = (1 << g) - 1
+    steps = tuple((rng.randint(0, top), rng.randint(0, top)) for _ in range(k))
 
-def _mk_mono(steps: MonoFn) -> Callable[[int], int]:
     def f(x: int) -> int:
         out = 0
         for p, q in steps:
@@ -1124,17 +743,6 @@ def _mk_mono(steps: MonoFn) -> Callable[[int], int]:
                 out |= q
         return out
     return f
-
-
-def _rand_mono(g: int, rng: random.Random) -> Callable[[int], int]:
-    k = rng.randint(0, 3)
-    top = (1 << g) - 1
-    steps = tuple((rng.randint(0, top), rng.randint(0, top)) for _ in range(k))
-    return _mk_mono(steps)
-
-
-def _fn_leq(f, g, points) -> bool:
-    return all(f(x) | g(x) == g(x) for x in points)
 
 
 def fixpoint_law(law_id: str, group: str, kind: str):
@@ -1147,10 +755,6 @@ def fixpoint_law(law_id: str, group: str, kind: str):
     return deco
 
 
-def _mask_str(x: int) -> str:
-    return bin(x)
-
-
 @fixpoint_law("fix-knaster-tarski", "fixpoint", "equality")
 def _fl_kt(g, points, rng):
     f = _rand_mono(g, rng)
@@ -1159,7 +763,7 @@ def _fl_kt(g, points, rng):
     for x in points:
         if f(x) | x == x:  # prefixpoint
             meet &= x
-    return _bool(mu == meet, [], f"lfp {_mask_str(mu)} != meet {_mask_str(meet)}")
+    return _bool(mu == meet, [], f"lfp {bin(mu)} != meet {bin(meet)}")
 
 
 @fixpoint_law("fix-kleene-iteration", "fixpoint", "equality")
@@ -1172,7 +776,7 @@ def _fl_kleene(g, points, rng):
         join |= x
         x = f(x)
     ok = join == mu and f(mu) == mu
-    return _bool(ok, [], f"join of iterates {_mask_str(join)} != lfp {_mask_str(mu)}")
+    return _bool(ok, [], f"join of iterates {bin(join)} != lfp {bin(mu)}")
 
 
 @fixpoint_law("fix-mu-monotone", "fixpoint", "implication")
@@ -1191,7 +795,7 @@ def _fl_rolling(g, points, rng):
     lhs = lfp(lambda x: f(h(x)), 0)
     rhs = f(lfp(lambda x: h(f(x)), 0))
     return _bool(lhs == rhs, [],
-                 f"rolling rule: {_mask_str(lhs)} != {_mask_str(rhs)}")
+                 f"rolling rule: {bin(lhs)} != {bin(rhs)}")
 
 
 @fixpoint_law("fix-diagonal", "fixpoint", "equality")
@@ -1213,7 +817,7 @@ def _fl_diagonal(g, points, rng):
     lhs = lfp(lambda x: op(x, x), 0)
     rhs = lfp(lambda x: lfp(lambda y: op(x, y), 0), 0)
     return _bool(lhs == rhs, [],
-                 f"diagonal rule: {_mask_str(lhs)} != {_mask_str(rhs)}")
+                 f"diagonal rule: {bin(lhs)} != {bin(rhs)}")
 
 
 @fixpoint_law("fix-fusion-simple", "fixpoint", "implication")
@@ -1226,13 +830,11 @@ def _fl_fusion_simple(g, points, rng):
         table = {}
         top = (1 << g) - 1
         for y in points:
-            m = top
-            hit = False
+            m = top  # the meet of no values
             for x in points:
                 if gg(x) & y == y:
                     m &= gg(hh(x))
-                    hit = True
-            table[y] = m if hit else top
+            table[y] = m
         ff = lambda y: table[y]
     else:
         ff = _rand_mono(g, rng)
@@ -1243,28 +845,17 @@ def _fl_fusion_simple(g, points, rng):
 
 
 def _perm_lift(g: int, rng: random.Random):
+    """A random permutation of the ground set, lifted to masks, and its
+    inverse."""
     perm = list(range(g))
     rng.shuffle(perm)
-
-    def f(x: int) -> int:
-        out = 0
-        for i in range(g):
-            if x >> i & 1:
-                out |= 1 << perm[i]
-        return out
-
     inv = [0] * g
     for i, j in enumerate(perm):
         inv[j] = i
 
-    def finv(x: int) -> int:
-        out = 0
-        for i in range(g):
-            if x >> i & 1:
-                out |= 1 << inv[i]
-        return out
-
-    return f, finv
+    def lift(table: List[int]) -> Callable[[int], int]:
+        return lambda x: sum(1 << table[i] for i in range(g) if x >> i & 1)
+    return lift(perm), lift(inv)
 
 
 @fixpoint_law("fix-fusion-leq", "fixpoint", "implication")
@@ -1291,7 +882,7 @@ def _fl_fusion_eq(g, points, rng):
     lhs = ff(lfp(gg, 0))
     rhs = lfp(hh, 0)
     return _bool(lhs == rhs, [],
-                 f"mu-fusion (=): {_mask_str(lhs)} != {_mask_str(rhs)}")
+                 f"mu-fusion (=): {bin(lhs)} != {bin(rhs)}")
 
 
 @fixpoint_law("fix-bonks", "fixpoint", "implication")
@@ -1329,6 +920,11 @@ def catalog() -> Dict[str, List[str]]:
 def run_all(cfg: SampleConfig,
             law_ids: Optional[Sequence[str]] = None,
             corrupt_compose: bool = False) -> List[LawReport]:
+    if law_ids:
+        known = {i for ids in catalog().values() for i in ids}
+        unknown = sorted(set(law_ids) - known)
+        if unknown:
+            raise ValueError(f"unknown law id(s): {', '.join(unknown)}")
     reports = run_relation_law_suite(cfg, law_ids, corrupt_compose)
     reports += run_termrel_law_suite(cfg, law_ids)
     reports += run_fixpoint_calculus_suite(cfg, law_ids)

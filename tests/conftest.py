@@ -1,6 +1,8 @@
 import pytest
 
+import relrew.termrel as tr
 from relrew.rewrite import parse_trs
+from relrew.syntax import term_key
 
 ARITH_TEXT = """\
 # Peano-style arithmetic
@@ -23,3 +25,19 @@ def arith_file(tmp_path):
     p = tmp_path / "arith.trs"
     p.write_text(ARITH_TEXT)
     return str(p)
+
+
+@pytest.fixture
+def lossy_lift(monkeypatch):
+    """A congruence lift that loses the least pair of each non-empty result;
+    ``monkeypatch.undo()`` restores the real one."""
+    lift = tr._lift
+
+    def lossy(*args, **kwargs):
+        out = lift(*args, **kwargs)
+        if out:
+            out.discard(min(out, key=lambda pq: (term_key(pq[0]),
+                                                  term_key(pq[1]))))
+        return out
+
+    monkeypatch.setattr(tr, "_lift", lossy)

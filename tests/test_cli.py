@@ -100,6 +100,16 @@ def test_check_laws_single_law(capsys):
     assert payload[0]["verdict"] == "pass"
 
 
+def test_check_laws_unknown_law_is_input_error(capsys):
+    code = main(["check-laws", "--law", "no-such-law", "--law", "rel-modular",
+                 "--samples", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "no-such-law" in captured.err
+    assert "rel-modular" not in captured.err
+
+
 def test_check_laws_config_file(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"seed": 4, "samples": 5}))

@@ -1,7 +1,9 @@
-"""Byte-identical CLI reports: each run must reproduce its recorded golden
-output and exit code.  The goldens under ``tests/data/golden/`` were
+"""Byte-identical reports: each run must reproduce its recorded golden
+output and exit code.  The CLI goldens under ``tests/data/golden/`` were
 written by the commit before root-step memoisation and lift membership by
-construction; a change that alters a report or a verdict shows up here."""
+construction, and the two ``mutation-*`` goldens, whose failing laws pin the
+counterexample witnesses and notes, by the commit before the formula rows;
+a change that alters a report or a verdict shows up here."""
 
 import json
 import os
@@ -9,6 +11,9 @@ import os
 import pytest
 
 from relrew.cli import main
+from relrew.laws import (SampleConfig, reports_to_json, run_all,
+                         run_termrel_law_suite)
+from relrew.relalg import corrupted_compose
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "data", "golden")
@@ -26,10 +31,26 @@ def _argv(name):
             "--depth", "2", "--format", "json"]
 
 
+def _golden(name):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as f:
+        return f.read()
+
+
 @pytest.mark.parametrize("name", sorted(EXIT_CODES))
 def test_golden_report(name, capsys):
     code = main(_argv(name))
-    out = capsys.readouterr().out
-    with open(os.path.join(GOLDEN, name), encoding="utf-8") as f:
-        assert out == f.read()
+    assert capsys.readouterr().out == _golden(name)
     assert code == EXIT_CODES[name]
+
+
+def test_golden_compose_mutation_report():
+    with corrupted_compose():
+        reports = run_all(SampleConfig(seed=3, samples=5))
+    out = reports_to_json(reports)
+    assert out == _golden("mutation-compose-run-all-seed3-samples5.json")
+
+
+def test_golden_lift_mutation_report(lossy_lift):
+    out = reports_to_json(run_termrel_law_suite(SampleConfig(seed=3,
+                                                             samples=5)))
+    assert out == _golden("mutation-lift-termrel-seed3-samples5.json")

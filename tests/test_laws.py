@@ -6,9 +6,9 @@ import pathlib
 
 import pytest
 
-import relrew.laws as laws
-import relrew.termrel as tr
 from relrew.laws import (
+    FIXPOINT_ENTRIES,
+    RELATION_ENTRIES,
     TERMREL_ENTRIES,
     SampleConfig,
     catalog,
@@ -19,9 +19,9 @@ from relrew.laws import (
     run_termrel_law_suite,
 )
 from relrew.relalg import corrupted_compose
-from relrew.syntax import term_key
 
 MANIFEST = pathlib.Path(__file__).parent / "data" / "law_manifest.json"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 QUICK = SampleConfig(seed=0, samples=15)
 
@@ -99,34 +99,39 @@ def test_mutation_breaks_termrel_laws():
     assert any(r.verdict == "fail" for r in reports)
 
 
-def test_lift_mutation_breaks_termrel_laws(monkeypatch):
+def test_lift_mutation_breaks_termrel_laws(lossy_lift):
     """A congruence lift that loses the least pair of each non-empty result
     is caught by the tilde, check and sequential-closure laws."""
-    lift = tr._lift
-
-    def lossy(*args, **kwargs):
-        out = lift(*args, **kwargs)
-        if out:
-            out.discard(min(out, key=lambda pq: (term_key(pq[0]),
-                                                  term_key(pq[1]))))
-        return out
-
-    # the laws' process-wide ``_cached_*`` verdicts must neither hide the
-    # mutation nor keep what it computed for later tests
-    caches = [f for name, f in vars(laws).items() if name.startswith("_cached_")]
-    for cache in caches:
-        cache.cache_clear()
-    monkeypatch.setattr(tr, "_lift", lossy)
     groups = ("compat-refinement", "seq-refinement", "seq-closure")
     ids = [law.id for law, _ in TERMREL_ENTRIES if law.group in groups]
-    try:
-        reports = run_termrel_law_suite(SampleConfig(samples=5), ids)
-    finally:
-        for cache in caches:
-            cache.cache_clear()
+    reports = run_termrel_law_suite(SampleConfig(samples=5), ids)
     for group in groups:
         assert any(r.verdict == "fail" for r in reports
                    if r.group == group), group
+
+
+def test_constant_law_verdict_lasts_one_run(lossy_lift, monkeypatch):
+    """A law without inputs is evaluated afresh by every run, so a verdict
+    reached under a broken kernel does not outlive that run."""
+    ids = ["tilde-delta", "hat-delta"]
+    cfg = SampleConfig(samples=3)
+    broken = run_termrel_law_suite(cfg, ids)
+    assert [r.verdict for r in broken] == ["pass", "fail"]
+    monkeypatch.undo()
+    assert [r.verdict for r in run_termrel_law_suite(cfg, ids)] == ["pass",
+                                                                    "pass"]
+
+
+def test_readme_lists_the_catalog():
+    """README's law catalog shows each formula row and names each Python
+    law, in catalog order."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Law catalog", 1)[1].split("```text\n", 1)[1]
+    expected = [f"{law.id:<28} {law.group:<18} {law.formula or '(Python)'}"
+                for entries in (RELATION_ENTRIES, TERMREL_ENTRIES,
+                                FIXPOINT_ENTRIES)
+                for law, _ in entries]
+    assert block.split("```", 1)[0].splitlines() == expected
 
 
 @pytest.mark.parametrize("key, value", [
