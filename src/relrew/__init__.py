@@ -5,7 +5,7 @@ Modules:
 * :mod:`relrew.syntax`   terms, signatures, matching, finite term universes
 * :mod:`relrew.relalg`   the one relation class ``Rel`` over ``range(n)`` or
                          a term universe, with quantale structure, stars by
-                         breadth-first ``reach``, and ``lfp``
+                         the graph search ``reach``, and ``lfp``
 * :mod:`relrew.termrel`  differential operators on term relations and the
                          sequential / parallel / full closures
 * :mod:`relrew.rewrite`  rewrite systems, steppers, reduction graphs

@@ -2,20 +2,25 @@
 
 Abstract checks (diamond, confluence, weak confluence, Church-Rosser) work
 on finite :class:`relrew.relalg.Rel` values and are exact.  Term-level
-checks run either on the exhaustive reachable closure of a terminating
-system (definitive verdicts) or on a truncated working universe, in which
-case a failing inequality whose evaluation dropped pairs is reported as
-``unconfirmed`` rather than ``fails``.
+checks run either on the reachable closure of a set of seeds or on a
+truncated working universe, in which case a failing inequality whose
+evaluation dropped pairs is reported as ``unconfirmed`` rather than ``fails``.
 
-The reachable closure is a finite graph, so confluence, Church-Rosser and
-the spectrum's star equalities are decided on the condensation of its step
+The reachable closure is a finite graph, so every join question and the
+spectrum's star equalities are decided on the condensation of its step
 graph into strongly connected components (iterative Tarjan, linear time).
-A bottom SCC is one that no step leaves.  The closure is confluent iff
-every node reaches exactly one bottom SCC, and Church-Rosser iff every
-weakly connected component contains exactly one; failing checks report the
-``term_key``-least members of two bottom SCCs, which cannot be joined.
-Every check walks the closure in ``term_key`` order, so its witnesses do
+A bottom SCC is one that no step leaves.  Two nodes are joinable iff they
+reach a common bottom SCC (Huet 1980), so the closure is confluent iff
+every node reaches exactly one, and Church-Rosser iff every weakly
+connected component contains exactly one.  Their witnesses are the
+``term_key``-least members of two bottom SCCs, which cannot be joined;
+every check walks the closure in ``term_key`` order, so its witnesses do
 not depend on where terms were allocated.
+
+A closure cut off after ``bound`` full-step layers gives its unexpanded
+frontier nodes no steps and the OPEN bit in place of a bottom SCC.  Its
+verdict is never ``holds``; ``fails`` needs witnesses in closed bottom
+SCCs, which are bottom SCCs of the whole closure too.
 """
 
 from __future__ import annotations
@@ -67,10 +72,8 @@ class PropertyReport:
         }
 
 
-def _verdict(ok: bool, dropped: int, exhaustive: bool) -> str:
-    if ok:
-        return HOLDS
-    return FAILS if exhaustive or dropped == 0 else UNCONFIRMED
+def _verdict(ok: bool, dropped: int) -> str:
+    return HOLDS if ok else UNCONFIRMED if dropped else FAILS
 
 
 MAX_WITNESSES = 5
@@ -129,15 +132,10 @@ def is_church_rosser(a: Rel, carrier: Optional[Sequence] = None) -> PropertyRepo
 # ---------------------------------------------------------------------------
 # exhaustive checks on reachable closures
 
-def _seq_adjacency(trs: TRS, nodes: Sequence[Term]) -> Dict[Term, Tuple[Term, ...]]:
-    return {t: tuple(sorted(sequential_step(trs, t), key=term_key))
-            for t in nodes}
-
-
 @dataclass
 class _Condensation:
-    """Strongly connected components of a step graph whose nodes are
-    numbered in ``term_key`` order.
+    """Strongly connected components of a step graph on numbered nodes
+    (in ``term_key`` order where witnesses are reported).
 
     ``adj[i]`` lists node ``i``'s successors in increasing order and
     ``comp[i]`` is its component.  Components are numbered in reverse
@@ -149,15 +147,22 @@ class _Condensation:
     comp: List[int]
     succ: List[Set[int]]
 
-    def bottoms(self) -> List[Tuple[int, int]]:
-        """(component, least node) of every bottom SCC, by least node."""
-        out = []
-        seen: Set[int] = set()
+    def joins(self, open_nodes: Set[int]) -> Tuple[List[int], List[int], int]:
+        """``(reps, bits, open_bit)``: ``reps[rank]`` is the least node of
+        each closed bottom SCC, by least node, and ``bits[c]`` has bit
+        ``rank`` for each one component ``c`` reaches, plus ``open_bit`` if
+        it reaches a node of ``open_nodes``, which were never expanded.
+        Two nodes are joinable iff their bitsets share a closed bit."""
+        reps: List[int] = []
+        base = [0] * len(self.succ)
         for i, c in enumerate(self.comp):
-            if not self.succ[c] and c not in seen:
-                seen.add(c)
-                out.append((c, i))
-        return out
+            if not self.succ[c] and not base[c] and i not in open_nodes:
+                base[c] = 1 << len(reps)
+                reps.append(i)
+        open_bit = 1 << len(reps)
+        for i in open_nodes:
+            base[self.comp[i]] = open_bit
+        return reps, self.reach_bits(base), open_bit
 
     def reach_bits(self, base: Sequence[int]) -> List[int]:
         """Per component, the union of ``base`` over every component it
@@ -181,10 +186,10 @@ class _Condensation:
 
 def _condense(order: Sequence[Term],
               succs: Sequence[Iterable[Term]]) -> _Condensation:
-    """Iterative Tarjan over ``order`` (sorted by ``term_key``), where
-    ``succs[i]`` are the step successors of ``order[i]``.  The node set must
-    be closed under the step: a successor outside it raises, because
-    treating it as a normal form would invent a bottom SCC."""
+    """Iterative Tarjan over ``order``, where ``succs[i]`` are the step
+    successors of ``order[i]``.  The node set must be closed under the
+    step: a successor outside it raises, because treating it as a normal
+    form would invent a bottom SCC."""
     index = {t: i for i, t in enumerate(order)}
     adj: List[List[int]] = []
     for t, ss in zip(order, succs):
@@ -288,12 +293,23 @@ def seed_terms(trs: TRS, depth: int, open_depth: int = 2) -> Tuple[Term, ...]:
 def closure_nodes(trs: TRS, seeds: Sequence[Term]) -> Set[Term]:
     """Reachable closure of the seeds under full reduction (which contains
     both the sequential and the parallel step)."""
-    g = reduction_graph(trs, seeds, kind="full")
-    return g.nodes
+    return reduction_graph(trs, seeds, kind="full").nodes
 
 
-def _ordered_closure(trs: TRS, seeds: Sequence[Term]) -> List[Term]:
-    return sorted(closure_nodes(trs, seeds), key=term_key)
+def _closure(trs: TRS, seeds: Sequence[Term], bound: Optional[int]
+             ) -> Tuple[List[Term], Set[int]]:
+    """The closure within ``bound`` full-step layers (all of it when
+    ``bound`` is None) in ``term_key`` order, and its frontier's indices."""
+    g = reduction_graph(trs, seeds, kind="full", bound=bound)
+    order = sorted(g.nodes, key=term_key)
+    return order, {i for i, t in enumerate(order) if t in g.frontier}
+
+
+def _rows(trs: TRS, step, order: Sequence[Term],
+          open_nodes: Set[int]) -> List[FrozenSet[Term]]:
+    """``step``'s successors of every node, none for a frontier node."""
+    return [frozenset() if i in open_nodes else step(trs, t)
+            for i, t in enumerate(order)]
 
 
 @dataclass
@@ -302,15 +318,16 @@ class SpectrumReport:
     inclusion_violations: List[Tuple[str, str, str]]
     stars_equal: bool
     witnesses: List[Tuple[str, str]]
+    verdict: str
 
     @property
     def ok(self) -> bool:
-        return not self.inclusion_violations and self.stars_equal
+        return self.verdict == HOLDS
 
     def to_json(self) -> dict:
         return {
             "property": "spectrum",
-            "verdict": HOLDS if self.ok else FAILS,
+            "verdict": self.verdict,
             "nodes": self.nodes,
             "inclusion_violations": [list(v) for v in self.inclusion_violations],
             "stars_equal": self.stars_equal,
@@ -319,29 +336,28 @@ class SpectrumReport:
         }
 
 
-def spectrum_survey(trs: TRS, seeds: Sequence[Term]) -> SpectrumReport:
+def spectrum_survey(trs: TRS, seeds: Sequence[Term],
+                    bound: Optional[int] = None) -> SpectrumReport:
     """Check seq ⊆ par ⊆ full ⊆ seq-star pointwise on the reachable closure,
     and that the three reflexive-transitive closures coincide.
 
     Each of the three step graphs is condensed on its own; a node's star
     is the bitset of nodes its component reaches, so ``full ⊆ seq-star`` is
-    a bit test and the star comparison an integer comparison."""
-    order = _ordered_closure(trs, seeds)
+    a bit test and the star comparison an integer comparison.  On a
+    closure cut off by ``bound`` the stars are partial, so only a
+    ``seq<=par`` or ``par<=full`` violation is definitive."""
+    order, open_nodes = _closure(trs, seeds, bound)
+    seq_rows = _rows(trs, sequential_step, order, open_nodes)
+    par_rows = _rows(trs, parallel_step, order, open_nodes)
+    full_rows = _rows(trs, full_step, order, open_nodes)
     violations: List[Tuple[str, str, str]] = []
-    seq_rows: List[FrozenSet[Term]] = []
-    par_rows: List[FrozenSet[Term]] = []
-    full_rows: List[FrozenSet[Term]] = []
-    for t in order:
-        sq = sequential_step(trs, t)
-        pr = parallel_step(trs, t)
-        fl = full_step(trs, t)
-        seq_rows.append(sq)
-        par_rows.append(pr)
-        full_rows.append(fl)
+    for t, sq, pr, fl in zip(order, seq_rows, par_rows, full_rows):
         for bad in sorted(sq - pr, key=term_key):
             violations.append(("seq<=par", format_term(t), format_term(bad)))
         for bad in sorted(pr - fl, key=term_key):
             violations.append(("par<=full", format_term(t), format_term(bad)))
+    # on a cut-off closure only these violations are definitive
+    cut_off = bool(open_nodes) and not violations
     full = _condense(order, full_rows)
     seq_star = _condense(order, seq_rows).node_stars()
     par_star = _condense(order, par_rows).node_stars()
@@ -359,78 +375,74 @@ def spectrum_survey(trs: TRS, seeds: Sequence[Term]) -> SpectrumReport:
         if par_star[i] != star or full_star[i] != star:
             stars_equal = False
             witnesses.append((format_term(t), "star-mismatch"))
+    verdict = (UNCONFIRMED if cut_off
+               else HOLDS if not violations and stars_equal else FAILS)
     return SpectrumReport(len(order), violations[:MAX_WITNESSES * 4],
-                          stars_equal, witnesses[:MAX_WITNESSES])
+                          stars_equal, witnesses[:MAX_WITNESSES], verdict)
+
+
+def _seq_condensation(trs: TRS, seeds: Sequence[Term], bound: Optional[int]
+                      ) -> Tuple[List[Term], _Condensation, Set[int]]:
+    """The closure within ``bound`` full-step layers in ``term_key`` order,
+    its sequential-step condensation and its frontier's indices."""
+    order, open_nodes = _closure(trs, seeds, bound)
+    cond = _condense(order, _rows(trs, sequential_step, order, open_nodes))
+    return order, cond, open_nodes
+
+
+def _report(name: str, witnesses: List[Tuple[str, str]],
+            open_nodes: Set[int]) -> PropertyReport:
+    verdict = FAILS if witnesses else UNCONFIRMED if open_nodes else HOLDS
+    return PropertyReport(name, verdict, witnesses)
 
 
 def exhaustive_weak_confluence(trs: TRS, seeds: Sequence[Term],
-                               join_depth: int = 12) -> PropertyReport:
-    """Every one-step peak on the reachable closure joins within
-    ``join_depth`` sequential steps (exhaustive BFS join search).
+                               bound: Optional[int] = None) -> PropertyReport:
+    """Every one-step peak on the reachable closure is joinable: its two
+    reducts reach a common bottom SCC.
 
-    A peak whose two bounded reach sets are disjoint is a counterexample
-    only when both searches ran out of frontier within the bound; otherwise
-    the bound may have cut the join off and the peak is unconfirmed.  The
-    verdict is ``fails`` if any peak is a counterexample, else
-    ``unconfirmed`` if any peak is unconfirmed, else ``holds``."""
-    order = _ordered_closure(trs, seeds)
-    adj = _seq_adjacency(trs, order)
-    reach_cache: Dict[Term, Tuple[Set[Term], bool]] = {}
-
-    def bounded(t: Term) -> Tuple[Set[Term], bool]:
-        if t not in reach_cache:
-            reach_cache[t] = reach(adj, (t,), join_depth)
-        return reach_cache[t]
-
-    failed: List[Tuple[str, str]] = []
-    unconfirmed: List[Tuple[str, str]] = []
-    for t in order:
-        reducts = adj[t]
-        for i, s1 in enumerate(reducts):
-            for s2 in reducts[i + 1:]:
-                (seen1, done1), (seen2, done2) = bounded(s1), bounded(s2)
-                if not (seen1 & seen2):
-                    (failed if done1 and done2 else unconfirmed).append(
-                        (format_term(s1), format_term(s2)))
-    if failed:
-        return PropertyReport("weak-confluence", FAILS, failed[:MAX_WITNESSES])
-    if unconfirmed:
-        return PropertyReport("weak-confluence", UNCONFIRMED,
-                              unconfirmed[:MAX_WITNESSES])
-    return PropertyReport("weak-confluence", HOLDS)
+    A peak whose reducts share no closed bottom SCC is a counterexample
+    if neither reaches the frontier of a closure cut off by ``bound``, and
+    unconfirmed otherwise.  The verdict is ``fails`` if any peak is a
+    counterexample, else ``unconfirmed`` if any peak is unconfirmed or the
+    closure was cut off, else ``holds``."""
+    order, cond, open_nodes = _seq_condensation(trs, seeds, bound)
+    _, bits, open_bit = cond.joins(open_nodes)
+    found: Dict[str, List[Tuple[str, str]]] = {FAILS: [], UNCONFIRMED: []}
+    for row in cond.adj:
+        for k, i in enumerate(row):
+            for j in row[k + 1:]:
+                b1, b2 = bits[cond.comp[i]], bits[cond.comp[j]]
+                if not b1 & b2 & (open_bit - 1):
+                    found[UNCONFIRMED if (b1 | b2) & open_bit else FAILS].append(
+                        (format_term(order[i]), format_term(order[j])))
+    verdict = (FAILS if found[FAILS]
+               else UNCONFIRMED if found[UNCONFIRMED] or open_nodes else HOLDS)
+    return PropertyReport("weak-confluence", verdict,
+                          found.get(verdict, [])[:MAX_WITNESSES])
 
 
-def _seq_condensation(trs: TRS, seeds: Sequence[Term]
-                      ) -> Tuple[List[Term], _Condensation, List[Tuple[int, int]]]:
-    """The closure in ``term_key`` order, its sequential-step condensation
-    and the condensation's bottom SCCs."""
-    order = _ordered_closure(trs, seeds)
-    cond = _condense(order, [sequential_step(trs, t) for t in order])
-    return order, cond, cond.bottoms()
-
-
-def exhaustive_confluence(trs: TRS, seeds: Sequence[Term]) -> PropertyReport:
+def exhaustive_confluence(trs: TRS, seeds: Sequence[Term],
+                          bound: Optional[int] = None) -> PropertyReport:
     """Every star peak on the reachable closure is joinable.
 
     On a finite graph this holds iff every node reaches exactly one bottom
     SCC (Huet 1980): two bottom SCCs reached from one node are closed under
     the step, so their members cannot be joined, and a node whose reducts
-    all reach the same bottom SCC joins them there.  The bottom SCCs each
-    component reaches are one bitset, computed in one pass over the
-    condensation.  A witness pairs the ``term_key``-least members of two
-    bottom SCCs reachable from one node."""
-    order, cond, bottoms = _seq_condensation(trs, seeds)
-    base = [0] * len(cond.succ)
-    for rank, (c, _) in enumerate(bottoms):
-        base[c] = 1 << rank
-    reached = cond.reach_bits(base)
-    # components in the order of their term_key-least nodes
-    groups = (reached[c] for c in cond.comp if reached[c] & (reached[c] - 1))
-    witnesses = _bottom_witnesses(order, [i for _, i in bottoms], groups)
-    return PropertyReport("confluence", FAILS if witnesses else HOLDS, witnesses)
+    all reach the same bottom SCC joins them there.  A witness pairs the
+    ``term_key``-least members of two closed bottom SCCs reachable from one
+    node."""
+    order, cond, open_nodes = _seq_condensation(trs, seeds, bound)
+    reps, bits, open_bit = cond.joins(open_nodes)
+    # nodes, and so their components, in term_key order
+    closed = (bits[c] & (open_bit - 1) for c in cond.comp)
+    groups = (b for b in closed if b & (b - 1))
+    return _report("confluence", _bottom_witnesses(order, reps, groups),
+                   open_nodes)
 
 
-def exhaustive_church_rosser(trs: TRS, seeds: Sequence[Term]) -> PropertyReport:
+def exhaustive_church_rosser(trs: TRS, seeds: Sequence[Term],
+                             bound: Optional[int] = None) -> PropertyReport:
     """Convertible nodes of the reachable closure are joinable.
 
     On a finite graph this holds iff every weakly connected component
@@ -438,8 +450,9 @@ def exhaustive_church_rosser(trs: TRS, seeds: Sequence[Term]) -> PropertyReport:
     convertible but cannot be joined, and a node reaches only bottom SCCs
     of its own component.  The weak components come from union-find over
     the condensation's edges.  A witness pairs the ``term_key``-least
-    members of two bottom SCCs in one weak component."""
-    order, cond, bottoms = _seq_condensation(trs, seeds)
+    members of two closed bottom SCCs in one weak component."""
+    order, cond, open_nodes = _seq_condensation(trs, seeds, bound)
+    reps, _, _ = cond.joins(open_nodes)
     parent = list(range(len(cond.succ)))
 
     def find(c: int) -> int:
@@ -452,15 +465,14 @@ def exhaustive_church_rosser(trs: TRS, seeds: Sequence[Term]) -> PropertyReport:
         for d in succ:
             parent[find(c)] = find(d)
     per_root: Dict[int, int] = {}
-    for rank, (c, _) in enumerate(bottoms):
-        root = find(c)
+    for rank, i in enumerate(reps):
+        root = find(cond.comp[i])
         per_root[root] = per_root.get(root, 0) | 1 << rank
     # weak components in the order of their term_key-least nodes
     groups = (per_root.pop(root) for root in map(find, cond.comp)
               if root in per_root)
-    witnesses = _bottom_witnesses(order, [i for _, i in bottoms], groups)
-    return PropertyReport("church-rosser", FAILS if witnesses else HOLDS,
-                          witnesses)
+    return _report("church-rosser", _bottom_witnesses(order, reps, groups),
+                   open_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -487,21 +499,18 @@ class CPReport:
 
 def _joinable_pairs(lhs: Rel, step: Rel,
                     name: str, dropped: int) -> PropertyReport:
-    """lhs <= step*;step*° checked via reachability joins."""
+    """lhs <= step*;step*°: both sides of each pair reach a common bottom
+    SCC of the step graph, condensed where the left sides' terms reach."""
     succ = successors(step.pairs)
-    cache: Dict[Term, Set[Term]] = {}
-
-    def reach_set(t: Term) -> Set[Term]:
-        if t not in cache:
-            cache[t] = reach(succ, (t,))[0]
-        return cache[t]
-
+    nodes = list(reach(succ, {t for pair in lhs.pairs for t in pair}))
+    cond = _condense(nodes, [succ.get(t, ()) for t in nodes])
+    _, bits, _ = cond.joins(set())
+    joins = {t: bits[c] for t, c in zip(nodes, cond.comp)}
     witnesses = []
     for p, q in sorted(lhs.pairs):
-        if not (reach_set(p) & reach_set(q)):
+        if not joins[p] & joins[q]:
             witnesses.append((format_term(p), format_term(q)))
-    ok = not witnesses
-    return PropertyReport(name, _verdict(ok, dropped, exhaustive=False),
+    return PropertyReport(name, _verdict(not witnesses, dropped),
                           witnesses[:MAX_WITNESSES], dropped)
 
 
@@ -532,7 +541,7 @@ def check_cp(trs: TRS, depth: int = 2) -> CPReport:
             cp2_witnesses.append((format_term(p), format_term(q)))
     cp2 = PropertyReport(
         "cp-2",
-        _verdict(not cp2_witnesses, stats.dropped, exhaustive=False),
+        _verdict(not cp2_witnesses, stats.dropped),
         cp2_witnesses[:MAX_WITNESSES],
         stats.dropped,
     )

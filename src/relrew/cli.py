@@ -9,8 +9,11 @@ Subcommands::
     relrew analyze FILE {confluence,weak,cr,cp,spectrum}
                    [--depth N] [--bound N] [--format json|text]
 
+``analyze`` decides joins exactly on the seeds' reachable closure, which
+``--bound N`` caps at N full-step layers as ``reduce --bound N`` does.
+
 Exit codes: 0 success / property holds; 1 property fails; 2 unconfirmed
-(truncated evaluation or reduction bound hit); 3 input error.
+(truncated evaluation, or a graph or closure cut off); 3 input error.
 """
 
 from __future__ import annotations
@@ -133,21 +136,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             code = EXIT_OK
     else:
         seeds = seed_terms(trs, args.depth if args.depth is not None else 3)
-        if args.check == "spectrum":
-            sreport = spectrum_survey(trs, seeds)
-            payload = sreport.to_json()
-            code = EXIT_OK if sreport.ok else EXIT_FAILS
-        else:
-            fn = {
-                "confluence": exhaustive_confluence,
-                "weak": lambda t, s: exhaustive_weak_confluence(
-                    t, s, join_depth=args.bound if args.bound is not None else 12
-                ),
-                "cr": exhaustive_church_rosser,
-            }[args.check]
-            preport = fn(trs, seeds)
-            payload = preport.to_json()
-            code = _verdict_exit(preport.verdict)
+        fn = {"spectrum": spectrum_survey, "weak": exhaustive_weak_confluence,
+              "confluence": exhaustive_confluence,
+              "cr": exhaustive_church_rosser}[args.check]
+        report = fn(trs, seeds, args.bound)
+        payload = report.to_json()
+        code = _verdict_exit(report.verdict)
     if args.format == "json":
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
     else:
@@ -201,7 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--depth", type=int, default=None,
                       help="seed/universe depth (default 3, cp default 2)")
     p_an.add_argument("--bound", type=int, default=None,
-                      help="join-search depth for weak confluence (default 12)")
+                      help="maximum number of full-step BFS layers of the "
+                      "closure (default: explore until exhausted; cp "
+                      "ignores it)")
     p_an.add_argument("--format", choices=("json", "text"), default="text")
     p_an.add_argument("--output", default=None, help="write output to a file")
     p_an.set_defaults(fn=cmd_analyze)

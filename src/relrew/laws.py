@@ -918,14 +918,13 @@ def catalog() -> Dict[str, List[str]]:
 
 
 def run_all(cfg: SampleConfig,
-            law_ids: Optional[Sequence[str]] = None,
-            corrupt_compose: bool = False) -> List[LawReport]:
+            law_ids: Optional[Sequence[str]] = None) -> List[LawReport]:
     if law_ids:
         known = {i for ids in catalog().values() for i in ids}
         unknown = sorted(set(law_ids) - known)
         if unknown:
             raise ValueError(f"unknown law id(s): {', '.join(unknown)}")
-    reports = run_relation_law_suite(cfg, law_ids, corrupt_compose)
+    reports = run_relation_law_suite(cfg, law_ids)
     reports += run_termrel_law_suite(cfg, law_ids)
     reports += run_fixpoint_calculus_suite(cfg, law_ids)
     return reports

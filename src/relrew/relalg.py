@@ -4,7 +4,7 @@ A ``Rel`` is a set of pairs over a carrier: ``range(n)`` for abstract
 relations, or a term ``Universe`` for relations on terms.  The module
 provides the complete-lattice operations, relational composition and
 converse, both residuals of composition, the transitive and reflexive-
-transitive closures by breadth-first ``reach``, and ``lfp``, the naive
+transitive closures by the graph search ``reach``, and ``lfp``, the naive
 Kleene iteration for monotone maps on any lattice whose elements compare
 with ``==``.
 """
@@ -15,7 +15,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterable,
-                    Mapping, Optional, Set, Tuple, TypeVar, Union)
+                    Mapping, Set, Tuple, TypeVar, Union)
 
 X = TypeVar("X")
 # range(n) or a term Universe: iterable, with membership by ``in``
@@ -148,7 +148,7 @@ class Rel:
         """a+: each source paired with everything its successors reach."""
         succ = successors(self.pairs)
         return Rel(self.carrier, frozenset(
-            (p, q) for p, qs in succ.items() for q in reach(succ, qs)[0]))
+            (p, q) for p, qs in succ.items() for q in reach(succ, qs)))
 
     def kleene_star(self) -> "Rel":
         """a* = id | a+ over the whole carrier."""
@@ -156,7 +156,7 @@ class Rel:
 
     def star_contains(self, p: Any, q: Any) -> bool:
         """Whether p a* q, by one search from p."""
-        return p == q or q in reach(successors(self.pairs), (p,))[0]
+        return p == q or q in reach(successors(self.pairs), (p,))
 
     def power(self, k: int) -> "Rel":
         out = Rel.identity(self.carrier)
@@ -175,25 +175,16 @@ def successors(pairs: Iterable[Pair]) -> Succ:
     return succ
 
 
-def reach(succ: Mapping[Any, Iterable[Any]], seeds: Iterable[Any],
-          bound: Optional[int] = None) -> Tuple[Set[Any], bool]:
-    """The elements within ``bound`` steps of ``seeds`` (all of them when
-    ``bound`` is None), seeds included, by breadth-first search; and whether
-    the search is exhausted, so that the set is the whole reach set: no
-    element of the last frontier has a successor outside it."""
+def reach(succ: Mapping[Any, Iterable[Any]], seeds: Iterable[Any]) -> Set[Any]:
+    """The elements reachable from ``seeds``, seeds included."""
     seen = set(seeds)
-    frontier = list(seen)
-    steps = 0
-    while frontier and (bound is None or steps < bound):
-        steps += 1
-        nxt = []
-        for t in frontier:
-            for s in succ.get(t, ()):
-                if s not in seen:
-                    seen.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return seen, all(s in seen for t in frontier for s in succ.get(t, ()))
+    work = list(seen)
+    while work:
+        for s in succ.get(work.pop(), ()):
+            if s not in seen:
+                seen.add(s)
+                work.append(s)
+    return seen
 
 
 def lfp(f: Callable[[X], X], bottom: X) -> X:

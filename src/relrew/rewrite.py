@@ -249,7 +249,13 @@ class ReductionGraph:
     nodes: Set[Term] = field(default_factory=set)
     edges: Set[Tuple[Term, Term]] = field(default_factory=set)
     witnesses: Dict[Tuple[Term, Term], List[StepWitness]] = field(default_factory=dict)
-    exhausted: bool = True
+    # the nodes that were found but never expanded
+    frontier: Set[Term] = field(default_factory=set)
+
+    @property
+    def exhausted(self) -> bool:
+        """Whether every node was expanded: the graph is the closure."""
+        return not self.frontier
 
     def normal_forms(self) -> List[Term]:
         return sorted(
@@ -257,7 +263,7 @@ class ReductionGraph:
         )
 
     def reachable(self, seed: Term) -> Set[Term]:
-        return reach(successors(self.edges), (seed,))[0]
+        return reach(successors(self.edges), (seed,))
 
 
 def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
@@ -265,43 +271,39 @@ def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
                     max_nodes: int = 1_000_000) -> ReductionGraph:
     """Breadth-first closure of ``seeds`` under the chosen stepper.
 
-    ``bound`` limits the number of BFS layers; if the frontier is still
-    growing when the bound is hit, ``exhausted`` is False and the graph is
-    the partial closure explored so far.
+    ``bound`` limits the number of BFS layers, and the search also stops
+    once it holds more than ``max_nodes`` nodes.  The nodes left unexpanded
+    then make up ``frontier``, ``exhausted`` is False, and the graph is the
+    partial closure explored so far.
     """
     if kind not in STEPPERS:
         raise ValueError(f"unknown step kind {kind!r}")
     step = STEPPERS[kind]
     g = ReductionGraph(trs, kind, tuple(seeds))
-    frontier: List[Term] = []
-    for s in seeds:
-        if s not in g.nodes:
-            g.nodes.add(s)
-            frontier.append(s)
+    frontier = list(dict.fromkeys(seeds))
+    g.nodes.update(frontier)
     layer = 0
-    while frontier:
-        if bound is not None and layer >= bound:
-            g.exhausted = False
-            break
+    while frontier and (bound is None or layer < bound):
         layer += 1
         next_frontier: List[Term] = []
-        for t in frontier:
-            if kind == "seq":
-                for target, w in sequential_steps(trs, t):
-                    g.edges.add((t, target))
-                    g.witnesses.setdefault((t, target), []).append(w)
-                    if target not in g.nodes:
-                        g.nodes.add(target)
-                        next_frontier.append(target)
-            else:
-                for target in step(trs, t):
-                    g.edges.add((t, target))
-                    if target not in g.nodes:
-                        g.nodes.add(target)
-                        next_frontier.append(target)
+        for k, t in enumerate(frontier):
             if len(g.nodes) > max_nodes:
-                raise RuntimeError("reduction graph exceeded the node cap")
+                g.frontier.update(frontier[k:], next_frontier)
+                return g
+            if kind == "seq":
+                targets = []
+                for target, w in sequential_steps(trs, t):
+                    g.witnesses.setdefault((t, target), []).append(w)
+                    targets.append(target)
+            else:
+                targets = step(trs, t)
+            for target in targets:
+                g.edges.add((t, target))
+                if target not in g.nodes:
+                    g.nodes.add(target)
+                    next_frontier.append(target)
         frontier = next_frontier
+    g.frontier.update(frontier)
     return g
 
 

@@ -115,13 +115,12 @@ def test_criterion_5_cr_iff_confluence():
 
 def test_criterion_6_cp_pipeline(arith):
     """CP-1' holds for arithmetic; the system is weakly confluent on the
-    depth-3 reachable closure (join-depth 12); and premises => conclusion of
-    the weak-confluence technique on every non-overflowing sample."""
+    depth-3 reachable closure; and premises => conclusion of the
+    weak-confluence technique on every non-overflowing sample."""
     cp = check_cp(arith, depth=2)
     cp1p_ok = cp.cp1_prime.verdict == HOLDS
 
-    weak = exhaustive_weak_confluence(arith, seed_terms(arith, 3),
-                                      join_depth=12)
+    weak = exhaustive_weak_confluence(arith, seed_terms(arith, 3))
     weak_ok = weak.verdict == HOLDS
 
     u = universe(arith.signature, arith.variables, 2)

@@ -8,6 +8,7 @@ from relrew.analysis import (
     _condense,
     FAILS,
     HOLDS,
+    UNCONFIRMED,
     check_cp,
     check_weak_confluence_technique,
     closure_nodes,
@@ -96,6 +97,29 @@ def test_nonconfluent_trs_detected():
     assert exhaustive_church_rosser(trs, seeds).verdict == FAILS
 
 
+@pytest.mark.parametrize("joined, verdict", [(True, HOLDS), (False, FAILS)])
+def test_weak_confluence_exact_on_long_chains(joined, verdict):
+    """The peak b0 <- a -> c joins, if at all, only at b13, thirteen steps
+    from b0: the join is exact on the closure, however far it lies."""
+    rules = ["a -> b0", "a -> c"] + [f"b{i} -> b{i + 1}" for i in range(13)]
+    trs = parse_trs("sig a/0 c/0 " + " ".join(f"b{i}/0" for i in range(14))
+                    + "".join(f"\nrule {r}" for r in rules)
+                    + ("\nrule c -> b13\n" if joined else "\n"))
+    report = exhaustive_weak_confluence(trs, seed_terms(trs, 0))
+    assert report.verdict == verdict
+    assert report.witnesses == ([] if joined else [("b0", "c")])
+
+
+def test_weak_peak_reaching_frontier_unconfirmed():
+    """b and c grow forever, so on a cut-off closure the peak b <- a -> c
+    is neither joined nor refuted, though both reach the frontier."""
+    trs = parse_trs("sig a/0 b/0 c/0 f/1\nrule a -> b\nrule a -> c\n"
+                    "rule b -> f(b)\nrule c -> f(c)\n")
+    report = exhaustive_weak_confluence(trs, seed_terms(trs, 0), 3)
+    assert report.verdict == UNCONFIRMED
+    assert report.witnesses == [("b", "c")]
+
+
 # ---------------------------------------------------------------------------
 # the quadratic pairwise-reach checkers, kept as references for the checks
 # on the SCC condensation
@@ -126,6 +150,17 @@ def reference_confluence(trs, seeds):
         rs = sorted(reach[t], key=term_key)
         for i, s1 in enumerate(rs):
             for s2 in rs[i + 1:]:
+                if not (reach[s1] & reach[s2]):
+                    return FAILS
+    return HOLDS
+
+
+def reference_weak_confluence(trs, seeds):
+    """Every one-step peak's two reducts share a reduct."""
+    nodes, adj, reach = _ref_graph(trs, seeds)
+    for t in nodes:
+        for i, s1 in enumerate(adj[t]):
+            for s2 in adj[t][i + 1:]:
                 if not (reach[s1] & reach[s2]):
                     return FAILS
     return HOLDS
@@ -180,11 +215,13 @@ def test_condensation_checks_match_quadratic_references():
     for _ in range(300):
         trs = _random_cyclic_trs(rng)
         seeds = seed_terms(trs, 2)
-        nodes, _, reach = _ref_graph(trs, seeds)
+        nodes, adj, reach = _ref_graph(trs, seeds)
         by_name = {format_term(t): t for t in nodes}
         cyclic += any(s is not t and t in reach[s]
                       for t in nodes for s in reach[t])
-        for check, reference in ((exhaustive_confluence, reference_confluence),
+        for check, reference in ((exhaustive_weak_confluence,
+                                  reference_weak_confluence),
+                                 (exhaustive_confluence, reference_confluence),
                                  (exhaustive_church_rosser,
                                   reference_church_rosser)):
             report = check(trs, seeds)
@@ -194,6 +231,11 @@ def test_condensation_checks_match_quadratic_references():
             for p, q in report.witnesses:
                 assert p in by_name and q in by_name
                 assert not (reach[by_name[p]] & reach[by_name[q]])
+                if check is exhaustive_weak_confluence:
+                    # the two reducts of a one-step peak
+                    assert any(by_name[p] in adj[t] and by_name[q] in adj[t]
+                               for t in nodes)
+                    continue
                 # each is the term_key-least member of a bottom SCC, which
                 # is everything it reaches
                 for w in (by_name[p], by_name[q]):

@@ -206,24 +206,40 @@ def test_analyze_detects_failure(tmp_path, capsys):
     assert main(["analyze", str(f), "cp", "--depth", "1"]) == EXIT_FAILS
 
 
-def test_analyze_weak_bound_cuts_join_unconfirmed(tmp_path):
-    """The peak b <- a -> c joins at e only after two steps from b: a
-    shorter join search is cut off, which is not a counterexample."""
-    f = tmp_path / "late-join.trs"
-    f.write_text("sig a/0 b/0 c/0 d/0 e/0\n"
-                 "rule a -> b\nrule a -> c\nrule b -> d\nrule d -> e\n"
-                 "rule c -> e\n")
-    assert main(["analyze", str(f), "weak", "--bound", "1"]) == EXIT_UNCONFIRMED
-    assert main(["analyze", str(f), "weak", "--bound", "3"]) == EXIT_OK
+GROWING = "sig a/0 f/1\nvar x\nrule f(x) -> f(f(x))\n"
 
 
-def test_analyze_weak_bound_zero_definitive_failure(tmp_path):
-    """b and c are normal forms, so the zero-step join searches from them
-    are complete and the peak b <- a -> c is a counterexample."""
+@pytest.mark.parametrize("check", ["weak", "confluence", "cr", "spectrum"])
+def test_analyze_bound_caps_nonterminating_closure(tmp_path, capsys, check):
+    """The closure of f(x) -> f(f(x)) never ends; --bound cuts it off
+    after three full-step layers, which confirms nothing."""
+    f = tmp_path / "growing.trs"
+    f.write_text(GROWING)
+    assert main(["analyze", str(f), check, "--depth", "1", "--bound", "3",
+                 "--format", "json"]) == EXIT_UNCONFIRMED
+    assert json.loads(capsys.readouterr().out)["verdict"] == "unconfirmed"
+
+
+@pytest.mark.parametrize("check", ["weak", "confluence", "cr"])
+def test_analyze_bound_keeps_explored_counterexample(tmp_path, capsys, check):
+    """b and c are normal forms inside the explored part of a cut-off
+    closure, so the peak b <- a -> c is still a counterexample."""
+    f = tmp_path / "bad-growing.trs"
+    f.write_text("sig a/0 b/0 c/0 f/1\nvar x\n"
+                 "rule a -> b\nrule a -> c\nrule f(x) -> f(f(x))\n")
+    assert main(["analyze", str(f), check, "--depth", "1", "--bound", "3",
+                 "--format", "json"]) == EXIT_FAILS
+    assert json.loads(capsys.readouterr().out)["witnesses"] == [["b", "c"]]
+
+
+@pytest.mark.parametrize("check", ["weak", "confluence", "cr", "spectrum"])
+def test_analyze_bound_zero_unconfirmed(tmp_path, check):
+    """--bound 0 expands no seed, so nothing is confirmed, not even the
+    peak b <- a -> c."""
     f = tmp_path / "bad.trs"
     f.write_text(NONCONFLUENT)
-    assert main(["analyze", str(f), "weak", "--depth", "0",
-                 "--bound", "0"]) == EXIT_FAILS
+    assert main(["analyze", str(f), check, "--depth", "0",
+                 "--bound", "0"]) == EXIT_UNCONFIRMED
 
 
 # Runs the CLI after allocating objects and interning terms, so that the

@@ -215,6 +215,18 @@ def test_graph_bound_marks_nonexhausted(arith):
     assert not g.exhausted
 
 
+def test_graph_node_cap_truncates(arith):
+    """Past ``max_nodes`` the search ends as truncated: the unexpanded
+    nodes form the frontier, and nothing is raised."""
+    g = reduction_graph(arith, [arith.parse("M(S(S(0)),S(S(0)))")],
+                        kind="seq", max_nodes=3)
+    assert not g.exhausted
+    assert g.frontier and g.frontier < g.nodes
+    full = reduction_graph(arith, [arith.parse("M(S(S(0)),S(S(0)))")],
+                           kind="seq")
+    assert g.nodes < full.nodes
+
+
 def test_graph_reachable(arith):
     seed = arith.parse("A(S(0),0)")
     g = reduction_graph(arith, [seed], kind="seq")
