@@ -39,11 +39,11 @@ def main():
             g[0] += 1
             g[1] += r.verdict == "pass"
             g[2] += r.skips
-            g[3] += r.unconfirmed
-        print(f"{'group':20} {'laws':>5} {'pass':>5} {'skips':>7} {'unconf':>7}")
+            g[3] += r.overflow_dropped
+        print(f"{'group':20} {'laws':>5} {'pass':>5} {'skips':>7} {'dropped':>9}")
         for name in sorted(groups):
-            n, p, s, u = groups[name]
-            print(f"{name:20} {n:>5} {p:>5} {s:>7} {u:>7}")
+            n, p, s, d = groups[name]
+            print(f"{name:20} {n:>5} {p:>5} {s:>7} {d:>9}")
 
     failing = [r.law_id for r in reports if r.verdict != "pass"]
     print(f"\n{len(reports)} laws, {len(failing)} failing, {elapsed:.1f}s")

@@ -21,8 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .analysis import (
     FAILS,
@@ -45,26 +44,9 @@ EXIT_UNCONFIRMED = 2
 EXIT_INPUT = 3
 
 
-@dataclass(frozen=True)
-class TrsFile:
-    """A parsed rewrite-system file plus enough source information for
-    diagnostics (the line number of each rule, in rule order)."""
-
-    trs: TRS
-    path: str
-    rule_lines: Tuple[int, ...]
-
-
-def load_trs(path: str) -> TrsFile:
+def load_trs(path: str) -> TRS:
     with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    trs = parse_trs(text)
-    rule_lines = tuple(
-        lineno
-        for lineno, raw in enumerate(text.splitlines(), start=1)
-        if raw.split("#", 1)[0].strip().startswith("rule ")
-    )
-    return TrsFile(trs, path, rule_lines)
+        return parse_trs(f.read())
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -79,9 +61,9 @@ def _emit(text: str, output: Optional[str]) -> None:
 # subcommands
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    tf = load_trs(args.file)
-    term = tf.trs.parse(args.term)
-    g = reduction_graph(tf.trs, [term], kind=args.kind, bound=args.bound)
+    trs = load_trs(args.file)
+    term = trs.parse(args.term)
+    g = reduction_graph(trs, [term], kind=args.kind, bound=args.bound)
     if args.format == "dot":
         _emit(graph_to_dot(g), args.output)
     elif args.format == "json":
@@ -122,8 +104,7 @@ def _verdict_exit(verdict: str) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    tf = load_trs(args.file)
-    trs = tf.trs
+    trs = load_trs(args.file)
     if args.check == "cp":
         report = check_cp(trs, depth=args.depth if args.depth is not None else 2)
         payload = report.to_json()

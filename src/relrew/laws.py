@@ -25,12 +25,10 @@ from __future__ import annotations
 import json
 import random
 import re
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import relalg
 from .relalg import Rel, lfp, random_coreflexive, random_rel
 from .syntax import Signature, TermError, universe
 from .termrel import (
@@ -448,10 +446,9 @@ def _law_cr_iff(n, rels, rng):
 
 
 def run_relation_law_suite(cfg: SampleConfig,
-                           law_ids: Optional[Sequence[str]] = None,
-                           corrupt_compose: bool = False) -> List[LawReport]:
-    with relalg.corrupted_compose() if corrupt_compose else nullcontext():
-        return _run_entries(RELATION_ENTRIES, cfg, law_ids)
+                           law_ids: Optional[Sequence[str]] = None
+                           ) -> List[LawReport]:
+    return _run_entries(RELATION_ENTRIES, cfg, law_ids)
 
 
 # ---------------------------------------------------------------------------

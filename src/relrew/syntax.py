@@ -246,10 +246,6 @@ def is_well_formed(t: Term, signature: Signature, variables: Sequence[str]) -> b
 hole = Term(HOLE)
 
 
-def is_context(c: Term) -> bool:
-    return sum(1 for s in subterms(c) if s is hole) == 1
-
-
 def plug(context: Term, t: Term) -> Term:
     """Replace the unique hole in ``context`` by ``t``."""
     if context is hole:
@@ -335,7 +331,8 @@ class Universe:
     def occurrences(self) -> Dict[Term, Tuple[Tuple[Term, int], ...]]:
         """Each term mapped to the (parent, argument position) pairs at which
         it occurs as a direct argument of a term of the universe.  Built on
-        first use, which materialises the universe."""
+        first use, which materialises the universe; ``termrel._lift`` reads
+        it over explicit universes only."""
         occ: Dict[Term, List[Tuple[Term, int]]] = {}
         for t in self.terms():
             for i, arg in enumerate(t.args):

@@ -23,10 +23,10 @@ exact answer from a truncated one.
 ``tilde``, ``check_refine``, ``derivative``, ``taylor`` and the closures'
 steps are one congruence lift, ``_lift``: one argument position related by
 a "hot" relation, the positions before and after it by sibling relations
-(or kept identical).  Over a materialisable universe the hot pairs are
-placed into their parents through the universe's occurrence index; over a
-larger one the applications are assembled backward from the pairs that
-fit one level down.
+(or kept identical).  Over an explicit universe the hot pairs are placed
+into their parents through the universe's occurrence index; over a depth
+universe the applications are assembled backward from the pairs that fit
+one level down, whatever the universe's size.
 
 The closures are evaluated semi-naively, as in Datalog: each generation
 lifts only the pairs the previous generation added.  In ``tilde``'s step
@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import prod
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import relalg
@@ -51,22 +52,21 @@ from .syntax import Term, Universe, app
 TPair = Tuple[Term, Term]
 Succ = Dict[Term, Set[Term]]
 
-# forward enumeration over the carrier is used when it fits under this cap
-FORWARD_CAP = 200_000
-
 
 @dataclass
 class OpStats:
     """Counts pairs discarded because they left the working universe.
 
     An operator notes one drop for each construction it enumerates whose
-    result would leave the universe and, on the backward path, for each
-    input pair too deep to be an argument.  A closure notes each such drop
-    once per round in which the naive iteration (re-applying the step to
-    the whole relation until nothing changes) would meet it: every round
-    after the one that added the newest pair it uses, up to and including
-    the round that confirms the fixed point.  The semi-naive evaluation
-    reproduces that count exactly.
+    result would leave the universe.  For a lift that is a construction
+    from a parent inside the universe (the left sides of its argument
+    pairs) whose right side is outside, on either kind of universe; over a
+    depth universe such constructions are counted, not built.  A closure
+    notes each such drop once per round in which the naive iteration
+    (re-applying the step to the whole relation until nothing changes)
+    would meet it: every round after the one that added the newest pair it
+    uses, up to and including the round that confirms the fixed point.  The
+    semi-naive evaluation reproduces that count exactly.
     """
 
     dropped: int = 0
@@ -90,10 +90,6 @@ def i_sigma0(u: Universe) -> Rel:
     return Rel(u, frozenset((c, c) for c in u.constant_terms()))
 
 
-def _materializable(u: Universe) -> bool:
-    return u.explicit is not None or u.size() <= FORWARD_CAP
-
-
 # ---------------------------------------------------------------------------
 # the congruence lift and its instances
 
@@ -105,24 +101,24 @@ def _lift(u: Universe, before: Optional[Succ], hot: Succ,
     positions before i by ``before`` and those after i by ``after``.  With
     ``before`` and ``after`` both ``None`` the siblings stay identical.
 
-    Over a materialisable universe each pair of ``hot`` is placed into its
-    parents through the occurrence index, and each construction that leaves
-    the universe is noted as a drop.  Over a larger one the applications are
-    assembled backward from the pairs that fit one level down, and the
-    ``hot`` pairs too deep for that are noted instead.  Identical siblings
-    always take the first path: assembling them backward would enumerate
-    the universe anyway.
+    Over an explicit universe each pair of ``hot`` is placed into its
+    parents through the occurrence index.  Over a depth-d universe the
+    applications are assembled backward from the pairs whose sides both
+    have depth < d; identical siblings range over the terms of depth < d.
+    Either way a drop is a construction from a parent inside the universe
+    whose result leaves it.  Backward, those are counted without building
+    them: per operator and position, the product of the pools' pairs whose
+    left side has depth < d, less the product of the pools themselves.
 
-    Membership holds by construction up to depth: each constructed term
-    takes its operator from a parent in the universe and its arguments from
-    relations over it.  So a construction stays in a depth universe exactly
-    when ``depth <= u.depth``, and in an explicit one when it is in
+    Membership holds by construction: each constructed term takes its
+    operator from the signature and its arguments from relations over the
+    universe, so it stays in a depth universe exactly when its arguments
+    have depth < d, and in an explicit one exactly when it is in
     ``u.explicit``; the full ``Universe.__contains__`` walk is never
     needed here."""
     out: Set[TPair] = set()
-    if before is None or _materializable(u):
-        occurrences = u.occurrences
-        explicit, limit = u.explicit, u.depth
+    if u.explicit is not None:
+        occurrences, explicit = u.occurrences, u.explicit
         for p, qs in hot.items():
             for t, i in occurrences.get(p, ()):
                 args = t.args
@@ -134,8 +130,7 @@ def _lift(u: Universe, before: Optional[Succ], hot: Succ,
                     head, tail = args[:i], args[i + 1:]
                     for q in qs:
                         s = app(t.name, *head, q, *tail)
-                        if (s.depth <= limit if explicit is None
-                                else s in explicit):
+                        if s in explicit:
                             out.add((t, s))
                         elif stats is not None:
                             stats.note()
@@ -147,24 +142,37 @@ def _lift(u: Universe, before: Optional[Succ], hot: Succ,
                     continue
                 for combo in product(*pools):
                     s = app(t.name, *combo)
-                    if (s.depth <= limit if explicit is None
-                            else s in explicit):
+                    if s in explicit:
                         out.add((t, s))
                     elif stats is not None:
                         stats.note()
         return out
 
-    def pool(succ: Succ) -> List[TPair]:
-        return [(p, q) for p, qs in succ.items() if p.depth < u.depth
-                for q in qs if q.depth < u.depth]
-    before_pool, hot_pool, after_pool = pool(before), pool(hot), pool(after)
-    if stats is not None:
-        stats.note(sum(map(len, hot.values())) - len(hot_pool))
+    d = u.depth
+
+    # the pairs that fit below an operator, and how many have a left side
+    # that does (and so sit in a parent inside the universe)
+    def pool(succ: Succ) -> Tuple[List[TPair], int]:
+        below = [(p, q) for p, qs in succ.items() if p.depth < d for q in qs]
+        return [pq for pq in below if pq[1].depth < d], len(below)
+
+    hot_pool, hot_n = pool(hot)
+    if not hot_n:  # no hot pair sits in a parent, as always at depth 0
+        return out
+    if before is None:
+        before_pool = after_pool = [(t, t) for t in u.terms_up_to(d - 1)]
+        before_n = after_n = len(before_pool)
+    else:
+        before_pool, before_n = pool(before)
+        after_pool, after_n = pool(after)
     for name, ar in u.signature.operators():
         if arity is not None and ar != arity:
             continue
         for i in range(ar):
             pools = [before_pool] * i + [hot_pool] + [after_pool] * (ar - i - 1)
+            if stats is not None:
+                stats.note(before_n ** i * hot_n * after_n ** (ar - i - 1)
+                           - prod(map(len, pools)))
             for combo in product(*pools):
                 out.add((app(name, *(p for p, _ in combo)),
                          app(name, *(q for _, q in combo))))
@@ -193,12 +201,8 @@ def check_refine(a: Rel, stats: Optional[OpStats] = None) -> Rel:
 def derivative(a: Rel, b: Rel, stats: Optional[OpStats] = None) -> Rel:
     """One argument position rewritten by ``b``, siblings componentwise by
     ``a``.  ``check_refine(b) == derivative(delta(u), b)`` and
-    ``tilde(a) == derivative(a, a) | i_sigma0(u)``.  Assembled backward,
-    the pairs of ``a`` too deep to be siblings are noted as drops too."""
+    ``tilde(a) == derivative(a, a) | i_sigma0(u)``."""
     u = a.carrier
-    if stats is not None and not _materializable(u):
-        stats.note(sum(1 for p, q in a.pairs
-                       if max(p.depth, q.depth) >= u.depth))
     asucc = successors(a.pairs)
     return Rel(u, frozenset(_lift(u, asucc, successors(b.pairs), asucc, stats)))
 

@@ -20,7 +20,7 @@ from relrew.analysis import (
 )
 from relrew.cli import EXIT_OK, main
 from relrew.laws import SampleConfig, run_all, run_relation_law_suite
-from relrew.relalg import Rel, random_rel
+from relrew.relalg import Rel, corrupted_compose, random_rel
 from relrew.rewrite import (
     full_step,
     ground_instances,
@@ -184,8 +184,8 @@ def test_criterion_8_determinism(tmp_path):
 
 def test_criterion_9_mutation_self_test():
     """Corrupting composition makes at least one law fail."""
-    reports = run_relation_law_suite(SampleConfig(samples=10),
-                                     corrupt_compose=True)
+    with corrupted_compose():
+        reports = run_relation_law_suite(SampleConfig(samples=10))
     failing = [r.law_id for r in reports if r.verdict == "fail"]
     _report(9, len(failing) >= 1,
             f"{len(failing)} laws caught the corrupted composition")

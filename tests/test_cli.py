@@ -16,7 +16,6 @@ from relrew.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_UNCONFIRMED,
-    load_trs,
     main,
 )
 
@@ -272,12 +271,3 @@ def test_analyze_witnesses_independent_of_interning(tmp_path, check):
     assert json.loads(outs[0])["witnesses"]
     assert outs[1] == outs[0] and outs[2] == outs[0]
 
-
-# ---------------------------------------------------------------------------
-# TrsFile plumbing
-
-def test_load_trs_records_rule_lines(arith_file, arith):
-    tf = load_trs(arith_file)
-    assert tf.trs == arith
-    assert len(tf.rule_lines) == 4
-    assert all(a < b for a, b in zip(tf.rule_lines, tf.rule_lines[1:]))

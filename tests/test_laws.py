@@ -81,8 +81,8 @@ def test_seed_changes_samples():
 
 
 def test_mutation_breaks_relation_laws():
-    reports = run_relation_law_suite(SampleConfig(samples=10),
-                                     corrupt_compose=True)
+    with corrupted_compose():
+        reports = run_relation_law_suite(SampleConfig(samples=10))
     failing = [r for r in reports if r.verdict == "fail"]
     assert failing, "corrupted composition went unnoticed"
     assert all(r.counterexamples for r in failing)

@@ -7,7 +7,6 @@ from itertools import product
 import pytest
 
 import relrew.relalg as relalg
-import relrew.termrel as tr
 from relrew.relalg import Rel, lfp, reach, successors
 from relrew.rewrite import (
     full_step,
@@ -15,7 +14,14 @@ from relrew.rewrite import (
     parallel_step,
     sequential_step,
 )
-from relrew.syntax import Signature, app, universe, var
+from relrew.syntax import (
+    DEFAULT_UNIVERSE_CAP,
+    Signature,
+    Universe,
+    app,
+    universe,
+    var,
+)
 from relrew.termrel import (
     OpStats,
     check_refine,
@@ -36,6 +42,8 @@ SIG = Signature({"0": 0, "S": 1, "A": 2, "M": 2})
 VARS = ("x", "y")
 U1 = universe(SIG, VARS, 1)
 U2 = universe(SIG, VARS, 2)
+# the same terms as U2, so the lift takes its explicit path over them
+U2_EXPLICIT = Universe.from_terms(SIG, VARS, U2.terms())
 
 X, Y, ZERO = var("x"), var("y"), app("0")
 
@@ -49,6 +57,14 @@ def random_rel(u, support_depth, k, rng):
     return Rel(u, frozenset(
         (rng.choice(sup), rng.choice(sup)) for _ in range(k)
     ))
+
+
+def skewed_rel(rng, k=4):
+    """Pairs over U2 from depth <= 1 to depth <= 2: the constructions at
+    their parents may escape the universe."""
+    shallow, deep = U1.terms(), U2.terms()
+    return Rel(U2, frozenset((rng.choice(shallow), rng.choice(deep))
+                             for _ in range(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -144,21 +160,6 @@ def ref_check_refine(a, stats):
 def ref_derivative(a, b, stats):
     u = a.carrier
     out = set()
-    if not tr._materializable(u):
-        apool = [(p, q) for p, q in a.pairs
-                 if p.depth < u.depth and q.depth < u.depth]
-        bpool = [(p, q) for p, q in b.pairs
-                 if p.depth < u.depth and q.depth < u.depth]
-        stats.note(len(a.pairs) - len(apool))
-        stats.note(len(b.pairs) - len(bpool))
-        for name, ar in u.signature.operators():
-            for i in range(ar):
-                for hot in bpool:
-                    for sibs in product(apool, repeat=ar - 1):
-                        combo = sibs[:i] + (hot,) + sibs[i:]
-                        out.add((app(name, *(p for p, _ in combo)),
-                                 app(name, *(q for _, q in combo))))
-        return out
     asucc, bsucc = successors(a.pairs), successors(b.pairs)
     for t in u.terms():
         for i, arg in enumerate(t.args):
@@ -182,16 +183,6 @@ def ref_taylor(n, a, stats):
     if n == 0:
         return set(i_sigma0(u).pairs)
     out = set()
-    if not tr._materializable(u):
-        pool = [(p, q) for p, q in a.pairs
-                if p.depth < u.depth and q.depth < u.depth]
-        stats.note(len(a.pairs) - len(pool))
-        for name, ar in u.signature.operators():
-            if n is None or ar == n:
-                for combo in product(pool, repeat=ar):
-                    out.add((app(name, *(p for p, _ in combo)),
-                             app(name, *(q for _, q in combo))))
-        return out
     succ = successors(a.pairs)
     for t in u.terms():
         if t.is_var or not t.args or n not in (None, len(t.args)):
@@ -221,54 +212,62 @@ OPERATORS = {
 }
 
 
-def test_forward_backward_agree(monkeypatch):
-    """Both paths of the lift kernel give the pairs and the drop counts of
-    the per-operator reference enumerations, and the two paths give the
-    same pairs.  Right sides of depth 2 make constructions that escape the
-    depth-2 universe forward and pairs too deep to be arguments backward."""
+def test_explicit_and_depth_paths_agree():
+    """The lift kernel's two paths, the occurrence index over an explicit
+    universe and backward assembly over a depth universe, give the pairs
+    and the drop counts of the per-operator reference enumerations on the
+    same term set.  Right sides of depth 2 make constructions that escape
+    the depth-2 universe."""
     rng = random.Random(8)
-    shallow, deep = U1.terms(), U2.terms()
-
-    def skewed():
-        return Rel(U2, frozenset((rng.choice(shallow), rng.choice(deep))
-                                     for _ in range(4)))
-
     samples = [(random_rel(U2, 1, 4, rng), random_rel(U2, 1, 4, rng))
                for _ in range(10)]
-    samples += [(skewed(), skewed()) for _ in range(10)]
-    results = {}
-    dropped = {}
-    for cap in (tr.FORWARD_CAP, 0):
-        monkeypatch.setattr(tr, "FORWARD_CAP", cap)
-        for k, (a, b) in enumerate(samples):
-            for name, (op, ref) in OPERATORS.items():
-                st, ref_st = OpStats(), OpStats()
-                got = op(a, b, st).pairs
-                assert got == ref(a, b, ref_st), (cap, name, k)
-                assert st.dropped == ref_st.dropped, (cap, name, k)
-                assert results.setdefault((name, k), got) == got, (name, k)
-                dropped[cap] = dropped.get(cap, 0) + st.dropped
-    assert all(dropped.values())
+    samples += [(skewed_rel(rng), skewed_rel(rng)) for _ in range(10)]
+    dropped = 0
+    for k, (a, b) in enumerate(samples):
+        for name, (op, ref) in OPERATORS.items():
+            ref_st = OpStats()
+            want = ref(a, b, ref_st)
+            for u in (U2, U2_EXPLICIT):
+                st = OpStats()
+                got = op(Rel(u, a.pairs), Rel(u, b.pairs), st).pairs
+                assert got == want, (u.explicit is None, name, k)
+                assert st.dropped == ref_st.dropped, (u.explicit is None, name, k)
+            dropped += ref_st.dropped
+    assert dropped
 
 
-def test_lift_membership_by_construction(monkeypatch):
-    """Over the lazy depth-2 universe the lift keeps constructions of depth
-    2 and drops, counting them, those of depth 3.  Its depth test admits
-    only pairs that pass the full membership check, on both paths."""
-    assert U2.explicit is None
-    a = rel(U2, (X, app("S", X)), (ZERO, app("S", app("S", ZERO))),
-            (Y, app("A", Y, ZERO)))
-    for cap in (tr.FORWARD_CAP, 0):
-        monkeypatch.setattr(tr, "FORWARD_CAP", cap)
+def test_lift_membership_by_construction():
+    """Over the depth-2 universe the lift keeps constructions of depth 2
+    and drops, counting them, those of depth 3; over the explicit universe
+    of the same terms it keeps and drops the same ones.  Either way it
+    admits only pairs that pass the full membership check."""
+    assert U2.explicit is None and U2_EXPLICIT.explicit is not None
+    pairs = ((X, app("S", X)), (ZERO, app("S", app("S", ZERO))),
+             (Y, app("A", Y, ZERO)))
+    for u in (U2, U2_EXPLICIT):
+        a = Rel(u, frozenset(pairs))
         for name, op in (("tilde", tilde), ("check", check_refine),
                          ("deriv", lambda r, st: derivative(r, r, st)),
                          ("taylor", lambda r, st: taylor(2, r, st))):
             st = OpStats()
-            pairs = op(a, st).pairs
-            assert st.dropped, (cap, name)
-            assert any(max(p.depth, q.depth) == 2 for p, q in pairs), (cap, name)
-            for p, q in pairs:
-                assert p in U2 and q in U2, (cap, name, p, q)
+            out = op(a, st).pairs
+            key = (u.explicit is None, name)
+            assert st.dropped, key
+            assert any(max(p.depth, q.depth) == 2 for p, q in out), key
+            for p, q in out:
+                assert p in u and q in u, (key, p, q)
+
+
+def test_check_refine_over_unmaterialisable_depth3_universe():
+    """Identical siblings over a depth-3 universe too large to enumerate
+    range over its depth-2 terms: 2 pairs at S, 2 x 1179 per position of A
+    and M, and nothing escapes."""
+    u3 = universe(SIG, VARS, 3)
+    assert u3.size() > DEFAULT_UNIVERSE_CAP
+    st = OpStats()
+    out = check_refine(rel(u3, (ZERO, app("S", ZERO)), (X, Y)), st)
+    assert len(out.pairs) == 9434
+    assert st.dropped == 0
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +478,20 @@ def test_closures_match_naive_on_explicit_closure(arith):
     _assert_matches_naive(ground_instances(arith, u))
 
 
-def test_closures_match_naive_backward(monkeypatch):
+def test_closures_agree_on_explicit_and_depth_universes():
+    """Each closure gives the same pairs and drop count over U2 as over
+    the explicit universe of the same terms."""
     rng = random.Random(13)
-    samples = [random_rel(U2, 2, 3, rng) for _ in range(4)]
-    monkeypatch.setattr(tr, "FORWARD_CAP", 0)
-    dropped = sum(_assert_matches_naive(a, ("seq", "par", "full",
-                                            "full-nonreflexive"))
-                  for a in samples)
+    dropped = 0
+    for _ in range(4):
+        pairs = skewed_rel(rng, 3).pairs
+        for name, closure in CLOSURES.items():
+            seen = set()
+            for u in (U2, U2_EXPLICIT):
+                st = OpStats()
+                seen.add((closure(Rel(u, pairs), st).pairs, st.dropped))
+            assert len(seen) == 1, name
+            dropped += st.dropped
     assert dropped > 0
 
 
