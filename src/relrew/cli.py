@@ -140,8 +140,23 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error (exit 3): argparse's own
+    exit code 2 means ``unconfirmed`` here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relrew",
         description="Term rewriting via an algebra of term relations: "
         "reductions, law checking, confluence analysis.",
@@ -152,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_red.add_argument("file", help="rewrite-system file")
     p_red.add_argument("term", help="seed term, e.g. 'A(S(0),S(0))'")
     p_red.add_argument("--kind", choices=("seq", "par", "full"), default="seq")
-    p_red.add_argument("--bound", type=int, default=None,
+    p_red.add_argument("--bound", type=_count, default=None,
                        help="maximum number of BFS layers")
     p_red.add_argument("--format", choices=("dot", "json", "text"), default="text")
     p_red.add_argument("--output", default=None, help="write output to a file")
@@ -173,9 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("file", help="rewrite-system file")
     p_an.add_argument("check",
                       choices=("confluence", "weak", "cr", "cp", "spectrum"))
-    p_an.add_argument("--depth", type=int, default=None,
+    p_an.add_argument("--depth", type=_count, default=None,
                       help="seed/universe depth (default 3, cp default 2)")
-    p_an.add_argument("--bound", type=int, default=None,
+    p_an.add_argument("--bound", type=_count, default=None,
                       help="maximum number of full-step BFS layers of the "
                       "closure (default: explore until exhausted; cp "
                       "ignores it)")
@@ -187,9 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (TermError, ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)

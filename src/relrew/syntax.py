@@ -124,11 +124,19 @@ def format_term(t: Term) -> str:
     return f"{t.name}({','.join(format_term(a) for a in t.args)})"
 
 
+# Deepest term parse_term accepts.  The term functions recurse once or a
+# few times per level, and reducing a term of depth 331 overflows the
+# interpreter's default stack; the margin leaves room for reducts deeper
+# than their seed and for callers with deeper stacks.
+MAX_TERM_DEPTH = 200
+
+
 def parse_term(text: str, signature: Signature, variables: Sequence[str]) -> Term:
     """Parse ``name(arg,...)`` concrete syntax.
 
     A bare name is a constant if the signature declares it with arity 0,
-    a variable if it is in ``variables``, and an error otherwise.
+    a variable if it is in ``variables``, and an error otherwise.  A term
+    deeper than ``MAX_TERM_DEPTH`` is an error.
     """
     varset = set(variables)
     pos = 0
@@ -139,8 +147,11 @@ def parse_term(text: str, signature: Signature, variables: Sequence[str]) -> Ter
         while pos < len(text) and text[pos].isspace():
             pos += 1
 
-    def parse() -> Term:
+    def parse(level: int) -> Term:
         nonlocal pos
+        if level > MAX_TERM_DEPTH:
+            raise TermError(f"term nested deeper than {MAX_TERM_DEPTH} "
+                            f"at position {pos}")
         skip_ws()
         m = _NAME_RE.match(text, pos)
         if not m:
@@ -156,7 +167,7 @@ def parse_term(text: str, signature: Signature, variables: Sequence[str]) -> Ter
                 pos += 1
             else:
                 while True:
-                    args.append(parse())
+                    args.append(parse(level + 1))
                     skip_ws()
                     if pos < len(text) and text[pos] == ",":
                         pos += 1
@@ -181,7 +192,7 @@ def parse_term(text: str, signature: Signature, variables: Sequence[str]) -> Ter
             return var(name)
         raise TermError(f"unknown name {name!r} (not an operator or declared variable)")
 
-    t = parse()
+    t = parse(0)
     skip_ws()
     if pos != len(text):
         raise TermError(f"trailing input at position {pos} in {text!r}")

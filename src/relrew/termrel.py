@@ -105,6 +105,8 @@ def _lift(u: Universe, before: Optional[Succ], hot: Succ,
     parents through the occurrence index.  Over a depth-d universe the
     applications are assembled backward from the pairs whose sides both
     have depth < d; identical siblings range over the terms of depth < d.
+    Each combination of pairs is split once into its left and right
+    argument tuples, and both applications are interned from them.
     Either way a drop is a construction from a parent inside the universe
     whose result leaves it.  Backward, those are counted without building
     them: per operator and position, the product of the pools' pairs whose
@@ -174,8 +176,8 @@ def _lift(u: Universe, before: Optional[Succ], hot: Succ,
                 stats.note(before_n ** i * hot_n * after_n ** (ar - i - 1)
                            - prod(map(len, pools)))
             for combo in product(*pools):
-                out.add((app(name, *(p for p, _ in combo)),
-                         app(name, *(q for _, q in combo))))
+                ls, rs = zip(*combo)
+                out.add((Term(name, ls), Term(name, rs)))
     return out
 
 
@@ -248,12 +250,16 @@ def subst_rel(a: Rel, b: Rel,
     exactly when ``b`` is empty but the universe declares variables: then
     no substitution is b-related to any other, so the strict result is
     empty.  (Images of non-occurring variables never show up in the result,
-    so this is the only divergence.)"""
+    so this is the only divergence.)
+
+    A variable's images are the pairs of ``b`` that fit the depths its
+    occurrences leave; each pair of bounds gets its pool once per call."""
     u = a.carrier
     if strict and not b.pairs and u.variables:
         return Rel.bottom(u)
     bpairs = list(b.pairs)
     explicit = u.explicit is not None
+    by_bound: Dict[Tuple[int, int], List[TPair]] = {}
     out: Set[TPair] = set()
     for t0, s0 in a.pairs:
         occ_t = _var_occurrence_depths(t0)
@@ -269,7 +275,10 @@ def subst_rel(a: Rel, b: Rel,
             # images must keep the instantiated terms inside the universe
             lb = u.depth - occ_t.get(v, 0)
             rb = u.depth - occ_s.get(v, 0)
-            pool = [(l, r) for l, r in bpairs if l.depth <= lb and r.depth <= rb]
+            pool = by_bound.get((lb, rb))
+            if pool is None:
+                pool = by_bound[lb, rb] = [
+                    (l, r) for l, r in bpairs if l.depth <= lb and r.depth <= rb]
             pools.append(pool)
             full *= len(bpairs)
             kept *= len(pool)

@@ -18,7 +18,9 @@ from relrew.cli import (
     EXIT_UNCONFIRMED,
     main,
 )
+from relrew.syntax import MAX_TERM_DEPTH
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 NONCONFLUENT = "sig a/0 b/0 c/0\nrule a -> b\nrule a -> c\n"
 
 
@@ -77,6 +79,55 @@ def test_reduce_bad_term_is_input_error(arith_file, capsys):
 
 def test_reduce_missing_file_is_input_error(capsys):
     assert main(["reduce", "/nonexistent.trs", "0"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{trs}", "bogus"],
+    ["reduce", "{trs}", "S(0)", "--bound", "x"],
+    ["reduce", "{trs}", "S(0)", "--bound", "-1"],
+    ["reduce", "{trs}", "S(0)", "--kind", "fast"],
+    ["analyze", "{trs}", "weak", "--depth", "-1"],
+    ["analyze", "{trs}", "weak", "--bound", "-2"],
+    ["check-laws", "--samples", "many"],
+    ["reduce", "{trs}"],
+    ["frobnicate"],
+    [],
+])
+def test_usage_error_is_input_error(arith_file, capsys, argv):
+    """argparse would exit 2, which means ``unconfirmed`` here."""
+    code = main([a.format(trs=arith_file) for a in argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def _nested(depth):
+    """S(S(...S(A(0,0))...)): a term of the given depth with one redex at
+    the bottom."""
+    return "S(" * (depth - 1) + "A(0,0)" + ")" * (depth - 1)
+
+
+@pytest.mark.parametrize("kind", ["seq", "par", "full"])
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_reduce_term_at_depth_limit(arith_file, capsys, kind, fmt):
+    code = main(["reduce", arith_file, _nested(MAX_TERM_DEPTH),
+                 "--kind", kind, "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "S(" * (MAX_TERM_DEPTH - 1) + "0" + ")" * (MAX_TERM_DEPTH - 1) in out
+
+
+@pytest.mark.parametrize("kind", ["seq", "par", "full"])
+def test_reduce_term_over_depth_limit_is_input_error(arith_file, capsys, kind):
+    """A term deeper than the limit is rejected when parsed, before any
+    recursion over it can overflow the stack."""
+    code = main(["reduce", arith_file, _nested(MAX_TERM_DEPTH + 1),
+                 "--kind", kind])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert f"deeper than {MAX_TERM_DEPTH}" in captured.err
 
 
 def test_reduce_output_file(arith_file, tmp_path):
@@ -203,6 +254,23 @@ def test_analyze_detects_failure(tmp_path, capsys):
                  "--format", "json"]) == EXIT_FAILS
     assert json.loads(capsys.readouterr().out)["witnesses"] == [["b", "c"]]
     assert main(["analyze", str(f), "cp", "--depth", "1"]) == EXIT_FAILS
+
+
+def test_analyze_cp_depth3_nonconfluent(capsys):
+    """cp over the depth-3 universe of the non-confluent system (59,295
+    terms) ends with the ``cp-1-prime`` counterexample.  It ran for
+    minutes while ``subst_rel`` filtered ``b`` anew for every pair of ``a``
+    and every variable."""
+    trs = os.path.join(ROOT, "perfbench", "data", "nonconfluent.trs")
+    code = main(["analyze", trs, "cp", "--depth", "3", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EXIT_FAILS
+    assert payload["property"] == "critical-pairs"
+    verdicts = {c["property"]: c["verdict"] for c in payload["checks"]}
+    assert verdicts == {"cp-1": "unconfirmed", "cp-2": "holds",
+                        "cp-1-prime": "fails"}
+    witnesses = payload["checks"][2]["witnesses"]
+    assert witnesses and all(len(w) == 2 for w in witnesses)
 
 
 GROWING = "sig a/0 f/1\nvar x\nrule f(x) -> f(f(x))\n"

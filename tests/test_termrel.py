@@ -19,6 +19,8 @@ from relrew.syntax import (
     Signature,
     Universe,
     app,
+    apply_subst,
+    free_vars,
     universe,
     var,
 )
@@ -309,6 +311,57 @@ def test_subst_depth_filtering_counts_drops():
 def test_subst_delta_is_identity_on_delta():
     d = delta(U1)
     assert subst_rel(d, d).pairs == d.pairs
+
+
+def ref_subst(a, b, strict):
+    """a[b] by brute force: every assignment of a pair of ``b`` to each
+    variable (each declared one if ``strict``, else each occurring one),
+    instantiated and then checked with the full membership test.  A drop
+    is an assignment to the occurring variables whose instantiation leaves
+    the universe; the strict reading's other variables never show up in a
+    result, so it counts each such assignment once."""
+    u = a.carrier
+    out, dropped = set(), set()
+    for t0, s0 in a.pairs:
+        occurring = sorted(free_vars(t0) | free_vars(s0))
+        vs = sorted(u.variables) if strict else occurring
+        for combo in product(b.pairs, repeat=len(vs)):
+            sigma = {v: l for v, (l, _) in zip(vs, combo)}
+            rho = {v: r for v, (_, r) in zip(vs, combo)}
+            t, s = apply_subst(t0, sigma), apply_subst(s0, rho)
+            if t in u and s in u:
+                out.add((t, s))
+            else:
+                dropped.add((t0, s0) + tuple((sigma[v], rho[v])
+                                             for v in occurring))
+    return out, len(dropped)
+
+
+def test_subst_matches_brute_force():
+    """subst_rel, which filters each variable's images by the depth its
+    occurrences leave them, gives the pairs and the drop count of the
+    brute-force enumeration, over both kinds of universe and both
+    readings, an empty ``b`` included."""
+    rng = random.Random(10)
+    samples = [(random_rel(U2, 1, 2, rng) | random_rel(U2, 2, 2, rng),
+                random_rel(U2, 0, 2, rng) | random_rel(U2, rng.choice((1, 2)),
+                                                   rng.choice((1, 3)), rng))
+               for _ in range(30)]
+    ground = rel(U2, (ZERO, app("S", ZERO)))  # kept by the occurring reading
+    samples += [(random_rel(U2, 2, 3, rng) | ground, Rel.bottom(U2))
+                for _ in range(3)]
+    dropped = 0
+    for k, (a, b) in enumerate(samples):
+        for strict in (False, True):
+            want, want_dropped = ref_subst(a, b, strict)
+            for u in (U2, U2_EXPLICIT):
+                st = OpStats()
+                got = subst_rel(Rel(u, a.pairs), Rel(u, b.pairs), st, strict)
+                key = (u.explicit is None, strict, k)
+                assert got.pairs == want, key
+                assert st.dropped == want_dropped, key
+            dropped += want_dropped
+    assert dropped
 
 
 # ---------------------------------------------------------------------------
