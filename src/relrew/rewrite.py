@@ -3,7 +3,8 @@ reduction graphs, and the induced relations on a term universe.
 
 The three steppers implement, for a set of ground rules R:
 
-* sequential step   rewrite exactly one redex occurrence (one context);
+* sequential step   rewrite exactly one redex occurrence, named by its
+                    position: the argument indices on the path from the root;
 * parallel step     rewrite any number of pairwise disjoint redexes at once
                     (reflexive by construction);
 * full step         rewrite arguments in parallel, then optionally contract
@@ -26,18 +27,17 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .relalg import Rel, reach, successors
 from .syntax import (
+    MAX_TERM_DEPTH,
     Signature,
     Term,
     TermError,
     Universe,
     app,
     apply_subst,
-    decompose,
     format_term,
     free_vars,
     match,
     parse_term,
-    plug,
     term_key,
 )
 from .termrel import OpStats
@@ -180,19 +180,32 @@ def root_reducts(trs: TRS, t: Term) -> Tuple[Reduct, ...]:
 
 @dataclass(frozen=True)
 class StepWitness:
-    """One sequential rewrite: plug(context, rhs^subst) is the target."""
+    """One sequential rewrite: the subterm at ``position`` (the argument
+    indices, from 0, on the path from the root) is replaced by rhs^subst."""
 
-    context: Term
+    position: Tuple[int, ...]
     rule_index: int
     subst: Tuple[Tuple[str, Term], ...]
 
 
 def sequential_steps(trs: TRS, t: Term) -> List[Tuple[Term, StepWitness]]:
-    """All single-position rewrites of t, with their witnesses."""
-    out = []
-    for context, sub in decompose(t):
-        for i, subst, reduct in root_reducts(trs, sub):
-            out.append((plug(context, reduct), StepWitness(context, i, subst)))
+    """All single-position rewrites of t, with their witnesses, in pre-order
+    of the position: t's root reducts first, then each argument's steps,
+    in argument order, rebuilt into t."""
+    return _steps_at(trs, t, ())
+
+
+def _steps_at(trs: TRS, t: Term, position: Tuple[int, ...]
+              ) -> List[Tuple[Term, StepWitness]]:
+    # the position grows on the way down, so each witness is built once and
+    # only the target is rebuilt at every level on the way up
+    out = [(reduct, StepWitness(position, i, subst))
+           for i, subst, reduct in root_reducts(trs, t)]
+    args = t.args
+    for k, a in enumerate(args):
+        head, tail = args[:k], args[k + 1:]
+        for target, w in _steps_at(trs, a, position + (k,)):
+            out.append((Term(t.name, head + (target,) + tail), w))
     return out
 
 
@@ -248,7 +261,6 @@ class ReductionGraph:
     seeds: Tuple[Term, ...]
     nodes: Set[Term] = field(default_factory=set)
     edges: Set[Tuple[Term, Term]] = field(default_factory=set)
-    witnesses: Dict[Tuple[Term, Term], List[StepWitness]] = field(default_factory=dict)
     # the nodes that were found but never expanded
     frontier: Set[Term] = field(default_factory=set)
 
@@ -271,9 +283,12 @@ def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
                     max_nodes: int = 1_000_000) -> ReductionGraph:
     """Breadth-first closure of ``seeds`` under the chosen stepper.
 
-    ``bound`` limits the number of BFS layers, and the search also stops
-    once it holds more than ``max_nodes`` nodes.  The nodes left unexpanded
-    then make up ``frontier``, ``exhausted`` is False, and the graph is the
+    ``bound`` limits the number of BFS layers.  The search also stops once
+    it holds more than ``max_nodes`` nodes, and then keeps only the layers
+    it finished, so the result does not depend on set order.  A node with a reduct
+    deeper than ``MAX_TERM_DEPTH`` is left unexpanded, so every node stays
+    within the depth the term functions handle.  The nodes left unexpanded
+    make up ``frontier``, ``exhausted`` is then False, and the graph is the
     partial closure explored so far.
     """
     if kind not in STEPPERS:
@@ -288,15 +303,17 @@ def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
         next_frontier: List[Term] = []
         for k, t in enumerate(frontier):
             if len(g.nodes) > max_nodes:
-                g.frontier.update(frontier[k:], next_frontier)
+                # keep the finished layers only: how far this one got
+                # depends on the steppers' set order, which varies by run
+                g.nodes.difference_update(next_frontier)
+                g.edges.difference_update(
+                    (s, q) for s in frontier[:k] for q in step(trs, s))
+                g.frontier.update(frontier)
                 return g
-            if kind == "seq":
-                targets = []
-                for target, w in sequential_steps(trs, t):
-                    g.witnesses.setdefault((t, target), []).append(w)
-                    targets.append(target)
-            else:
-                targets = step(trs, t)
+            targets = step(trs, t)
+            if any(s.depth > MAX_TERM_DEPTH for s in targets):
+                g.frontier.add(t)
+                continue
             for target in targets:
                 g.edges.add((t, target))
                 if target not in g.nodes:
@@ -329,38 +346,50 @@ def ground_instances(trs: TRS, u: Universe,
 # ---------------------------------------------------------------------------
 # export
 
+def _ranked(g: ReductionGraph) -> Tuple[List[Term], List[Tuple[int, int]]]:
+    """The nodes in ``term_key`` order, and the edges as pairs of their
+    ranks, sorted.  ``term_key`` is injective, so rank pairs sort as the
+    pairs of keys would, without building two keys per edge."""
+    nodes = sorted(g.nodes, key=term_key)
+    rank = {t: i for i, t in enumerate(nodes)}
+    return nodes, sorted((rank[p], rank[q]) for p, q in g.edges)
+
+
 def graph_to_dot(g: ReductionGraph) -> str:
+    """DOT text of the graph; a seq graph labels each edge with the
+    indices of the rules that take it."""
+    nodes, edges = _ranked(g)
+    names = [format_term(t) for t in nodes]
+    rules: Dict[Tuple[Term, Term], Set[int]] = {}
+    if g.kind == "seq":
+        for p in {p for p, _ in g.edges}:
+            for q, w in sequential_steps(g.trs, p):
+                rules.setdefault((p, q), set()).add(w.rule_index)
     lines = ["digraph reduction {"]
     lines.append('  rankdir=LR;')
-    names = {t: format_term(t) for t in g.nodes}
-    for t in sorted(g.nodes, key=term_key):
+    for t, name in zip(nodes, names):
         shape = "doublecircle" if is_normal_form(g.trs, t) else "ellipse"
         seed = " peripheries=2" if t in g.seeds and shape == "ellipse" else ""
-        lines.append(f'  "{names[t]}" [shape={shape}{seed}];')
-    for p, q in sorted(g.edges, key=lambda e: (term_key(e[0]), term_key(e[1]))):
+        lines.append(f'  "{name}" [shape={shape}{seed}];')
+    for i, j in edges:
         label = ""
-        ws = g.witnesses.get((p, q))
-        if ws:
-            rules = sorted({w.rule_index for w in ws})
-            label = f' [label="r{",r".join(str(i) for i in rules)}"]'
-        lines.append(f'  "{names[p]}" -> "{names[q]}"{label};')
+        used = rules.get((nodes[i], nodes[j]))
+        if used:
+            label = f' [label="r{",r".join(str(r) for r in sorted(used))}"]'
+        lines.append(f'  "{names[i]}" -> "{names[j]}"{label};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_to_json(g: ReductionGraph) -> str:
-    nodes = sorted(g.nodes, key=term_key)
+    nodes, edges = _ranked(g)
+    names = [format_term(t) for t in nodes]
     payload = {
         "kind": g.kind,
         "seeds": [format_term(t) for t in g.seeds],
         "exhausted": g.exhausted,
-        "nodes": [format_term(t) for t in nodes],
+        "nodes": names,
         "normal_forms": [format_term(t) for t in g.normal_forms()],
-        "edges": [
-            [format_term(p), format_term(q)]
-            for p, q in sorted(
-                g.edges, key=lambda e: (term_key(e[0]), term_key(e[1]))
-            )
-        ],
+        "edges": [[names[i], names[j]] for i, j in edges],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

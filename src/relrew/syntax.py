@@ -1,4 +1,4 @@
-"""First-order terms over a ranked signature, contexts, and finite term universes.
+"""First-order terms over a ranked signature, and finite term universes.
 
 Terms are interned: structurally equal terms are the same object, so equality
 and hashing are O(1).  A universe is a finite, subterm-closed set of terms,
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
-
-HOLE = "□"  # single-hole marker used by contexts
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_'+\-]+")
 
@@ -34,7 +32,7 @@ class Signature:
 
     def __init__(self, arities: Mapping[str, int]):
         for name, ar in arities.items():
-            if not _NAME_RE.fullmatch(name) or name == HOLE:
+            if not _NAME_RE.fullmatch(name):
                 raise TermError(f"bad operator name: {name!r}")
             if isinstance(ar, bool) or not isinstance(ar, int):
                 raise TermError(f"arity of {name!r} must be an integer, got {ar!r}")
@@ -124,10 +122,10 @@ def format_term(t: Term) -> str:
     return f"{t.name}({','.join(format_term(a) for a in t.args)})"
 
 
-# Deepest term parse_term accepts.  The term functions recurse once or a
-# few times per level, and reducing a term of depth 331 overflows the
-# interpreter's default stack; the margin leaves room for reducts deeper
-# than their seed and for callers with deeper stacks.
+# Deepest term parse_term accepts, and deepest reduct a reduction graph
+# takes in.  The term functions recurse once or a few times per level, and
+# reducing a term of depth 331 overflows the interpreter's default stack;
+# the margin leaves room for callers with deeper stacks.
 MAX_TERM_DEPTH = 200
 
 
@@ -199,14 +197,8 @@ def parse_term(text: str, signature: Signature, variables: Sequence[str]) -> Ter
     return t
 
 
-@lru_cache(maxsize=None)
 def free_vars(t: Term) -> frozenset:
-    if t.is_var:
-        return frozenset((t.name,))
-    out: frozenset = frozenset()
-    for a in t.args:
-        out |= free_vars(a)
-    return out
+    return frozenset(s.name for s in subterms(t) if s.is_var)
 
 
 def apply_subst(t: Term, subst: Mapping[str, Term]) -> Term:
@@ -249,37 +241,6 @@ def is_well_formed(t: Term, signature: Signature, variables: Sequence[str]) -> b
     if t.name not in signature or signature.arity(t.name) != len(t.args):
         return False
     return all(is_well_formed(a, signature, variables) for a in t.args)
-
-
-# ---------------------------------------------------------------------------
-# Contexts: terms with exactly one hole.
-
-hole = Term(HOLE)
-
-
-def plug(context: Term, t: Term) -> Term:
-    """Replace the unique hole in ``context`` by ``t``."""
-    if context is hole:
-        return t
-    if context.is_var or not context.args:
-        return context
-    return Term(context.name, tuple(plug(a, t) for a in context.args), False)
-
-
-def decompose(t: Term) -> List[Tuple[Term, Term]]:
-    """All ways to write ``t = plug(c, s)``: the trivial split plus one
-    split per proper subterm occurrence."""
-    out: List[Tuple[Term, Term]] = [(hole, t)]
-    if not t.is_var:
-        for i, a in enumerate(t.args):
-            for c, s in decompose(a):
-                wrapped = Term(
-                    t.name,
-                    t.args[:i] + (c,) + t.args[i + 1:],
-                    False,
-                )
-                out.append((wrapped, s))
-    return out
 
 
 # ---------------------------------------------------------------------------

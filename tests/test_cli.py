@@ -309,6 +309,41 @@ def test_analyze_bound_zero_unconfirmed(tmp_path, check):
                  "--bound", "0"]) == EXIT_UNCONFIRMED
 
 
+@pytest.mark.parametrize("kind,fmt,bound", [
+    ("seq", "dot", None), ("par", "text", None), ("full", "json", None),
+    ("full", "json", 10),
+])
+def test_reduce_stops_at_reduct_depth_limit(tmp_path, capsys, kind, fmt, bound):
+    """Under f(x) -> f(f(x)) the reducts grow without end.  A node with a
+    reduct deeper than the depth limit is left unexpanded, so the graph
+    is cut off with every node within the limit."""
+    f = tmp_path / "growing.trs"
+    f.write_text(GROWING)
+    code = main(["reduce", str(f), "f(a)", "--kind", kind, "--format", fmt]
+                + ([] if bound is None else ["--bound", str(bound)]))
+    out = capsys.readouterr().out
+    assert code == EXIT_UNCONFIRMED
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["exhausted"] is False
+        assert max(n.count("(") for n in payload["nodes"]) == MAX_TERM_DEPTH
+    elif fmt == "dot":
+        assert_valid_dot(out)
+    else:
+        assert "exhausted: False" in out
+
+
+@pytest.mark.parametrize("check", ["weak", "spectrum"])
+def test_analyze_unbounded_growing_closure_unconfirmed(tmp_path, capsys, check):
+    """Without --bound the closure of f(x) -> f(f(x)) ends at the depth
+    limit, which confirms nothing."""
+    f = tmp_path / "growing.trs"
+    f.write_text(GROWING)
+    assert main(["analyze", str(f), check, "--depth", "1",
+                 "--format", "json"]) == EXIT_UNCONFIRMED
+    assert json.loads(capsys.readouterr().out)["verdict"] == "unconfirmed"
+
+
 # Runs the CLI after allocating objects and interning terms, so that the
 # closure's terms sit at other addresses than in a plain run.
 _SHIFTED_CLI = """

@@ -2,8 +2,11 @@
 output and exit code.  The CLI goldens under ``tests/data/golden/`` were
 written by the commit before root-step memoisation and lift membership by
 construction, and the two ``mutation-*`` goldens, whose failing laws pin the
-counterexample witnesses and notes, by the commit before the formula rows;
-a change that alters a report or a verdict shows up here."""
+counterexample witnesses and notes, by the commit before the formula rows.
+The ``reduce-*`` goldens, one ground and one open arithmetic seed under each
+step kind and output format, were written by the commit before sequential
+steps were taken by position; the seq DOT goldens pin the rule labels.  A
+change that alters a report or a verdict shows up here."""
 
 import json
 import os
@@ -22,10 +25,19 @@ TRS_DIR = os.path.join(ROOT, "perfbench", "data")
 with open(os.path.join(GOLDEN, "exit_codes.json"), encoding="utf-8") as f:
     EXIT_CODES = json.load(f)
 
+REDUCE_SEEDS = {"ground": "M(S(0),A(0,A(S(0),0)))", "open": "A(S(x),M(S(0),y))"}
+REDUCE_FORMATS = {"txt": "text", "dot": "dot", "json": "json"}
+
 
 def _argv(name):
     if name == "check-laws-seed3-samples5.json":
         return ["check-laws", "--seed", "3", "--samples", "5"]
+    if name.startswith("reduce-"):
+        stem, ext = name.split(".")
+        _, trs, seed, kind = stem.split("-")
+        return ["reduce", os.path.join(TRS_DIR, f"{trs}.trs"),
+                REDUCE_SEEDS[seed], "--kind", kind,
+                "--format", REDUCE_FORMATS[ext]]
     _, trs, check, _ = name[:-len(".json")].split("-")
     return ["analyze", os.path.join(TRS_DIR, f"{trs}.trs"), check,
             "--depth", "2", "--format", "json"]

@@ -1,13 +1,15 @@
 """Rule parsing, single steps, reduction graphs, and exports."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from relrew.rewrite import (
     Rule,
-    StepWitness,
     format_trs,
     full_step,
     graph_to_dot,
@@ -21,8 +23,7 @@ from relrew.rewrite import (
     sequential_step,
     sequential_steps,
 )
-from relrew.syntax import (TermError, app, apply_subst, decompose, plug,
-                           universe, var)
+from relrew.syntax import Term, TermError, app, apply_subst, universe, var
 from relrew.termrel import OpStats
 
 X, Y, ZERO = var("x"), var("y"), app("0")
@@ -99,11 +100,31 @@ def test_full_step_worked_example(arith):
     assert arith.parse("0") in full_step(arith, t)
 
 
+def _subterm_at(t, position):
+    for k in position:
+        t = t.args[k]
+    return t
+
+
+def _replace_at(t, position, s):
+    if not position:
+        return s
+    k, rest = position[0], position[1:]
+    return Term(t.name, t.args[:k] + (_replace_at(t.args[k], rest, s),)
+                + t.args[k + 1:])
+
+
 def test_step_witnesses_replay(arith):
-    t = arith.parse("M(S(0),A(0,S(0)))")
-    for target, w in sequential_steps(arith, t):
-        rule = arith.rules[w.rule_index]
-        assert plug(w.context, apply_subst(rule.rhs, dict(w.subst))) is target
+    """Each witness names the redex by position: the rule's left side under
+    the substitution is the subterm there, and putting the right side in
+    its place gives the target."""
+    t = arith.parse("M(S(0),A(0,S(A(0,0))))")
+    steps = sequential_steps(arith, t)
+    assert [w.position for _, w in steps] == [(), (1,), (1, 1, 0)]
+    for target, w in steps:
+        rule, subst = arith.rules[w.rule_index], dict(w.subst)
+        assert apply_subst(rule.lhs, subst) is _subterm_at(t, w.position)
+        assert _replace_at(t, w.position, apply_subst(rule.rhs, subst)) is target
 
 
 def test_is_normal_form(arith):
@@ -158,8 +179,7 @@ def _reference_trs():
 @pytest.mark.parametrize("k", range(3))
 def test_root_reducts_match_naive_matcher(k):
     """The head index and the reduct table give exactly what trying every
-    rule gives, as tuples in rule order, and the witnesses of
-    ``sequential_steps`` are the ones built from the naive matches."""
+    rule gives, as tuples in rule order."""
     trs = _reference_trs()[k]
     u = universe(trs.signature, trs.variables, 2)
     matched = 0
@@ -171,11 +191,52 @@ def test_root_reducts_match_naive_matcher(k):
                        for r in got)
             assert list(got) == _naive_reducts(trs, t), t
         matched += bool(got)
-        naive_steps = [(plug(c, r), StepWitness(c, i, subst))
-                       for c, s in decompose(t)
-                       for i, subst, r in _naive_reducts(trs, s)]
-        assert sequential_steps(trs, t) == naive_steps, t
     assert matched
+
+
+# The reference stepper: one-hole contexts.  A context is a term with one
+# occurrence of HOLE, which no signature admits as an operator name.
+HOLE = Term("□")
+
+
+def _plug(context, t):
+    if context is HOLE:
+        return t
+    return Term(context.name, tuple(_plug(a, t) for a in context.args),
+                context.is_var)
+
+
+def _decompose(t):
+    """All ways to write ``t = _plug(c, s)``, in pre-order of s."""
+    out = [(HOLE, t)]
+    for i, a in enumerate(t.args):
+        for c, s in _decompose(a):
+            out.append((Term(t.name, t.args[:i] + (c,) + t.args[i + 1:]), s))
+    return out
+
+
+def _context(t, position):
+    """The context that ``position`` cuts out of t."""
+    return _replace_at(t, position, HOLE)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_sequential_steps_match_reference_stepper(k):
+    """Over a depth-2 universe, the positional walk gives the steps the
+    context stepper gives: the same targets, rule indices, substitutions
+    and order, with each position naming the context of the rewrite."""
+    trs = _reference_trs()[k]
+    for t in universe(trs.signature, trs.variables, 2).terms():
+        splits = _decompose(t)
+        # one split per subterm occurrence, each plugging back to t
+        assert len(splits) == t.size
+        assert all(_plug(c, s) is t for c, s in splits)
+        reference = [(_plug(c, r), c, i, subst)
+                     for c, s in splits
+                     for i, subst, r in _naive_reducts(trs, s)]
+        got = [(target, _context(t, w.position), w.rule_index, w.subst)
+               for target, w in sequential_steps(trs, t)]
+        assert got == reference, t
 
 
 def test_root_reducts_cover_heads_cases():
@@ -225,6 +286,36 @@ def test_graph_node_cap_truncates(arith):
     full = reduction_graph(arith, [arith.parse("M(S(S(0)),S(S(0)))")],
                            kind="seq")
     assert g.nodes < full.nodes
+
+
+# Builds node-capped graphs after allocating objects and interning terms,
+# so that their terms sit at other addresses, and so hash in another order,
+# than in a plain run.
+_SHIFTED_CAP = """
+import sys
+from relrew.rewrite import graph_to_json, parse_trs, reduction_graph
+from relrew.syntax import app
+n = int(sys.argv[1])
+keep = [object() for _ in range(n)] + [app(f"n{i}") for i in range(n)]
+trs = parse_trs(open(sys.argv[2]).read())
+for kind in ("seq", "par", "full"):
+    seed = trs.parse("M(S(S(0)),A(S(0),S(0)))")
+    print(graph_to_json(reduction_graph(trs, [seed], kind=kind, max_nodes=40)))
+"""
+
+
+def test_graph_node_cap_independent_of_interning():
+    """A graph cut off at the node cap keeps its finished layers only, so
+    it does not depend on the order in which the steppers' sets iterate."""
+    root = pathlib.Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    outs = [subprocess.run(
+        [sys.executable, "-c", _SHIFTED_CAP, str(noise),
+         str(root / "perfbench" / "data" / "arith.trs")],
+        env=env, capture_output=True, text=True, check=True).stdout
+        for noise in (0, 33, 1000)]
+    assert '"exhausted": false' in outs[0]
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 def test_graph_reachable(arith):

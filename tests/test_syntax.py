@@ -1,4 +1,4 @@
-"""Terms, parsing, matching, contexts, and finite universes."""
+"""Signatures, terms, parsing, matching, and finite universes."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +10,11 @@ from relrew.syntax import (
     Universe,
     app,
     apply_subst,
-    decompose,
     format_term,
     free_vars,
     is_well_formed,
     match,
     parse_term,
-    plug,
     subterms,
     term_key,
     universe,
@@ -132,16 +130,10 @@ def test_match_after_subst(t):
     assert match(pat, inst) == sigma
 
 
-# ---------------------------------------------------------------------------
-# contexts
-
-def test_decompose_plug_inverse():
-    t = app("M", app("S", var("x")), app("0"))
-    splits = decompose(t)
-    # one split per subterm occurrence, including the trivial one
-    assert len(splits) == 4
-    for context, sub in splits:
-        assert plug(context, sub) is t
+@pytest.mark.parametrize("name", ["□", "", "f(x)", "a b"])
+def test_signature_rejects_bad_names(name):
+    with pytest.raises(TermError):
+        Signature({name: 0})
 
 
 # ---------------------------------------------------------------------------
