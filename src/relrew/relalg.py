@@ -118,9 +118,6 @@ class Rel:
     def converse(self) -> "Rel":
         return Rel(self.carrier, frozenset((q, p) for p, q in self.pairs))
 
-    def is_coreflexive(self) -> bool:
-        return all(p == q for p, q in self.pairs)
-
     # -- residuals ------------------------------------------------------------
     def residual_right(self, b: "Rel") -> "Rel":
         """c/b: the largest x with x;b <= c (self is c)."""
@@ -153,10 +150,6 @@ class Rel:
     def kleene_star(self) -> "Rel":
         """a* = id | a+ over the whole carrier."""
         return Rel.identity(self.carrier) | self.trans_closure()
-
-    def star_contains(self, p: Any, q: Any) -> bool:
-        """Whether p a* q, by one search from p."""
-        return p == q or q in reach(successors(self.pairs), (p,))
 
     def power(self, k: int) -> "Rel":
         out = Rel.identity(self.carrier)

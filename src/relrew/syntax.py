@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-_NAME_RE = re.compile(r"[A-Za-z0-9_'+\-]+")
+NAME_RE = re.compile(r"[A-Za-z0-9_'+\-]+")
 
 
 class TermError(ValueError):
@@ -32,7 +32,7 @@ class Signature:
 
     def __init__(self, arities: Mapping[str, int]):
         for name, ar in arities.items():
-            if not _NAME_RE.fullmatch(name):
+            if not NAME_RE.fullmatch(name):
                 raise TermError(f"bad operator name: {name!r}")
             if isinstance(ar, bool) or not isinstance(ar, int):
                 raise TermError(f"arity of {name!r} must be an integer, got {ar!r}")
@@ -151,7 +151,7 @@ def parse_term(text: str, signature: Signature, variables: Sequence[str]) -> Ter
             raise TermError(f"term nested deeper than {MAX_TERM_DEPTH} "
                             f"at position {pos}")
         skip_ws()
-        m = _NAME_RE.match(text, pos)
+        m = NAME_RE.match(text, pos)
         if not m:
             raise TermError(f"expected a name at position {pos} in {text!r}")
         name = m.group(0)
@@ -317,16 +317,6 @@ class Universe:
             return tuple(t for t in self.terms() if t.depth <= d)
         return _depth_universe_terms(self.signature, self.variables, min(d, self.depth))
 
-    def restrict(self, d: int) -> "Universe":
-        if self.explicit is not None:
-            return Universe(
-                self.signature,
-                self.variables,
-                min(d, self.depth),
-                frozenset(t for t in self.explicit if t.depth <= d),
-            )
-        return Universe(self.signature, self.variables, min(d, self.depth))
-
     def var_terms(self) -> Tuple[Term, ...]:
         vs = tuple(var(v) for v in sorted(self.variables))
         if self.explicit is not None:
@@ -342,7 +332,8 @@ class Universe:
     @staticmethod
     def from_terms(signature: Signature, variables: Sequence[str],
                    terms: Sequence[Term]) -> "Universe":
-        """Explicit universe: the subterm closure of ``terms``."""
+        """Explicit universe: the subterm closure of ``terms``.  Repeated
+        variable names count once."""
         closed = set()
         for t in terms:
             for s in subterms(t):
@@ -351,7 +342,8 @@ class Universe:
             if not is_well_formed(t, signature, variables):
                 raise TermError(f"term {format_term(t)} is not well-formed here")
         depth = max((t.depth for t in closed), default=0)
-        return Universe(signature, tuple(sorted(variables)), depth, frozenset(closed))
+        return Universe(signature, tuple(sorted(set(variables))), depth,
+                        frozenset(closed))
 
 
 @lru_cache(maxsize=None)
@@ -384,4 +376,5 @@ def _depth_universe_terms(sig: Signature, variables: Tuple[str, ...],
 
 @lru_cache(maxsize=None)
 def universe(signature: Signature, variables: Tuple[str, ...], depth: int) -> Universe:
-    return Universe(signature, tuple(sorted(variables)), depth)
+    """All terms of depth <= ``depth``; repeated variable names count once."""
+    return Universe(signature, tuple(sorted(set(variables))), depth)

@@ -40,7 +40,6 @@ the root step distributes too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import prod
 from typing import Dict, List, Optional, Set, Tuple
@@ -222,19 +221,16 @@ def taylor(n: int, a: Rel, stats: Optional[OpStats] = None) -> Rel:
 # ---------------------------------------------------------------------------
 # relational substitution
 
-@lru_cache(maxsize=None)
 def _var_occurrence_depths(t: Term) -> Dict[str, int]:
     """Maximum nesting depth at which each variable occurs in t."""
     out: Dict[str, int] = {}
-
-    def go(s: Term, d: int) -> None:
+    todo = [(t, 0)]
+    while todo:
+        s, d = todo.pop()
         if s.is_var:
             out[s.name] = max(out.get(s.name, 0), d)
         else:
-            for a in s.args:
-                go(a, d + 1)
-
-    go(t, 0)
+            todo.extend((a, d + 1) for a in s.args)
     return out
 
 

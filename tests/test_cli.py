@@ -215,6 +215,27 @@ def test_check_laws_mistyped_config(tmp_path, capsys, config, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"signature": {}, "variables": []}, "variables"),
+    ({"signature": {"f": 1}, "variables": []}, "variables"),
+    ({"variables": ["x", "x"]}, "variables"),
+    ({"variables": ["a b"]}, "variables"),
+    ({"variables": ["0"]}, "variables"),
+    ({"variables": ["A"]}, "variables"),
+])
+def test_check_laws_config_without_sound_terms(tmp_path, capsys, config,
+                                               key):
+    """A config whose signature and variables build no term, repeat a
+    variable, misname one or name an operator as a variable is an input
+    error (exit 3) that names its key."""
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(config))
+    code = main(["check-laws", str(cfgfile), "--samples", "2",
+                 "--law", "rel-modular", "--law", "tilde-compose"])
+    assert code == EXIT_INPUT
+    assert key in capsys.readouterr().err
+
+
 def test_reduce_operator_declared_after_variable(tmp_path, capsys):
     """``var x`` then ``sig x/0`` must not turn the variable into a
     constant and so the rule ``f(x) -> x`` into a ground rule."""

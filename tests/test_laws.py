@@ -3,22 +3,31 @@ the mutation self-test."""
 
 import json
 import pathlib
+import random
+import re
 
 import pytest
 
+import relrew.laws as laws
 from relrew.laws import (
     FIXPOINT_ENTRIES,
     RELATION_ENTRIES,
     TERMREL_ENTRIES,
     SampleConfig,
+    _holds,
+    _inputs,
+    _parse,
     catalog,
+    relation_law,
     reports_to_json,
     run_all,
     run_fixpoint_calculus_suite,
     run_relation_law_suite,
     run_termrel_law_suite,
+    termrel_law,
 )
-from relrew.relalg import corrupted_compose
+from relrew.relalg import Rel, corrupted_compose
+from relrew.termrel import OpStats, check_refine
 
 MANIFEST = pathlib.Path(__file__).parent / "data" / "law_manifest.json"
 README = pathlib.Path(__file__).parent.parent / "README.md"
@@ -158,3 +167,93 @@ def test_config_from_dict():
     assert cfg.seed == 3
     assert cfg.samples == 50
     assert dict(cfg.signature) == {"f": 1, "c": 0}
+
+
+# ---------------------------------------------------------------------------
+# the formula grammar
+
+@pytest.mark.parametrize("formula, message", [
+    ("all n <= many: a <= a", "'many' is not a bound"),
+    ("all n 2: a <= a", "'2' is not <="),
+    ("a <= a and all n <= 2: a <= a", "unknown name 'all'"),
+    ("(all n <= 2: a) <= a", "unknown name 'all'"),
+    ("a^ <= a", "'<=' is not an integer or a name all/join binds"),
+    ("a <= a^", "None is not an integer or a name all/join binds"),
+    ("a^b <= a", "'b' is not an integer or a name all/join binds"),
+    ("(lfp x: a^x) <= a", "'x' is not an integer or a name all/join binds"),
+    ("taylor(n, a) <= a", "unknown name 'n'"),
+    ("(join n <= 2: a^n) <= a and a <= a", "not one comparison"),
+    ("cr(a)", "not one comparison"),
+])
+def test_parse_errors(formula, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _parse(formula, ["a", "b"], None)
+
+
+def test_parse_accepts_verdicts_and_binders_with_a_note():
+    assert _parse("cr(a) iff confluent(a)", ["a"], "note")[0] == "iff"
+    tree = _parse("all k <= arity: a^k <= (lfp x: a | x)", ["a"], "note")
+    assert tree == ("all", "k", "arity",
+                    ("<=", ("^", "a", "k"), ("lfp", "x", ("|", "a", "x"))))
+
+
+@pytest.mark.parametrize("inputs, message", [
+    ("a b>=c", "'c' is not an earlier input"),
+    ("b>=a a", "'a' is not an earlier input"),
+    ("a>=a", "'a' is not an earlier input"),
+])
+def test_inputs_above_unknown_or_later_input(inputs, message):
+    with pytest.raises(ValueError, match=message):
+        _inputs(inputs)
+
+
+def _drawn(register, monkeypatch, entries, inputs, **sampling):
+    """The inputs a law registered on ``inputs`` is given, over 30 samples."""
+    monkeypatch.setattr(laws, entries, [])
+    seen = []
+    register("probe", "probe", "implication", inputs, **sampling)(
+        lambda carrier, rels, *rest, **kw: seen.append(rels))
+    ((_, runner),) = getattr(laws, entries)
+    rng = random.Random(0)
+    for _ in range(30):
+        runner(SampleConfig(), rng, OpStats())
+    return seen
+
+
+def test_inputs_above_earlier_inputs_relation_suite(monkeypatch):
+    seen = _drawn(relation_law, monkeypatch, "RELATION_ENTRIES", "a b>=a c")
+    assert all(a.leq(b) for a, b, _ in seen)
+    assert any(a.pairs < b.pairs for a, b, _ in seen)
+
+
+def test_inputs_above_earlier_inputs_termrel_suite(monkeypatch):
+    seen = _drawn(termrel_law, monkeypatch, "TERMREL_ENTRIES",
+                  "a b a2>=a b2>=b", work=4, max_pairs=3)
+    assert all(a.leq(a2) and b.leq(b2) for a, b, a2, b2 in seen)
+    assert any(a.pairs < a2.pairs for a, _, a2, _ in seen)
+    assert any(b.pairs < b2.pairs for _, b, _, b2 in seen)
+
+
+def test_all_row_reports_first_failing_instance():
+    """Without a note, an ``all`` row reports the witness of its first
+    failing instance: a^1 fails on (1, 2) before a^2 fails on the smaller
+    (1, 0)."""
+    a = Rel.from_pairs(3, [(1, 2), (2, 0)])
+    tree = _parse("all k <= 2: a^k <= Delta", ["a"], None)
+    res = json.loads(_holds(tree, ["a"], None, 3, [a]))
+    assert res["witness"] == [1, 2]
+    assert _holds(_parse("all k <= 2: a^k <= a*", ["a"], None),
+                  ["a"], None, 3, [a]) is None
+
+
+def test_all_instances_share_one_memo(monkeypatch):
+    """The instances of an ``all`` share the memo, so check(a) is computed
+    once for every arity."""
+    calls = []
+    monkeypatch.setitem(laws._NAMED, "check", lambda r, st: calls.append(r)
+                        or check_refine(r, st))
+    law = next(law for law, _ in TERMREL_ENTRIES
+               if law.id == "taylor-deriv-power")
+    reports = run_termrel_law_suite(SampleConfig(samples=3), [law.id])
+    assert reports[0].verdict == "pass"
+    assert len(calls) == 3

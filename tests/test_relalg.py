@@ -91,11 +91,6 @@ def test_pair_out_of_carrier_rejected():
         Rel.from_pairs(u, [(zero, app("S", app("S", zero)))])
 
 
-def test_is_coreflexive():
-    assert Rel.from_pairs(3, [(0, 0), (2, 2)]).is_coreflexive()
-    assert not Rel.from_pairs(3, [(0, 1)]).is_coreflexive()
-
-
 # ---------------------------------------------------------------------------
 # star against the Floyd-Warshall oracle
 

@@ -191,6 +191,12 @@ def test_explicit_universe_subterm_closure():
     assert twin == u and hash(twin) == hash(u)
 
 
-def test_universe_restrict():
-    u = universe(SIG, VARS, 2).restrict(1)
-    assert u.size() == 24
+def test_universe_repeated_variables_count_once():
+    """A repeated variable name is one variable: the size that decides the
+    universe cap counts the terms the universe enumerates."""
+    u = universe(SIG, ("x", "x"), 2)
+    assert u.variables == ("x",)
+    assert u.size() == len(u.terms()) == universe(SIG, ("x",), 2).size()
+    t = app("S", var("x"))
+    assert Universe.from_terms(SIG, ["x", "x"], [t]) == \
+        Universe.from_terms(SIG, ["x"], [t])
