@@ -11,8 +11,8 @@ import argparse
 import sys
 import time
 
-from relrew.analysis import closure_nodes, seed_terms, spectrum_survey
-from relrew.rewrite import ground_instances, parse_trs
+from relrew.analysis import seed_terms, spectrum_survey
+from relrew.rewrite import ground_instances, parse_trs, reduction_graph
 from relrew.syntax import Universe
 from relrew.termrel import full_closure, sequential_closure
 
@@ -34,7 +34,7 @@ def main():
         seeds = seed_terms(trs, depth)
         report = spectrum_survey(trs, seeds)
 
-        nodes = closure_nodes(trs, seeds)
+        nodes = reduction_graph(trs, seeds, kind="full").nodes
         u = Universe.from_terms(trs.signature, trs.variables, nodes)
         g = ground_instances(trs, u)
         gh = full_closure(g)

@@ -17,26 +17,21 @@ connected component contains exactly one.  Their witnesses are the
 every check walks the closure in ``term_key`` order, so its witnesses do
 not depend on where terms were allocated.
 
-A closure cut off after ``bound`` full-step layers gives its unexpanded
-frontier nodes no steps and the OPEN bit in place of a bottom SCC.  Its
-verdict is never ``holds``; ``fails`` needs witnesses in closed bottom
-SCCs, which are bottom SCCs of the whole closure too.
+The closure is a full-step reduction graph, which keeps its nodes and
+frontier only; its ``steps`` reads the steps of each kind from the
+steppers.  A closure cut off after ``bound`` full-step layers gives its
+unexpanded frontier nodes no steps and the OPEN bit in place of a bottom
+SCC.  Its verdict is never ``holds``; ``fails`` needs witnesses in closed
+bottom SCCs, which are bottom SCCs of the whole closure too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .relalg import Rel, reach, successors
-from .rewrite import (
-    TRS,
-    full_step,
-    ground_instances,
-    parallel_step,
-    reduction_graph,
-    sequential_step,
-)
+from .rewrite import TRS, ReductionGraph, ground_instances, reduction_graph
 from .syntax import Term, format_term, term_key, universe
 from .termrel import (
     OpStats,
@@ -290,26 +285,14 @@ def seed_terms(trs: TRS, depth: int, open_depth: int = 2) -> Tuple[Term, ...]:
     return tuple(sorted(set(ground) | set(open_terms), key=term_key))
 
 
-def closure_nodes(trs: TRS, seeds: Sequence[Term]) -> Set[Term]:
-    """Reachable closure of the seeds under full reduction (which contains
-    both the sequential and the parallel step)."""
-    return reduction_graph(trs, seeds, kind="full").nodes
-
-
 def _closure(trs: TRS, seeds: Sequence[Term], bound: Optional[int]
-             ) -> Tuple[List[Term], Set[int]]:
-    """The closure within ``bound`` full-step layers (all of it when
-    ``bound`` is None) in ``term_key`` order, and its frontier's indices."""
+             ) -> Tuple[ReductionGraph, List[Term], Set[int]]:
+    """The full-step graph of the closure within ``bound`` layers (all of
+    it when ``bound`` is None), its nodes in ``term_key`` order, and its
+    frontier's indices."""
     g = reduction_graph(trs, seeds, kind="full", bound=bound)
     order = sorted(g.nodes, key=term_key)
-    return order, {i for i, t in enumerate(order) if t in g.frontier}
-
-
-def _rows(trs: TRS, step, order: Sequence[Term],
-          open_nodes: Set[int]) -> List[FrozenSet[Term]]:
-    """``step``'s successors of every node, none for a frontier node."""
-    return [frozenset() if i in open_nodes else step(trs, t)
-            for i, t in enumerate(order)]
+    return g, order, {i for i, t in enumerate(order) if t in g.frontier}
 
 
 @dataclass
@@ -346,10 +329,10 @@ def spectrum_survey(trs: TRS, seeds: Sequence[Term],
     a bit test and the star comparison an integer comparison.  On a
     closure cut off by ``bound`` the stars are partial, so only a
     ``seq<=par`` or ``par<=full`` violation is definitive."""
-    order, open_nodes = _closure(trs, seeds, bound)
-    seq_rows = _rows(trs, sequential_step, order, open_nodes)
-    par_rows = _rows(trs, parallel_step, order, open_nodes)
-    full_rows = _rows(trs, full_step, order, open_nodes)
+    g, order, open_nodes = _closure(trs, seeds, bound)
+    seq_rows = [g.steps(t, "seq") for t in order]
+    par_rows = [g.steps(t, "par") for t in order]
+    full_rows = [g.steps(t) for t in order]
     violations: List[Tuple[str, str, str]] = []
     for t, sq, pr, fl in zip(order, seq_rows, par_rows, full_rows):
         for bad in sorted(sq - pr, key=term_key):
@@ -385,8 +368,8 @@ def _seq_condensation(trs: TRS, seeds: Sequence[Term], bound: Optional[int]
                       ) -> Tuple[List[Term], _Condensation, Set[int]]:
     """The closure within ``bound`` full-step layers in ``term_key`` order,
     its sequential-step condensation and its frontier's indices."""
-    order, open_nodes = _closure(trs, seeds, bound)
-    cond = _condense(order, _rows(trs, sequential_step, order, open_nodes))
+    g, order, open_nodes = _closure(trs, seeds, bound)
+    cond = _condense(order, [g.steps(t, "seq") for t in order])
     return order, cond, open_nodes
 
 

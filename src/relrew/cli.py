@@ -73,7 +73,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             f"seed: {format_term(term)}",
             f"kind: {args.kind}",
             f"nodes: {len(g.nodes)}",
-            f"edges: {len(g.edges)}",
+            f"edges: {sum(len(g.steps(t)) for t in g.nodes)}",
             f"exhausted: {g.exhausted}",
             "normal forms: "
             + (", ".join(format_term(t) for t in g.normal_forms()) or "(none found)"),

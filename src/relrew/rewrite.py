@@ -11,6 +11,9 @@ The three steppers implement, for a set of ground rules R:
                     the created root redex (reflexive, may develop redexes
                     created by the parallel part).
 
+A reduction graph keeps its nodes and its frontier only; its steps are
+read from the steppers, whose memo already holds them.
+
 ``ground_instances`` turns the rule set into a relation on a finite
 universe (all substitution instances of the rules that fit), so the
 relational closures of :mod:`relrew.termrel` can be cross-validated against
@@ -25,7 +28,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .relalg import Rel, reach, successors
+from .relalg import Rel
 from .syntax import (
     MAX_TERM_DEPTH,
     Signature,
@@ -72,6 +75,14 @@ class TRS:
 
     def parse(self, text: str) -> Term:
         return parse_term(text, self.signature, self.variables)
+
+    @cached_property
+    def _hash(self) -> int:
+        """The structural hash, once: the steppers' memo hashes it per call."""
+        return hash((self.signature, self.variables, self.rules))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def head_index(self) -> Dict[str, Tuple[Tuple[int, Rule], ...]]:
@@ -256,12 +267,12 @@ def is_normal_form(trs: TRS, t: Term) -> bool:
 
 @dataclass
 class ReductionGraph:
+    """What a breadth-first search found: its nodes and the frontier of
+    nodes it never expanded.  ``steps`` reads the steps from the steppers."""
     trs: TRS
     kind: str
     seeds: Tuple[Term, ...]
     nodes: Set[Term] = field(default_factory=set)
-    edges: Set[Tuple[Term, Term]] = field(default_factory=set)
-    # the nodes that were found but never expanded
     frontier: Set[Term] = field(default_factory=set)
 
     @property
@@ -269,13 +280,17 @@ class ReductionGraph:
         """Whether every node was expanded: the graph is the closure."""
         return not self.frontier
 
+    def steps(self, t: Term, kind: Optional[str] = None) -> FrozenSet[Term]:
+        """The targets of node t's steps under ``kind`` (the graph's own by
+        default).  A frontier node was never expanded, so it has none."""
+        if t in self.frontier:
+            return frozenset()
+        return STEPPERS[kind or self.kind](self.trs, t)
+
     def normal_forms(self) -> List[Term]:
         return sorted(
             (t for t in self.nodes if is_normal_form(self.trs, t)), key=term_key
         )
-
-    def reachable(self, seed: Term) -> Set[Term]:
-        return reach(successors(self.edges), (seed,))
 
 
 def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
@@ -283,13 +298,14 @@ def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
                     max_nodes: int = 1_000_000) -> ReductionGraph:
     """Breadth-first closure of ``seeds`` under the chosen stepper.
 
-    ``bound`` limits the number of BFS layers.  The search also stops once
-    it holds more than ``max_nodes`` nodes, and then keeps only the layers
-    it finished, so the result does not depend on set order.  A node with a reduct
-    deeper than ``MAX_TERM_DEPTH`` is left unexpanded, so every node stays
-    within the depth the term functions handle.  The nodes left unexpanded
-    make up ``frontier``, ``exhausted`` is then False, and the graph is the
-    partial closure explored so far.
+    ``bound`` limits the number of BFS layers.  A layer that leaves the
+    graph with more than ``max_nodes`` nodes is taken back, and the search
+    stops with the layers it finished, so the result does not depend on
+    the order of a layer's nodes.  A node with a reduct deeper than
+    ``MAX_TERM_DEPTH`` is left unexpanded, so every node stays within the
+    depth the term functions handle.  The nodes left unexpanded make up
+    ``frontier``, ``exhausted`` is then False, and the graph is the partial
+    closure explored so far.
     """
     if kind not in STEPPERS:
         raise ValueError(f"unknown step kind {kind!r}")
@@ -301,24 +317,20 @@ def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
     while frontier and (bound is None or layer < bound):
         layer += 1
         next_frontier: List[Term] = []
-        for k, t in enumerate(frontier):
+        for t in frontier:
             if len(g.nodes) > max_nodes:
-                # keep the finished layers only: how far this one got
-                # depends on the steppers' set order, which varies by run
-                g.nodes.difference_update(next_frontier)
-                g.edges.difference_update(
-                    (s, q) for s in frontier[:k] for q in step(trs, s))
-                g.frontier.update(frontier)
-                return g
+                break
             targets = step(trs, t)
             if any(s.depth > MAX_TERM_DEPTH for s in targets):
                 g.frontier.add(t)
                 continue
             for target in targets:
-                g.edges.add((t, target))
                 if target not in g.nodes:
                     g.nodes.add(target)
                     next_frontier.append(target)
+        if len(g.nodes) > max_nodes:  # whatever order the layer came in
+            g.nodes.difference_update(next_frontier)
+            break
         frontier = next_frontier
     g.frontier.update(frontier)
     return g
@@ -348,11 +360,13 @@ def ground_instances(trs: TRS, u: Universe,
 
 def _ranked(g: ReductionGraph) -> Tuple[List[Term], List[Tuple[int, int]]]:
     """The nodes in ``term_key`` order, and the edges as pairs of their
-    ranks, sorted.  ``term_key`` is injective, so rank pairs sort as the
-    pairs of keys would, without building two keys per edge."""
+    ranks: each node's step targets, sorted, node by node.  ``term_key`` is
+    injective, so the pairs come in the order of their pairs of keys,
+    without building two keys per edge."""
     nodes = sorted(g.nodes, key=term_key)
     rank = {t: i for i, t in enumerate(nodes)}
-    return nodes, sorted((rank[p], rank[q]) for p, q in g.edges)
+    return nodes, [(i, j) for i, p in enumerate(nodes)
+                   for j in sorted(rank[q] for q in g.steps(p))]
 
 
 def graph_to_dot(g: ReductionGraph) -> str:
@@ -362,7 +376,7 @@ def graph_to_dot(g: ReductionGraph) -> str:
     names = [format_term(t) for t in nodes]
     rules: Dict[Tuple[Term, Term], Set[int]] = {}
     if g.kind == "seq":
-        for p in {p for p, _ in g.edges}:
+        for p in g.nodes - g.frontier:
             for q, w in sequential_steps(g.trs, p):
                 rules.setdefault((p, q), set()).add(w.rule_index)
     lines = ["digraph reduction {"]

@@ -73,7 +73,7 @@ class Signature:
 class Term:
     """An interned first-order term: a variable or an operator application."""
 
-    __slots__ = ("name", "args", "is_var", "depth", "size")
+    __slots__ = ("name", "args", "is_var", "depth")
     _intern: Dict[tuple, "Term"] = {}
 
     def __new__(cls, name: str, args: Tuple["Term", ...] = (), is_var: bool = False):
@@ -88,7 +88,6 @@ class Term:
         t.args = args
         t.is_var = is_var
         t.depth = max((a.depth for a in args), default=-1) + 1
-        t.size = 1 + sum(a.size for a in args)
         cls._intern[key] = t
         return t
 

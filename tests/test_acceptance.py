@@ -11,7 +11,6 @@ from relrew.analysis import (
     HOLDS,
     check_cp,
     check_weak_confluence_technique,
-    closure_nodes,
     exhaustive_weak_confluence,
     is_church_rosser,
     is_confluent,
@@ -25,6 +24,7 @@ from relrew.rewrite import (
     full_step,
     ground_instances,
     parallel_step,
+    reduction_graph,
     sequential_step,
 )
 from relrew.syntax import Universe, universe
@@ -62,7 +62,7 @@ def test_criterion_2_spectrum_depth3(arith):
 def test_criterion_3_closures_match_steppers(arith):
     """parallel_closure and full_closure of the rule relation, restricted to
     the reachable closure, equal the inductive relations exactly."""
-    nodes = closure_nodes(arith, seed_terms(arith, 3))
+    nodes = reduction_graph(arith, seed_terms(arith, 3), kind="full").nodes
     u = Universe.from_terms(arith.signature, arith.variables, nodes)
     g = ground_instances(arith, u)
     nset = set(nodes)

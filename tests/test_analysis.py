@@ -11,7 +11,6 @@ from relrew.analysis import (
     UNCONFIRMED,
     check_cp,
     check_weak_confluence_technique,
-    closure_nodes,
     exhaustive_church_rosser,
     exhaustive_confluence,
     exhaustive_weak_confluence,
@@ -23,7 +22,8 @@ from relrew.analysis import (
     spectrum_survey,
 )
 from relrew.relalg import Rel, random_rel
-from relrew.rewrite import ground_instances, parse_trs, sequential_step
+from relrew.rewrite import (ground_instances, parse_trs, reduction_graph,
+                            sequential_step)
 from relrew.syntax import format_term, term_key, universe
 
 NONCONFLUENT = "sig a/0 b/0 c/0\nrule a -> b\nrule a -> c\n"
@@ -73,7 +73,7 @@ def test_seed_terms_structure(arith):
 
 def test_closure_nodes_contains_reducts(arith):
     seeds = [arith.parse("A(S(0),0)")]
-    nodes = closure_nodes(arith, seeds)
+    nodes = reduction_graph(arith, seeds, kind="full").nodes
     assert arith.parse("S(0)") in nodes
 
 
@@ -137,7 +137,7 @@ def _ref_reach(adj, seed):
 
 
 def _ref_graph(trs, seeds):
-    nodes = closure_nodes(trs, seeds)
+    nodes = reduction_graph(trs, seeds, kind="full").nodes
     adj = {t: tuple(sorted(sequential_step(trs, t), key=term_key))
            for t in nodes}
     return sorted(nodes, key=term_key), adj, {t: _ref_reach(adj, t) for t in nodes}
@@ -247,7 +247,8 @@ def test_condensation_checks_match_quadratic_references():
 
 def test_condensation_rejects_open_node_set(arith):
     seeds = [arith.parse("A(S(0),0)")]
-    order = sorted(closure_nodes(arith, seeds), key=term_key)
+    order = sorted(reduction_graph(arith, seeds, kind="full").nodes,
+                   key=term_key)
     order.remove(arith.parse("S(0)"))  # the normal form of the seed
     with pytest.raises(RuntimeError, match="outside the closure"):
         _condense(order, [sequential_step(arith, t) for t in order])

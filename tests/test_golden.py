@@ -5,8 +5,11 @@ construction, and the two ``mutation-*`` goldens, whose failing laws pin the
 counterexample witnesses and notes, by the commit before the formula rows.
 The ``reduce-*`` goldens, one ground and one open arithmetic seed under each
 step kind and output format, were written by the commit before sequential
-steps were taken by position; the seq DOT goldens pin the rule labels.  A
-change that alters a report or a verdict shows up here."""
+steps were taken by position; the seq DOT goldens pin the rule labels.
+The goldens of cut-off graphs and closures, whose names end in ``-bN`` for
+``--bound N``, were written by the commit before reduction graphs stopped
+storing their edges.  A change that alters a report or a verdict shows up
+here."""
 
 import json
 import os
@@ -32,15 +35,16 @@ REDUCE_FORMATS = {"txt": "text", "dot": "dot", "json": "json"}
 def _argv(name):
     if name == "check-laws-seed3-samples5.json":
         return ["check-laws", "--seed", "3", "--samples", "5"]
-    if name.startswith("reduce-"):
-        stem, ext = name.split(".")
-        _, trs, seed, kind = stem.split("-")
-        return ["reduce", os.path.join(TRS_DIR, f"{trs}.trs"),
-                REDUCE_SEEDS[seed], "--kind", kind,
-                "--format", REDUCE_FORMATS[ext]]
-    _, trs, check, _ = name[:-len(".json")].split("-")
-    return ["analyze", os.path.join(TRS_DIR, f"{trs}.trs"), check,
-            "--depth", "2", "--format", "json"]
+    stem, ext = name.split(".")
+    command, trs, *rest = stem.split("-")
+    bound = ["--bound", rest.pop()[1:]] if rest[-1].startswith("b") else []
+    path = os.path.join(TRS_DIR, f"{trs}.trs")
+    if command == "reduce":
+        seed, kind = rest
+        return ["reduce", path, REDUCE_SEEDS[seed], "--kind", kind,
+                "--format", REDUCE_FORMATS[ext]] + bound
+    check, _ = rest
+    return ["analyze", path, check, "--depth", "2", "--format", "json"] + bound
 
 
 def _golden(name):

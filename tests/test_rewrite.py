@@ -10,6 +10,7 @@ import pytest
 
 from relrew.rewrite import (
     Rule,
+    STEPPERS,
     format_trs,
     full_step,
     graph_to_dot,
@@ -23,7 +24,10 @@ from relrew.rewrite import (
     sequential_step,
     sequential_steps,
 )
-from relrew.syntax import Term, TermError, app, apply_subst, universe, var
+from relrew.cli import main as cli_main
+from relrew.relalg import reach
+from relrew.syntax import (Term, TermError, app, apply_subst, subterms,
+                           universe, var)
 from relrew.termrel import OpStats
 
 X, Y, ZERO = var("x"), var("y"), app("0")
@@ -229,7 +233,7 @@ def test_sequential_steps_match_reference_stepper(k):
     for t in universe(trs.signature, trs.variables, 2).terms():
         splits = _decompose(t)
         # one split per subterm occurrence, each plugging back to t
-        assert len(splits) == t.size
+        assert len(splits) == len(list(subterms(t)))
         assert all(_plug(c, s) is t for c, s in splits)
         reference = [(_plug(c, r), c, i, subst)
                      for c, s in splits
@@ -318,10 +322,65 @@ def test_graph_node_cap_independent_of_interning():
     assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
+@pytest.mark.parametrize("cap", range(2, 8))
+def test_graph_node_cap_independent_of_seed_order(arith, cap):
+    """Whether a layer is kept is decided once it is finished, so the
+    order of its nodes (here, of the seeds) does not change the graph."""
+    seeds = [arith.parse("M(S(S(0)),S(S(0)))"), arith.parse("A(S(0),0)")]
+    for kind in STEPPERS:
+        g, h = (reduction_graph(arith, order, kind=kind, max_nodes=cap)
+                for order in (seeds, seeds[::-1]))
+        assert (g.nodes, g.frontier) == (h.nodes, h.frontier), kind
+        assert len(g.nodes) <= max(cap, len(seeds))
+
+
 def test_graph_reachable(arith):
     seed = arith.parse("A(S(0),0)")
     g = reduction_graph(arith, [seed], kind="seq")
-    assert arith.parse("S(0)") in g.reachable(seed)
+    assert arith.parse("S(0)") in reach({t: g.steps(t) for t in g.nodes},
+                                        (seed,))
+
+
+GROWING = "sig a/0 f/1\nvar x\nrule f(x) -> f(f(x))\n"
+CUT_OFF_SEED = "M(S(0),A(0,A(S(0),0)))"
+
+
+def _cut_off_graphs(arith):
+    """For each step kind, graphs cut off by ``bound``, by the node cap and
+    by the reduct-depth limit (the reducts of f(x) -> f(f(x)) grow)."""
+    growing = parse_trs(GROWING)
+    seed = arith.parse(CUT_OFF_SEED)
+    for kind in STEPPERS:
+        yield reduction_graph(arith, [seed], kind=kind, bound=2)
+        yield reduction_graph(arith, [seed], kind=kind, max_nodes=20)
+        yield reduction_graph(growing, [growing.parse("f(a)")], kind=kind)
+
+
+def test_graph_steps_respect_frontier(arith):
+    """An expanded node's steps are the stepper's and stay in the graph;
+    a frontier node has no steps under any kind."""
+    for g in _cut_off_graphs(arith):
+        assert not g.exhausted
+        for t in g.nodes - g.frontier:
+            assert g.steps(t) == STEPPERS[g.kind](g.trs, t)
+            assert g.steps(t) <= g.nodes
+        for t in g.frontier:
+            assert not any(g.steps(t, kind) for kind in STEPPERS)
+
+
+@pytest.mark.parametrize("kind", list(STEPPERS))
+def test_reduce_text_edges_match_json(arith_file, tmp_path, capsys, kind):
+    """On graphs cut off by ``--bound`` and by the reduct-depth limit, the
+    text report's edge count is the number of JSON edges."""
+    growing = tmp_path / "growing.trs"
+    growing.write_text(GROWING)
+    for argv in ([arith_file, CUT_OFF_SEED, "--bound", "2"],
+                 [str(growing), "f(a)"]):
+        argv = ["reduce", *argv, "--kind", kind]
+        assert cli_main(argv + ["--format", "json"]) == 2
+        edges = len(json.loads(capsys.readouterr().out)["edges"])
+        assert cli_main(argv + ["--format", "text"]) == 2
+        assert f"edges: {edges}\n" in capsys.readouterr().out
 
 
 def test_ground_instances_on_u2(arith):
