@@ -28,7 +28,7 @@ bottom SCCs, which are bottom SCCs of the whole closure too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .relalg import Rel, reach, successors
 from .rewrite import TRS, ReductionGraph, ground_instances, reduction_graph
@@ -67,61 +67,53 @@ class PropertyReport:
         }
 
 
-def _verdict(ok: bool, dropped: int) -> str:
-    return HOLDS if ok else UNCONFIRMED if dropped else FAILS
-
-
 MAX_WITNESSES = 5
+
+
+def _failures(name: str, bad: Iterable[Tuple], dropped: int = 0
+              ) -> PropertyReport:
+    """The report of an inclusion whose failing pairs are ``bad``: the
+    least ``MAX_WITNESSES`` of them are its witnesses, and it fails, or is
+    unconfirmed if its evaluation dropped pairs, iff there are any."""
+    bad = sorted(bad)
+    verdict = HOLDS if not bad else UNCONFIRMED if dropped else FAILS
+    return PropertyReport(name, verdict, [(str(p), str(q)) for p, q
+                                          in bad[:MAX_WITNESSES]], dropped)
 
 
 # ---------------------------------------------------------------------------
 # abstract (finite-carrier) checks
 
-def _rel_report(name: str, lhs: Rel, rhs: Rel,
-                carrier: Optional[Sequence] = None,
-                equality: bool = False) -> PropertyReport:
-    if equality:
-        bad = sorted((lhs.pairs ^ rhs.pairs))
-    else:
-        bad = sorted(lhs.pairs - rhs.pairs)
-    label = (lambda i: str(carrier[i]) if carrier is not None else str(i))
-    witnesses = [(label(i), label(j)) for i, j in bad[:MAX_WITNESSES]]
-    return PropertyReport(name, HOLDS if not bad else FAILS, witnesses)
-
-
-def has_diamond(a: Rel, carrier: Optional[Sequence] = None) -> PropertyReport:
+def has_diamond(a: Rel) -> PropertyReport:
     """a°;a <= a;a°: one-step peaks close in one step."""
-    return _rel_report(
-        "diamond", a.converse().compose(a), a.compose(a.converse()), carrier
-    )
+    lhs, rhs = a.converse().compose(a), a.compose(a.converse())
+    return _failures("diamond", lhs.pairs - rhs.pairs)
 
 
-def is_confluent(a: Rel, carrier: Optional[Sequence] = None) -> PropertyReport:
+def is_confluent(a: Rel) -> PropertyReport:
     """a*°;a* <= a*;a*°: star peaks are joinable."""
     s = a.kleene_star()
-    return _rel_report(
-        "confluence", s.converse().compose(s), s.compose(s.converse()), carrier
-    )
+    lhs, rhs = s.converse().compose(s), s.compose(s.converse())
+    return _failures("confluence", lhs.pairs - rhs.pairs)
 
 
-def is_weakly_confluent(a: Rel, carrier: Optional[Sequence] = None) -> PropertyReport:
+def is_weakly_confluent(a: Rel) -> PropertyReport:
     """a°;a <= a*;a*°: one-step peaks are joinable."""
     s = a.kleene_star()
-    return _rel_report(
-        "weak-confluence", a.converse().compose(a), s.compose(s.converse()), carrier
-    )
+    lhs, rhs = a.converse().compose(a), s.compose(s.converse())
+    return _failures("weak-confluence", lhs.pairs - rhs.pairs)
 
 
-def is_church_rosser(a: Rel, carrier: Optional[Sequence] = None) -> PropertyReport:
-    """(a | a°)* = a*;a°*: convertible elements are joinable."""
+def is_church_rosser(a: Rel) -> PropertyReport:
+    """(a | a°)* = a*;a*°: convertible elements are joinable.
+
+    a*;a*° <= (a | a°)* always holds, so the sides differ just on the left
+    side's pairs missing from the right.  So they do under
+    ``corrupted_compose`` too: the left side composes nothing, and a
+    corrupted composition only loses pairs of the right side."""
     s = a.kleene_star()
-    return _rel_report(
-        "church-rosser",
-        a.sym_closure().kleene_star(),
-        s.compose(s.converse()),
-        carrier,
-        equality=True,
-    )
+    lhs, rhs = a.sym_closure().kleene_star(), s.compose(s.converse())
+    return _failures("church-rosser", lhs.pairs - rhs.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +266,14 @@ def _bottom_witnesses(order: Sequence[Term], reps: Sequence[int],
     return witnesses
 
 
-def seed_terms(trs: TRS, depth: int, open_depth: int = 2) -> Tuple[Term, ...]:
+def seed_terms(trs: TRS, depth: int) -> Tuple[Term, ...]:
     """The seed population for exhaustive analyses: all closed terms of depth
-    <= depth, plus all open terms up to ``open_depth`` (the full open universe
-    grows too fast for exhaustive sweeps beyond that)."""
+    <= depth, plus all open terms of depth <= min(depth, 2) (the full open
+    universe grows too fast for exhaustive sweeps beyond that)."""
     ground = universe(trs.signature, (), depth).terms()
     if not trs.variables:
         return ground
-    open_terms = universe(trs.signature, trs.variables, min(depth, open_depth)).terms()
+    open_terms = universe(trs.signature, trs.variables, min(depth, 2)).terms()
     return tuple(sorted(set(ground) | set(open_terms), key=term_key))
 
 
@@ -468,6 +460,11 @@ class CPReport:
     cp1_prime: PropertyReport
     overflow_dropped: int
 
+    @property
+    def verdict(self) -> str:
+        verdicts = {c.verdict for c in (self.cp1, self.cp2, self.cp1_prime)}
+        return next(v for v in (FAILS, UNCONFIRMED, HOLDS) if v in verdicts)
+
     def to_json(self) -> dict:
         return {
             "property": "critical-pairs",
@@ -480,21 +477,23 @@ class CPReport:
         }
 
 
-def _joinable_pairs(lhs: Rel, step: Rel,
-                    name: str, dropped: int) -> PropertyReport:
-    """lhs <= step*;step*°: both sides of each pair reach a common bottom
-    SCC of the step graph, condensed where the left sides' terms reach."""
+def _joins(step: Rel, *peaks: Rel) -> Callable[[Term, Term], bool]:
+    """Whether two terms of ``peaks`` join under step*;step*°: they reach a
+    common bottom SCC of the step graph, condensed where they reach."""
     succ = successors(step.pairs)
-    nodes = list(reach(succ, {t for pair in lhs.pairs for t in pair}))
+    nodes = list(reach(succ, {t for r in peaks for pair in r.pairs
+                              for t in pair}))
     cond = _condense(nodes, [succ.get(t, ()) for t in nodes])
     _, bits, _ = cond.joins(set())
-    joins = {t: bits[c] for t, c in zip(nodes, cond.comp)}
-    witnesses = []
-    for p, q in sorted(lhs.pairs):
-        if not joins[p] & joins[q]:
-            witnesses.append((format_term(p), format_term(q)))
-    return PropertyReport(name, _verdict(not witnesses, dropped),
-                          witnesses[:MAX_WITNESSES], dropped)
+    mask = {t: bits[c] for t, c in zip(nodes, cond.comp)}
+    return lambda p, q: bool(mask[p] & mask[q])
+
+
+def _unjoined(name: str, peaks: Rel, joins: Callable[[Term, Term], bool],
+              dropped: int) -> PropertyReport:
+    """peaks <= step*;step*°, with ``joins`` the step's join predicate."""
+    return _failures(name, {(p, q) for p, q in peaks.pairs if not joins(p, q)},
+                     dropped)
 
 
 def check_cp(trs: TRS, depth: int = 2) -> CPReport:
@@ -512,35 +511,19 @@ def check_cp(trs: TRS, depth: int = 2) -> CPReport:
     gh = full_closure(g, stats)
 
     root_peaks = g.converse().compose(g)
-    cp1 = _joinable_pairs(root_peaks, gs, "cp-1", stats.dropped)
+    cp1 = _unjoined("cp-1", root_peaks, _joins(gs, root_peaks), stats.dropped)
 
     inner = g.converse().compose(check_refine(gs, stats))
-    dgs = subst_rel(delta(u), gs, stats)
-    dgs_succ = successors(dgs.pairs)
+    dgs_succ = successors(subst_rel(delta(u), gs, stats).pairs)
     gh_succ = successors(gh.pairs)
-    cp2_witnesses = []
-    for p, q in sorted(inner.pairs):
-        if not (dgs_succ.get(p, set()) & gh_succ.get(q, set())):
-            cp2_witnesses.append((format_term(p), format_term(q)))
-    cp2 = PropertyReport(
-        "cp-2",
-        _verdict(not cp2_witnesses, stats.dropped),
-        cp2_witnesses[:MAX_WITNESSES],
-        stats.dropped,
-    )
+    cp2 = _failures("cp-2", {
+        (p, q) for p, q in inner.pairs
+        if not dgs_succ.get(p, set()) & gh_succ.get(q, set())}, stats.dropped)
 
-    cp1p_witnesses = [
-        (format_term(p), format_term(q)) for p, q in sorted(root_peaks.pairs)
-        if p is not q
-    ]
     # CP-1' is a universally quantified statement about root steps; within
     # the universe it is checked exactly (every lhs instance is present)
-    cp1_prime = PropertyReport(
-        "cp-1-prime",
-        HOLDS if not cp1p_witnesses else FAILS,
-        cp1p_witnesses[:MAX_WITNESSES],
-        0,
-    )
+    cp1_prime = _failures("cp-1-prime",
+                          {(p, q) for p, q in root_peaks.pairs if p is not q})
     return CPReport(cp1, cp2, cp1_prime, stats.dropped)
 
 
@@ -570,13 +553,16 @@ class TechniqueReport:
 def check_weak_confluence_technique(a: Rel) -> TechniqueReport:
     """The weak-confluence proof technique, instantiated: if root peaks
     join and root-vs-inner peaks join, then all one-step peaks of the
-    sequential closure join."""
+    sequential closure join.  Each check reports the pairs dropped up to
+    its own evaluation."""
     stats = OpStats()
     aseq = sequential_closure(a, stats)
-    p1 = _joinable_pairs(a.converse().compose(a), aseq,
-                         "root-peaks-join", stats.dropped)
-    p2 = _joinable_pairs(a.converse().compose(check_refine(aseq, stats)), aseq,
-                         "root-vs-inner-peaks-join", stats.dropped)
-    concl = _joinable_pairs(aseq.converse().compose(aseq), aseq,
-                            "one-step-peaks-join", stats.dropped)
-    return TechniqueReport(p1, p2, concl, stats.dropped)
+    root, root_dropped = a.converse().compose(a), stats.dropped
+    inner = a.converse().compose(check_refine(aseq, stats))
+    one_step = aseq.converse().compose(aseq)
+    joins = _joins(aseq, root, inner, one_step)
+    return TechniqueReport(
+        _unjoined("root-peaks-join", root, joins, root_dropped),
+        _unjoined("root-vs-inner-peaks-join", inner, joins, stats.dropped),
+        _unjoined("one-step-peaks-join", one_step, joins, stats.dropped),
+        stats.dropped)

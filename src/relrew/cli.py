@@ -107,22 +107,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     trs = load_trs(args.file)
     if args.check == "cp":
         report = check_cp(trs, depth=args.depth if args.depth is not None else 2)
-        payload = report.to_json()
-        checks = [report.cp1, report.cp2, report.cp1_prime]
-        if any(c.verdict == FAILS for c in checks):
-            code = EXIT_FAILS
-        elif any(c.verdict == UNCONFIRMED for c in checks):
-            code = EXIT_UNCONFIRMED
-        else:
-            code = EXIT_OK
     else:
         seeds = seed_terms(trs, args.depth if args.depth is not None else 3)
         fn = {"spectrum": spectrum_survey, "weak": exhaustive_weak_confluence,
               "confluence": exhaustive_confluence,
               "cr": exhaustive_church_rosser}[args.check]
         report = fn(trs, seeds, args.bound)
-        payload = report.to_json()
-        code = _verdict_exit(report.verdict)
+    payload = report.to_json()
     if args.format == "json":
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
     else:
@@ -134,7 +125,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             lines.append(f"  {sub['property']}: {sub['verdict']}"
                          + (f" witnesses={sub['witnesses']}" if sub["witnesses"] else ""))
         _emit("\n".join(lines) + "\n", args.output)
-    return code
+    return _verdict_exit(report.verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -675,7 +675,7 @@ row("seqclo-star", "inequality", "a", "seqclo(a*) <= seqclo(a)*", support=0)
 
 @termrel_law("seqclo-five-way", "seq-closure", "inequality", "a b",
              support=1, work=2)
-def _tl_seqclo_five(u, rels, st, strict=False):
+def _tl_seqclo_five(u, rels, st):
     a, b = rels
     sa, sb = sequential_closure(a, st), sequential_closure(b, st)
     lhs = sa.compose(sb)

@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
+from math import prod
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .relalg import Rel
@@ -41,6 +42,7 @@ from .syntax import (
     free_vars,
     match,
     parse_term,
+    subterms,
     term_key,
 )
 from .termrel import OpStats
@@ -225,14 +227,29 @@ def sequential_step(trs: TRS, t: Term) -> FrozenSet[Term]:
     return frozenset(target for target, _ in sequential_steps(trs, t))
 
 
+MAX_NODES = 200_000  # a reduction graph's node cap; no step builds more
+
+
+class _TooWide(Exception):
+    """A term's arguments give it more step targets than ``MAX_NODES``."""
+
+
+def _arg_steps(step, trs: TRS, t: Term) -> List[FrozenSet[Term]]:
+    """The step sets of t's arguments, whose product gives t as many
+    distinct targets, checked against ``MAX_NODES`` before it is built."""
+    sets = [step(trs, a) for a in t.args]
+    if prod(map(len, sets)) > MAX_NODES:
+        raise _TooWide
+    return sets
+
+
 @lru_cache(maxsize=None)
 def parallel_step(trs: TRS, t: Term) -> FrozenSet[Term]:
     """Targets of the parallel step relation (includes t itself)."""
     if t.is_var:
         return frozenset((t,))
-    out: Set[Term] = set()
-    for combo in product(*(parallel_step(trs, a) for a in t.args)):
-        out.add(app(t.name, *combo))
+    out = {app(t.name, *combo)
+           for combo in product(*_arg_steps(parallel_step, trs, t))}
     out.update(r for _, _, r in root_reducts(trs, t))
     return frozenset(out)
 
@@ -244,7 +261,7 @@ def full_step(trs: TRS, t: Term) -> FrozenSet[Term]:
     if t.is_var:
         return frozenset((t,))
     out: Set[Term] = set()
-    for combo in product(*(full_step(trs, a) for a in t.args)):
+    for combo in product(*_arg_steps(full_step, trs, t)):
         mid = app(t.name, *combo)
         out.add(mid)
         out.update(r for _, _, r in root_reducts(trs, mid))
@@ -259,7 +276,8 @@ STEPPERS = {
 
 
 def is_normal_form(trs: TRS, t: Term) -> bool:
-    return not sequential_step(trs, t)
+    """No rule applies at any position of t."""
+    return not any(root_reducts(trs, s) for s in subterms(t))
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +313,18 @@ class ReductionGraph:
 
 def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
                     bound: Optional[int] = None,
-                    max_nodes: int = 1_000_000) -> ReductionGraph:
+                    max_nodes: int = MAX_NODES) -> ReductionGraph:
     """Breadth-first closure of ``seeds`` under the chosen stepper.
 
     ``bound`` limits the number of BFS layers.  A layer that leaves the
-    graph with more than ``max_nodes`` nodes is taken back, and the search
-    stops with the layers it finished, so the result does not depend on
-    the order of a layer's nodes.  A node with a reduct deeper than
-    ``MAX_TERM_DEPTH`` is left unexpanded, so every node stays within the
-    depth the term functions handle.  The nodes left unexpanded make up
-    ``frontier``, ``exhausted`` is then False, and the graph is the partial
-    closure explored so far.
+    graph with more than ``max_nodes`` nodes is taken back, and so is a
+    layer with a node of more than ``MAX_NODES`` targets, before they are
+    built; the search then stops with the layers it finished, so the
+    result does not depend on the order of a layer's nodes.  A node with a
+    reduct deeper than ``MAX_TERM_DEPTH`` is left unexpanded, so every node
+    stays within the depth the term functions handle.  The nodes left
+    unexpanded make up ``frontier``, ``exhausted`` is then False, and the
+    graph is the partial closure explored so far.
     """
     if kind not in STEPPERS:
         raise ValueError(f"unknown step kind {kind!r}")
@@ -317,10 +336,15 @@ def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
     while frontier and (bound is None or layer < bound):
         layer += 1
         next_frontier: List[Term] = []
+        wide = False
         for t in frontier:
             if len(g.nodes) > max_nodes:
                 break
-            targets = step(trs, t)
+            try:
+                targets = step(trs, t)
+            except _TooWide:
+                wide = True
+                break
             if any(s.depth > MAX_TERM_DEPTH for s in targets):
                 g.frontier.add(t)
                 continue
@@ -328,7 +352,7 @@ def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
                 if target not in g.nodes:
                     g.nodes.add(target)
                     next_frontier.append(target)
-        if len(g.nodes) > max_nodes:  # whatever order the layer came in
+        if wide or len(g.nodes) > max_nodes:  # whatever order the layer came in
             g.nodes.difference_update(next_frontier)
             break
         frontier = next_frontier

@@ -364,20 +364,15 @@ def parallel_closure(a: Rel, stats: Optional[OpStats] = None) -> Rel:
         lambda old, new, every, st: _lift(u, old, new, every, st), stats)
 
 
-def full_closure(a: Rel, stats: Optional[OpStats] = None,
-                 reflexive: bool = True) -> Rel:
+def full_closure(a: Rel, stats: Optional[OpStats] = None) -> Rel:
     """a^h = lfp x. hat(x);(a | Delta): rewrite all arguments in parallel,
-    then optionally contract the root.
-
-    With ``reflexive=False`` the root step is mandatory (lfp x. hat(x);a),
-    which yields a strictly smaller, non-reflexive relation.
-    """
+    then optionally contract the root."""
     u = a.carrier
     asucc = successors(a.pairs)
     hats = set(i_eta(u).pairs | i_sigma0(u).pairs)  # hat(x) so far
 
     def contract(h: Set[TPair]) -> Set[TPair]:
-        out = set(h) if reflexive else set()
+        out = set(h)
         for p, q in h:
             for r in asucc.get(q, ()):
                 out.add((p, r))

@@ -301,3 +301,77 @@ def test_technique_implication_random(arith):
             checked += 1
             assert report.conclusion.ok
     assert checked > 10  # the implication was actually exercised
+
+
+# ---------------------------------------------------------------------------
+# pinned reports: the exact witnesses and their order
+
+_ABSTRACT_PINS = {
+    (4, ((1, 2), (3, 0), (3, 1), (3, 2))): [
+        ("diamond", "00 01 02 10 12"),
+        ("weak-confluence", "01 02 10 20"),
+        ("confluence", "01 02 10 20"),
+        ("church-rosser", "01 02 10 20"),
+    ],
+    (5, ((0, 0), (0, 1), (0, 3), (0, 4), (1, 2))): [
+        ("diamond", "01 03 04 10 13"),
+        ("weak-confluence", "13 14 31 34 41"),
+        ("confluence", "13 14 23 24 31"),
+        ("church-rosser", "13 14 23 24 31"),
+    ],
+}
+
+
+@pytest.mark.parametrize("n, pairs", list(_ABSTRACT_PINS))
+def test_abstract_reports_pinned(n, pairs):
+    a = Rel.from_pairs(n, pairs)
+    got = [check(a).to_json() for check in
+           (has_diamond, is_weakly_confluent, is_confluent, is_church_rosser)]
+    assert got == [{"property": name, "verdict": FAILS,
+                    "witnesses": [list(w) for w in witnesses.split()],
+                    "overflow_dropped": 0}
+                   for name, witnesses in _ABSTRACT_PINS[n, pairs]]
+
+
+_TECHNIQUE_PINS = [
+    ([("A(y,0)", "A(x,x)"), ("M(0,x)", "A(y,x)"), ("M(0,y)", "A(y,y)"),
+      ("M(0,y)", "M(y,0)")],
+     [0, 0, 0],
+     [("root-peaks-join", FAILS,
+       [["A(y,y)", "M(y,0)"], ["M(y,0)", "A(y,y)"]]),
+      ("root-vs-inner-peaks-join", HOLDS, []),
+      ("one-step-peaks-join", FAILS,
+       [["A(y,y)", "M(y,0)"], ["M(y,0)", "A(y,y)"],
+        ["A(0,A(y,y))", "A(0,M(y,0))"], ["A(0,M(y,0))", "A(0,A(y,y))"],
+        ["A(x,A(y,y))", "A(x,M(y,0))"]])]),
+    ([("y", "x"), ("A(y,0)", "M(y,y)"), ("M(y,0)", "S(0)"), ("S(y)", "S(x)")],
+     [0, 0, 0],
+     [("root-peaks-join", HOLDS, []),
+      ("root-vs-inner-peaks-join", FAILS,
+       [["M(y,y)", "A(x,0)"], ["S(0)", "M(x,0)"]]),
+      ("one-step-peaks-join", FAILS,
+       [["A(x,0)", "M(y,y)"], ["M(x,0)", "S(0)"], ["M(y,y)", "A(x,0)"],
+        ["S(0)", "M(x,0)"], ["A(0,A(x,0))", "A(0,M(y,y))"]])]),
+    # the drop count each check reports is the one seen when it ran
+    ([("y", "A(x,0)"), ("M(y,x)", "0"), ("M(y,x)", "M(0,0)")],
+     [1261, 2522, 2522],
+     [("root-peaks-join", UNCONFIRMED, [["0", "M(0,0)"], ["M(0,0)", "0"]]),
+      ("root-vs-inner-peaks-join", UNCONFIRMED,
+       [["0", "M(A(x,0),x)"], ["M(0,0)", "M(A(x,0),x)"]]),
+      ("one-step-peaks-join", UNCONFIRMED,
+       [["0", "M(0,0)"], ["0", "M(A(x,0),x)"], ["A(0,0)", "A(0,M(0,0))"],
+        ["A(0,0)", "A(M(0,0),0)"], ["A(0,x)", "A(M(0,0),x)"]])]),
+]
+
+
+@pytest.mark.parametrize("pairs, dropped, checks", _TECHNIQUE_PINS)
+def test_technique_reports_pinned(arith, pairs, dropped, checks):
+    u = universe(arith.signature, arith.variables, 2)
+    a = Rel(u, frozenset((arith.parse(p), arith.parse(q)) for p, q in pairs))
+    assert check_weak_confluence_technique(a).to_json() == {
+        "property": "weak-confluence-technique",
+        "overflow_dropped": dropped[-1],
+        "checks": [{"property": name, "verdict": verdict,
+                    "witnesses": witnesses, "overflow_dropped": d}
+                   for (name, verdict, witnesses), d in zip(checks, dropped)],
+    }

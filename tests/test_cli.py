@@ -395,3 +395,32 @@ def test_analyze_witnesses_independent_of_interning(tmp_path, check):
     assert json.loads(outs[0])["witnesses"]
     assert outs[1] == outs[0] and outs[2] == outs[0]
 
+
+# Each f(a) has two parallel reducts, so the step sets multiply with the
+# width of a term.
+DOUBLING = "sig a/0 f/1 g/2\nvar x\nrule f(x) -> g(f(x),f(x))\n"
+
+
+def _g_tree(depth):
+    """The complete g-tree of the given depth over f(a) leaves."""
+    t = "f(a)"
+    for _ in range(depth):
+        t = f"g({t},{t})"
+    return t
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", _g_tree(5), "--kind", "par", "--bound", "1", "--format", "json"],
+    ["reduce", "f(a)", "--kind", "full", "--format", "json"],
+    ["reduce", "f(a)", "--kind", "par", "--bound", "5", "--format", "text"],
+    ["analyze", "weak", "--depth", "1"],
+], ids=["wide-seed-par", "full-unbounded", "par-bound5-text", "analyze-weak"])
+def test_wide_steps_cut_off(tmp_path, capsys, argv):
+    """A layer with a node whose step set alone would pass the node cap is
+    taken back before that set is built, as a layer past the cap is, so
+    each run ends unconfirmed."""
+    f = tmp_path / "doubling.trs"
+    f.write_text(DOUBLING)
+    assert main(argv[:1] + [str(f)] + argv[1:]) == EXIT_UNCONFIRMED
+    if argv[-1] == "json":
+        assert json.loads(capsys.readouterr().out)["exhausted"] is False

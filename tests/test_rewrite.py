@@ -24,6 +24,7 @@ from relrew.rewrite import (
     sequential_step,
     sequential_steps,
 )
+from relrew import rewrite
 from relrew.cli import main as cli_main
 from relrew.relalg import reach
 from relrew.syntax import (Term, TermError, app, apply_subst, subterms,
@@ -135,6 +136,15 @@ def test_is_normal_form(arith):
     assert is_normal_form(arith, arith.parse("S(S(0))"))
     assert not is_normal_form(arith, arith.parse("A(0,0)"))
     assert is_normal_form(arith, X)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_is_normal_form_matches_sequential_step(k):
+    trs = _reference_trs()[k]
+    terms = universe(trs.signature, trs.variables, 2).terms()
+    assert any(is_normal_form(trs, t) for t in terms)
+    for t in terms:
+        assert is_normal_form(trs, t) == (not sequential_step(trs, t))
 
 
 # a left side headed by a constant, two rules with the same head, and a
@@ -332,6 +342,31 @@ def test_graph_node_cap_independent_of_seed_order(arith, cap):
                 for order in (seeds, seeds[::-1]))
         assert (g.nodes, g.frontier) == (h.nodes, h.frontier), kind
         assert len(g.nodes) <= max(cap, len(seeds))
+
+
+# each h(a) has two parallel reducts, so step sets multiply with width;
+# every test gets its own signature, and so its own stepper memo
+_DOUBLING = "sig a/0 h/1 k/2 {}/0\nvar x\nrule h(x) -> k(h(x),h(x))\n"
+_WIDE_SEED = "k(h(a),h(a))"
+
+
+@pytest.mark.parametrize("kind", ["par", "full"])
+def test_wide_node_takes_its_layer_back(monkeypatch, kind):
+    """A node with more than MAX_NODES targets is stopped before they are
+    built, and the graph is the one the node cap alone gives."""
+    trs = parse_trs(_DOUBLING.format("w" + kind))
+    monkeypatch.setattr(rewrite, "MAX_NODES", 3)
+    with pytest.raises(rewrite._TooWide):  # the seed has 4 targets
+        STEPPERS[kind](trs, trs.parse(_WIDE_SEED))
+    for cap in range(1, 2000, 37):  # graphs of 1, 25 and 676 nodes
+        graphs = []
+        for guard in (cap, 10 ** 9):
+            monkeypatch.setattr(rewrite, "MAX_NODES", guard)
+            trs = parse_trs(_DOUBLING.format(f"c{kind}{cap}x{guard}"))
+            g = reduction_graph(trs, [trs.parse(_WIDE_SEED)], kind=kind,
+                                max_nodes=cap)
+            graphs.append((g.nodes, g.frontier))
+        assert graphs[0] == graphs[1], cap
 
 
 def test_graph_reachable(arith):

@@ -394,13 +394,6 @@ def test_full_closure_matches_stepper(arith):
     assert gh.pairs == oracle
 
 
-def test_full_closure_nonreflexive_variant(arith):
-    g = ground_instances(arith, U2)
-    strict = full_closure(g, reflexive=False)
-    assert strict.leq(full_closure(g))
-    assert (ZERO, ZERO) not in strict.pairs
-
-
 def test_spectrum_inclusions_on_u2(arith):
     g = ground_instances(arith, U2)
     gs = sequential_closure(g)
@@ -474,21 +467,17 @@ def naive_closure(name, a, st):
     u = a.carrier
     asucc = successors(a.pairs)
 
-    def full_step(reflexive):
-        def step(x):
-            out = set()
-            for p, q in hat(x, st).pairs:
-                if reflexive:
-                    out.add((p, q))
-                out.update((p, r) for r in asucc.get(q, ()))
-            return Rel(u, frozenset(out))
-        return step
+    def full_step(x):
+        out = set()
+        for p, q in hat(x, st).pairs:
+            out.add((p, q))
+            out.update((p, r) for r in asucc.get(q, ()))
+        return Rel(u, frozenset(out))
 
     steps = {
         "seq": lambda x: a | check_refine(x, st),
         "par": lambda x: a | hat(x, st),
-        "full": full_step(True),
-        "full-nonreflexive": full_step(False),
+        "full": full_step,
     }
     return lfp(steps[name], Rel.bottom(u))
 
@@ -497,7 +486,6 @@ CLOSURES = {
     "seq": sequential_closure,
     "par": parallel_closure,
     "full": full_closure,
-    "full-nonreflexive": lambda a, st: full_closure(a, st, reflexive=False),
 }
 
 
