@@ -71,9 +71,13 @@ class Signature:
 
 
 class Term:
-    """An interned first-order term: a variable or an operator application."""
+    """An interned first-order term: a variable or an operator application.
 
-    __slots__ = ("name", "args", "is_var", "depth")
+    ``key`` is the structural sort key ``(depth, is_var, name, arg keys)``,
+    built once when the term is first interned; it holds its arguments' own
+    key tuples, so building it never recurses."""
+
+    __slots__ = ("name", "args", "is_var", "depth", "key")
     _intern: Dict[tuple, "Term"] = {}
 
     def __new__(cls, name: str, args: Tuple["Term", ...] = (), is_var: bool = False):
@@ -87,13 +91,14 @@ class Term:
         t.name = name
         t.args = args
         t.is_var = is_var
-        t.depth = max((a.depth for a in args), default=-1) + 1
+        t.depth = depth = max((a.depth for a in args), default=-1) + 1
+        t.key = (depth, is_var, name, tuple(a.key for a in args))
         cls._intern[key] = t
         return t
 
-    # interning makes identity-based eq/hash correct; the order is term_key's
+    # interning makes identity-based eq/hash correct; the order is the key's
     def __lt__(self, other: "Term") -> bool:
-        return term_key(self) < term_key(other)
+        return self.key < other.key
 
     def __repr__(self) -> str:
         return f"Term({format_term(self)!r})"
@@ -111,8 +116,10 @@ def app(name: str, *args: Term) -> Term:
 
 
 def term_key(t: Term):
-    """Deterministic structural sort key (depth, then name, then args)."""
-    return (t.depth, t.is_var, t.name, tuple(term_key(a) for a in t.args))
+    """Deterministic structural sort key: depth, then operators before
+    variables, then name, then the arguments' keys.  It is ``t.key``, built
+    when the term was interned."""
+    return t.key
 
 
 def format_term(t: Term) -> str:

@@ -1,10 +1,14 @@
 """Signatures, terms, parsing, matching, and finite universes."""
 
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relrew.rewrite import parse_trs
 from relrew.syntax import (
+    MAX_TERM_DEPTH,
     Signature,
     TermError,
     Universe,
@@ -64,6 +68,45 @@ def test_free_vars():
 def test_subterms():
     t = app("S", app("S", app("0")))
     assert len(list(subterms(t))) == 3
+
+
+def _reference_key(t):
+    """The sort key rebuilt from the term's structure on every call."""
+    return (t.depth, t.is_var, t.name, tuple(_reference_key(a) for a in t.args))
+
+
+def _right_nested(depth, leaf):
+    """``A(0,A(0,...leaf))`` of the given depth."""
+    t = leaf
+    for _ in range(depth):
+        t = app("A", app("0"), t)
+    return t
+
+
+def test_term_key_matches_reference():
+    """Every term's cached key is the recursive structural key, holds its
+    arguments' keys by reference, and orders terms as ``term_key`` does."""
+    root = pathlib.Path(__file__).parent.parent / "perfbench" / "data"
+    ts = []
+    for name in ("arith.trs", "nonconfluent.trs"):
+        trs = parse_trs((root / name).read_text())
+        ts.extend(universe(trs.signature, trs.variables, 2).terms())
+    deep = _right_nested(MAX_TERM_DEPTH, app("0"))
+    assert deep.depth == MAX_TERM_DEPTH
+    ts.extend(subterms(deep))
+    for t in ts:
+        assert t.key == _reference_key(t)
+        assert term_key(t) is t.key
+        for a, k in zip(t.args, t.key[3]):
+            assert k is a.key
+    assert sorted(ts) == sorted(ts, key=term_key) == sorted(ts, key=_reference_key)
+
+
+def test_deep_terms_compare_without_recursion_error():
+    lo = _right_nested(MAX_TERM_DEPTH, app("0"))
+    hi = _right_nested(MAX_TERM_DEPTH, app("1"))
+    assert lo < hi and not hi < lo
+    assert (_reference_key(lo) < _reference_key(hi)) == (lo < hi)
 
 
 # ---------------------------------------------------------------------------
