@@ -3,8 +3,12 @@
 Abstract checks (diamond, confluence, weak confluence, Church-Rosser) work
 on finite :class:`relrew.relalg.Rel` values and are exact.  Term-level
 checks run either on the reachable closure of a set of seeds or on a
-truncated working universe, in which case a failing inequality whose
-evaluation dropped pairs is reported as ``unconfirmed`` rather than ``fails``.
+truncated working universe.
+
+Every report takes its verdict from one rule, ``_verdict``: ``fails`` needs
+a definitive counterexample; a check without one that was cut short, by
+pairs dropped from the working universe or by a closure cut off after
+``bound`` layers, is ``unconfirmed``; otherwise the property ``holds``.
 
 The reachable closure is a finite graph, so every join question and the
 spectrum's star equalities are decided on the condensation of its step
@@ -21,14 +25,14 @@ The closure is a full-step reduction graph, which keeps its nodes and
 frontier only; its ``steps`` reads the steps of each kind from the
 steppers.  A closure cut off after ``bound`` full-step layers gives its
 unexpanded frontier nodes no steps and the OPEN bit in place of a bottom
-SCC.  Its verdict is never ``holds``; ``fails`` needs witnesses in closed
-bottom SCCs, which are bottom SCCs of the whole closure too.
+SCC.  Witnesses in closed bottom SCCs are definitive, because those are
+bottom SCCs of the whole closure too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .relalg import Rel, reach, successors
 from .rewrite import TRS, ReductionGraph, ground_instances, reduction_graph
@@ -45,6 +49,13 @@ from .termrel import (
 HOLDS = "holds"
 FAILS = "fails"
 UNCONFIRMED = "unconfirmed"
+
+
+def _verdict(failed: object, cut: object) -> str:
+    """The one verdict rule: ``fails`` iff there is a definitive
+    counterexample, else ``unconfirmed`` iff the check was cut short,
+    else ``holds``."""
+    return FAILS if failed else UNCONFIRMED if cut else HOLDS
 
 
 @dataclass
@@ -73,12 +84,12 @@ MAX_WITNESSES = 5
 def _failures(name: str, bad: Iterable[Tuple], dropped: int = 0
               ) -> PropertyReport:
     """The report of an inclusion whose failing pairs are ``bad``: the
-    least ``MAX_WITNESSES`` of them are its witnesses, and it fails, or is
-    unconfirmed if its evaluation dropped pairs, iff there are any."""
+    least ``MAX_WITNESSES`` of them are its witnesses, and they are
+    definitive iff its evaluation dropped no pairs."""
     bad = sorted(bad)
-    verdict = HOLDS if not bad else UNCONFIRMED if dropped else FAILS
-    return PropertyReport(name, verdict, [(str(p), str(q)) for p, q
-                                          in bad[:MAX_WITNESSES]], dropped)
+    return PropertyReport(name, _verdict(bad and not dropped, bad),
+                          [(str(p), str(q)) for p, q in bad[:MAX_WITNESSES]],
+                          dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -288,26 +299,18 @@ def _closure(trs: TRS, seeds: Sequence[Term], bound: Optional[int]
 
 
 @dataclass
-class SpectrumReport:
-    nodes: int
-    inclusion_violations: List[Tuple[str, str, str]]
-    stars_equal: bool
-    witnesses: List[Tuple[str, str]]
-    verdict: str
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict == HOLDS
+class SpectrumReport(PropertyReport):
+    nodes: int = 0
+    inclusion_violations: List[Tuple[str, str, str]] = field(
+        default_factory=list)
+    stars_equal: bool = True
 
     def to_json(self) -> dict:
         return {
-            "property": "spectrum",
-            "verdict": self.verdict,
+            **super().to_json(),
             "nodes": self.nodes,
             "inclusion_violations": [list(v) for v in self.inclusion_violations],
             "stars_equal": self.stars_equal,
-            "witnesses": [list(w) for w in self.witnesses],
-            "overflow_dropped": 0,
         }
 
 
@@ -332,7 +335,7 @@ def spectrum_survey(trs: TRS, seeds: Sequence[Term],
         for bad in sorted(pr - fl, key=term_key):
             violations.append(("par<=full", format_term(t), format_term(bad)))
     # on a cut-off closure only these violations are definitive
-    cut_off = bool(open_nodes) and not violations
+    definitive = bool(violations)
     full = _condense(order, full_rows)
     seq_star = _condense(order, seq_rows).node_stars()
     par_star = _condense(order, par_rows).node_stars()
@@ -350,10 +353,11 @@ def spectrum_survey(trs: TRS, seeds: Sequence[Term],
         if par_star[i] != star or full_star[i] != star:
             stars_equal = False
             witnesses.append((format_term(t), "star-mismatch"))
-    verdict = (UNCONFIRMED if cut_off
-               else HOLDS if not violations and stars_equal else FAILS)
-    return SpectrumReport(len(order), violations[:MAX_WITNESSES * 4],
-                          stars_equal, witnesses[:MAX_WITNESSES], verdict)
+    failed = definitive or not open_nodes and (violations or not stars_equal)
+    return SpectrumReport("spectrum", _verdict(failed, open_nodes),
+                          witnesses[:MAX_WITNESSES], nodes=len(order),
+                          inclusion_violations=violations[:MAX_WITNESSES * 4],
+                          stars_equal=stars_equal)
 
 
 def _seq_condensation(trs: TRS, seeds: Sequence[Term], bound: Optional[int]
@@ -365,12 +369,6 @@ def _seq_condensation(trs: TRS, seeds: Sequence[Term], bound: Optional[int]
     return order, cond, open_nodes
 
 
-def _report(name: str, witnesses: List[Tuple[str, str]],
-            open_nodes: Set[int]) -> PropertyReport:
-    verdict = FAILS if witnesses else UNCONFIRMED if open_nodes else HOLDS
-    return PropertyReport(name, verdict, witnesses)
-
-
 def exhaustive_weak_confluence(trs: TRS, seeds: Sequence[Term],
                                bound: Optional[int] = None) -> PropertyReport:
     """Every one-step peak on the reachable closure is joinable: its two
@@ -378,23 +376,22 @@ def exhaustive_weak_confluence(trs: TRS, seeds: Sequence[Term],
 
     A peak whose reducts share no closed bottom SCC is a counterexample
     if neither reaches the frontier of a closure cut off by ``bound``, and
-    unconfirmed otherwise.  The verdict is ``fails`` if any peak is a
-    counterexample, else ``unconfirmed`` if any peak is unconfirmed or the
-    closure was cut off, else ``holds``."""
+    cuts the check short otherwise, as a cut-off closure does.  The
+    witnesses are the counterexamples, or else the unconfirmed peaks."""
     order, cond, open_nodes = _seq_condensation(trs, seeds, bound)
     _, bits, open_bit = cond.joins(open_nodes)
-    found: Dict[str, List[Tuple[str, str]]] = {FAILS: [], UNCONFIRMED: []}
+    failing: List[Tuple[str, str]] = []
+    unsure: List[Tuple[str, str]] = []
     for row in cond.adj:
         for k, i in enumerate(row):
             for j in row[k + 1:]:
                 b1, b2 = bits[cond.comp[i]], bits[cond.comp[j]]
                 if not b1 & b2 & (open_bit - 1):
-                    found[UNCONFIRMED if (b1 | b2) & open_bit else FAILS].append(
+                    (unsure if (b1 | b2) & open_bit else failing).append(
                         (format_term(order[i]), format_term(order[j])))
-    verdict = (FAILS if found[FAILS]
-               else UNCONFIRMED if found[UNCONFIRMED] or open_nodes else HOLDS)
-    return PropertyReport("weak-confluence", verdict,
-                          found.get(verdict, [])[:MAX_WITNESSES])
+    return PropertyReport("weak-confluence",
+                          _verdict(failing, unsure or open_nodes),
+                          (failing or unsure)[:MAX_WITNESSES])
 
 
 def exhaustive_confluence(trs: TRS, seeds: Sequence[Term],
@@ -412,8 +409,9 @@ def exhaustive_confluence(trs: TRS, seeds: Sequence[Term],
     # nodes, and so their components, in term_key order
     closed = (bits[c] & (open_bit - 1) for c in cond.comp)
     groups = (b for b in closed if b & (b - 1))
-    return _report("confluence", _bottom_witnesses(order, reps, groups),
-                   open_nodes)
+    witnesses = _bottom_witnesses(order, reps, groups)
+    return PropertyReport("confluence", _verdict(witnesses, open_nodes),
+                          witnesses)
 
 
 def exhaustive_church_rosser(trs: TRS, seeds: Sequence[Term],
@@ -423,31 +421,28 @@ def exhaustive_church_rosser(trs: TRS, seeds: Sequence[Term],
     On a finite graph this holds iff every weakly connected component
     contains exactly one bottom SCC: two bottom SCCs in one component are
     convertible but cannot be joined, and a node reaches only bottom SCCs
-    of its own component.  The weak components come from union-find over
-    the condensation's edges.  A witness pairs the ``term_key``-least
-    members of two closed bottom SCCs in one weak component."""
+    of its own component.  The weak components are what ``reach`` finds
+    over the condensation's edges taken both ways.  A witness pairs the
+    ``term_key``-least members of two closed bottom SCCs in one weak
+    component."""
     order, cond, open_nodes = _seq_condensation(trs, seeds, bound)
     reps, _, _ = cond.joins(open_nodes)
-    parent = list(range(len(cond.succ)))
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
+    bit = {cond.comp[i]: 1 << rank for rank, i in enumerate(reps)}
+    links = dict(enumerate(map(set, cond.succ)))
     for c, succ in enumerate(cond.succ):
         for d in succ:
-            parent[find(c)] = find(d)
-    per_root: Dict[int, int] = {}
-    for rank, i in enumerate(reps):
-        root = find(cond.comp[i])
-        per_root[root] = per_root.get(root, 0) | 1 << rank
+            links[d].add(c)
+    seen: Set[int] = set()
+    groups = []
     # weak components in the order of their term_key-least nodes
-    groups = (per_root.pop(root) for root in map(find, cond.comp)
-              if root in per_root)
-    return _report("church-rosser", _bottom_witnesses(order, reps, groups),
-                   open_nodes)
+    for c in cond.comp:
+        if c not in seen:
+            weak = reach(links, (c,))
+            seen |= weak
+            groups.append(sum(bit.get(d, 0) for d in weak))
+    witnesses = _bottom_witnesses(order, reps, groups)
+    return PropertyReport("church-rosser", _verdict(witnesses, open_nodes),
+                          witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +458,7 @@ class CPReport:
     @property
     def verdict(self) -> str:
         verdicts = {c.verdict for c in (self.cp1, self.cp2, self.cp1_prime)}
-        return next(v for v in (FAILS, UNCONFIRMED, HOLDS) if v in verdicts)
+        return _verdict(FAILS in verdicts, UNCONFIRMED in verdicts)
 
     def to_json(self) -> dict:
         return {

@@ -79,11 +79,14 @@ class SampleConfig:
                 allowed = f">= {low}" if high is None else f"in {low}..{high}"
                 raise ValueError(f"SampleConfig key {key!r} must be an "
                                  f"integer {allowed}, got {value!r}")
-        # density is only read as ``rng.random() < density + 0.1``
+        # density is only read, by the relation suite, as
+        # ``rng.random() < density + 0.1``: from 0.9 on every draw is full,
+        # and a negative or NaN density is no density
         if (isinstance(self.density, bool)
-                or not isinstance(self.density, (int, float))):
-            raise ValueError("SampleConfig key 'density' must be a number, "
-                             f"got {self.density!r}")
+                or not isinstance(self.density, (int, float))
+                or not 0 <= self.density < 0.9):
+            raise ValueError("SampleConfig key 'density' must be a number "
+                             f"with 0 <= density < 0.9, got {self.density!r}")
         if not isinstance(self.signature, Signature):
             raise ValueError("SampleConfig key 'signature' must map operator "
                              f"names to arities, got {self.signature!r}")

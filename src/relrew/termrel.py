@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from . import relalg
 from .relalg import Rel, successors
-from .syntax import Term, Universe, app
+from .syntax import Term, Universe, app, apply_subst
 
 TPair = Tuple[Term, Term]
 Succ = Dict[Term, Set[Term]]
@@ -285,8 +285,8 @@ def subst_rel(a: Rel, b: Rel,
         for combo in product(*pools):
             sigma = {v: l for v, (l, _) in zip(vs, combo)}
             rho = {v: r for v, (_, r) in zip(vs, combo)}
-            t = _instantiate(t0, sigma)
-            s = _instantiate(s0, rho)
+            t = apply_subst(t0, sigma)
+            s = apply_subst(s0, rho)
             if explicit:
                 if t in u and s in u:
                     out.add((t, s))
@@ -295,14 +295,6 @@ def subst_rel(a: Rel, b: Rel,
             else:
                 out.add((t, s))
     return Rel(u, frozenset(out))
-
-
-def _instantiate(t: Term, subst: Dict[str, Term]) -> Term:
-    if t.is_var:
-        return subst[t.name]
-    if not t.args:
-        return t
-    return app(t.name, *(_instantiate(a, subst) for a in t.args))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+import relrew.analysis as an
 import relrew.termrel as tr
 from relrew.rewrite import parse_trs
 
@@ -39,3 +42,25 @@ def lossy_lift(monkeypatch):
         return out
 
     monkeypatch.setattr(tr, "_lift", lossy)
+
+
+@pytest.fixture
+def one_node_bottoms(monkeypatch):
+    """``_Condensation.joins`` counting only its one-node bottom SCCs, so a
+    node that reaches only larger ones joins nothing.  The body is the real
+    one's with the size test added."""
+
+    def one_node(self, open_nodes):
+        sizes = Counter(self.comp)
+        reps, base = [], [0] * len(self.succ)
+        for i, c in enumerate(self.comp):
+            if (not self.succ[c] and not base[c] and i not in open_nodes
+                    and sizes[c] == 1):
+                base[c] = 1 << len(reps)
+                reps.append(i)
+        open_bit = 1 << len(reps)
+        for i in open_nodes:
+            base[self.comp[i]] = open_bit
+        return reps, self.reach_bits(base), open_bit
+
+    monkeypatch.setattr(an._Condensation, "joins", one_node)

@@ -203,16 +203,30 @@ def test_check_laws_out_of_range_config(tmp_path, capsys):
     ({"density": "x"}, "density"),
     ({"signature": {"f": "x"}}, "signature"),
     ({"variables": 3}, "variables"),
+    # each of these makes every relation-suite draw empty or full
+    ({"density": float("nan")}, "density"),
+    ({"density": float("inf")}, "density"),
+    ({"density": -5}, "density"),
+    ({"density": 0.9}, "density"),
+    ({"density": 1.5}, "density"),
 ])
 def test_check_laws_mistyped_config(tmp_path, capsys, config, key):
-    """A config value of the wrong type is an input error (exit 3) that
-    names its key, not a traceback with the exit code of a failing law."""
+    """A config value of the wrong type or out of range is an input error
+    (exit 3) that names its key, not a traceback with the exit code of a
+    failing law."""
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(config))
     code = main(["check-laws", str(cfgfile),
                  "--law", "rel-modular", "--law", "tilde-compose"])
     assert code == EXIT_INPUT
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("density", ["nan", "inf", "-5", "0.9", "1.5"])
+def test_check_laws_degenerate_density_flag(capsys, density):
+    code = main(["check-laws", "--density", density, "--law", "rel-modular"])
+    assert code == EXIT_INPUT
+    assert "density" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config, key", [
@@ -234,6 +248,24 @@ def test_check_laws_config_without_sound_terms(tmp_path, capsys, config,
                  "--law", "rel-modular", "--law", "tilde-compose"])
     assert code == EXIT_INPUT
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, term, err", [
+    ("sig\n", "a", "line 1: empty sig declaration"),
+    ("sig a/0\nvar\n", "a", "line 2: empty var declaration"),
+    ("sig a/-1\n", "a", "negative arity for a"),
+    ("sig a/0 f/1\n", "f", "operator 'f' needs arguments"),
+    ("sig a/0 f/2\n", "f(a a)", "expected ',' or ')' at position 4"),
+])
+def test_reduce_malformed_input(tmp_path, capsys, text, term, err):
+    """A malformed declaration or term is an input error (exit 3) that
+    says what is wrong."""
+    p = tmp_path / "bad.trs"
+    p.write_text(text)
+    assert main(["reduce", str(p), term]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert err in captured.err
 
 
 def test_reduce_operator_declared_after_variable(tmp_path, capsys):

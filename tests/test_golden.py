@@ -8,8 +8,11 @@ step kind and output format, were written by the commit before sequential
 steps were taken by position; the seq DOT goldens pin the rule labels.
 The goldens of cut-off graphs and closures, whose names end in ``-bN`` for
 ``--bound N``, were written by the commit before reduction graphs stopped
-storing their edges.  A change that alters a report or a verdict shows up
-here."""
+storing their edges.  The goldens of the two cyclic systems under
+``tests/data/`` (Newman's counterexample and a system with two two-node
+bottom SCCs) were written by the commit before every analysis report took
+its verdict from one rule.  A change that alters a report or a verdict
+shows up here."""
 
 import json
 import os
@@ -23,12 +26,15 @@ from relrew.relalg import corrupted_compose
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "data", "golden")
-TRS_DIR = os.path.join(ROOT, "perfbench", "data")
+TRS_DIRS = (os.path.join(ROOT, "tests", "data"),
+            os.path.join(ROOT, "perfbench", "data"))
 
 with open(os.path.join(GOLDEN, "exit_codes.json"), encoding="utf-8") as f:
     EXIT_CODES = json.load(f)
 
-REDUCE_SEEDS = {"ground": "M(S(0),A(0,A(S(0),0)))", "open": "A(S(x),M(S(0),y))"}
+REDUCE_SEEDS = {"arith": {"ground": "M(S(0),A(0,A(S(0),0)))",
+                          "open": "A(S(x),M(S(0),y))"},
+                "newman": {"b": "b"}}
 REDUCE_FORMATS = {"txt": "text", "dot": "dot", "json": "json"}
 
 
@@ -38,10 +44,11 @@ def _argv(name):
     stem, ext = name.split(".")
     command, trs, *rest = stem.split("-")
     bound = ["--bound", rest.pop()[1:]] if rest[-1].startswith("b") else []
-    path = os.path.join(TRS_DIR, f"{trs}.trs")
+    path = next(p for p in (os.path.join(d, f"{trs}.trs") for d in TRS_DIRS)
+                if os.path.exists(p))
     if command == "reduce":
         seed, kind = rest
-        return ["reduce", path, REDUCE_SEEDS[seed], "--kind", kind,
+        return ["reduce", path, REDUCE_SEEDS[trs][seed], "--kind", kind,
                 "--format", REDUCE_FORMATS[ext]] + bound
     check, _ = rest
     return ["analyze", path, check, "--depth", "2", "--format", "json"] + bound
@@ -57,6 +64,16 @@ def test_golden_report(name, capsys):
     code = main(_argv(name))
     assert capsys.readouterr().out == _golden(name)
     assert code == EXIT_CODES[name]
+
+
+@pytest.mark.parametrize("name", ["analyze-twocycle-confluence-d2.json",
+                                  "analyze-twocycle-cr-d2.json"])
+def test_golden_condensation_mutation_caught(name, one_node_bottoms, capsys):
+    """A condensation that misses the two-node bottom SCCs finds no
+    unjoinable pair, so its reports leave their goldens."""
+    code = main(_argv(name))
+    assert capsys.readouterr().out != _golden(name)
+    assert code != EXIT_CODES[name]
 
 
 def test_golden_compose_mutation_report():

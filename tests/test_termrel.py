@@ -341,7 +341,8 @@ def test_subst_matches_brute_force():
     """subst_rel, which filters each variable's images by the depth its
     occurrences leave them, gives the pairs and the drop count of the
     brute-force enumeration, over both kinds of universe and both
-    readings, an empty ``b`` included."""
+    readings, an empty ``b`` included.  Over a sparse explicit universe an
+    instantiation of fitting depth can still leave it, which is a drop."""
     rng = random.Random(10)
     samples = [(random_rel(U2, 1, 2, rng) | random_rel(U2, 2, 2, rng),
                 random_rel(U2, 0, 2, rng) | random_rel(U2, rng.choice((1, 2)),
@@ -350,18 +351,27 @@ def test_subst_matches_brute_force():
     ground = rel(U2, (ZERO, app("S", ZERO)))  # kept by the occurring reading
     samples += [(random_rel(U2, 2, 3, rng) | ground, Rel.bottom(U2))
                 for _ in range(3)]
-    dropped = 0
-    for k, (a, b) in enumerate(samples):
+    cases = [(a, b, (U2, U2_EXPLICIT)) for a, b in samples]
+    sparse = Universe.from_terms(SIG, VARS, rng.sample(U2.terms(), 8))
+    cases += [(random_rel(sparse, 2, 2, rng), random_rel(sparse, 1, 2, rng),
+               (sparse,)) for _ in range(10)]
+    # f(x)[x := a] = f(a) has depth 1 but is not in {f(x), x, a}
+    fx, a0 = app("f", X), app("a")
+    tiny = Universe.from_terms(Signature({"a": 0, "f": 1}), ("x",), [fx, a0])
+    cases.append((rel(tiny, (fx, fx)), rel(tiny, (a0, a0)), (tiny,)))
+    dropped = {}
+    for k, (a, b, us) in enumerate(cases):
         for strict in (False, True):
             want, want_dropped = ref_subst(a, b, strict)
-            for u in (U2, U2_EXPLICIT):
+            for u in us:
                 st = OpStats()
                 got = subst_rel(Rel(u, a.pairs), Rel(u, b.pairs), st, strict)
                 key = (u.explicit is None, strict, k)
                 assert got.pairs == want, key
                 assert st.dropped == want_dropped, key
-            dropped += want_dropped
-    assert dropped
+                dropped[u] = dropped.get(u, 0) + want_dropped
+    assert dropped[U2] and dropped[sparse]
+    assert not want and want_dropped == 1  # the tiny case, strict reading
 
 
 # ---------------------------------------------------------------------------
