@@ -54,10 +54,11 @@ ARITHMETIC = Signature({"0": 0, "S": 1, "A": 2, "M": 2})
 SKIP = "skip"
 
 
-# allowed (low, high) values of the integer fields, high None for unbounded;
+# allowed (low, high) values of the integer fields, None for unbounded;
 # a fixpoint law walks up to 4**lattice_ground point pairs per sample
-_INT_RANGES = {"samples": (1, None), "carrier_max": (2, None),
-               "max_pairs": (0, None), "lattice_ground": (2, 10)}
+_INT_RANGES = {"seed": (None, None), "samples": (1, None),
+               "carrier_max": (2, None), "max_pairs": (0, None),
+               "lattice_ground": (2, 10)}
 
 
 @dataclass(frozen=True)
@@ -74,11 +75,14 @@ class SampleConfig:
     def __post_init__(self):
         for key, (low, high) in _INT_RANGES.items():
             value = getattr(self, key)
-            if (not isinstance(value, int) or value < low
+            # bool is a subclass of int, yet no key takes true or false
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or (low is not None and value < low)
                     or (high is not None and value > high)):
-                allowed = f">= {low}" if high is None else f"in {low}..{high}"
+                allowed = ("" if low is None else f" >= {low}" if high is None
+                           else f" in {low}..{high}")
                 raise ValueError(f"SampleConfig key {key!r} must be an "
-                                 f"integer {allowed}, got {value!r}")
+                                 f"integer{allowed}, got {value!r}")
         # density is only read, by the relation suite, as
         # ``rng.random() < density + 0.1``: from 0.9 on every draw is full,
         # and a negative or NaN density is no density
@@ -370,7 +374,7 @@ def _instances(node, carrier):
     return [_bind(body, name, k) for k in range(bound + 1)]
 
 
-def _value(node, memo: dict, carrier, st: Optional[OpStats], strict: bool):
+def _value(node, memo: dict, carrier, st: Optional[OpStats]):
     """The value of ``node`` on one sample.  ``memo`` starts with the inputs
     by name and keeps every subexpression computed, so each distinct one is
     computed once.  The instances of an all/join share the memo; each round
@@ -383,17 +387,17 @@ def _value(node, memo: dict, carrier, st: Optional[OpStats], strict: bool):
             return memo[node]
         op, *args = node
         if op in _BOUNDED:
-            vals = (_value(b, memo, carrier, st, strict)
+            vals = (_value(b, memo, carrier, st)
                     for b in _instances(node, carrier))
             memo[node] = all(vals) if op == "all" else reduce(Rel.join, vals)
         elif op == "lfp":
             name, body = args
             memo[node] = lfp(lambda x: _value(body, {**memo, name: x}, carrier,
-                                              st, strict), Rel.bottom(carrier))
+                                              st), Rel.bottom(carrier))
         else:
-            vals = [_value(a, memo, carrier, st, strict) for a in args]
+            vals = [_value(a, memo, carrier, st) for a in args]
             if op == "[]":
-                memo[node] = subst_rel(*vals, st, strict=strict)
+                memo[node] = subst_rel(*vals, st)
             elif op in _NAMED:
                 memo[node] = _NAMED[op](*vals, st)
             else:
@@ -402,13 +406,13 @@ def _value(node, memo: dict, carrier, st: Optional[OpStats], strict: bool):
 
 
 def _holds(tree, names: List[str], note: Optional[str], carrier, rels,
-           st: Optional[OpStats] = None, strict: bool = False):
+           st: Optional[OpStats] = None):
     """A row's check on one sample: with a ``note`` the formula's truth as
     a ``_bool``, else its comparison's ``_compare`` witness pair, for the
     first failing instance of any enclosing ``all``."""
     memo = dict(zip(names, rels))
     if note is not None:
-        return _bool(_value(tree, memo, carrier, st, strict), rels, note)
+        return _bool(_value(tree, memo, carrier, st), rels, note)
     trees = [tree]
     while trees:  # depth first, so instances come in order
         node = trees.pop()
@@ -416,8 +420,8 @@ def _holds(tree, names: List[str], note: Optional[str], carrier, rels,
             trees += reversed(_instances(node, carrier))
             continue
         op, lhs, rhs = node
-        res = _compare(op, _value(lhs, memo, carrier, st, strict),
-                       _value(rhs, memo, carrier, st, strict), rels)
+        res = _compare(op, _value(lhs, memo, carrier, st),
+                       _value(rhs, memo, carrier, st), rels)
         if res is not None:
             return res
     return None
@@ -540,7 +544,7 @@ TERMREL_ENTRIES: List[Tuple[Law, Callable]] = []
 
 def termrel_law(law_id: str, group: str, kind: str, inputs: str,
                 support: int = 2, work: int = 3,
-                max_pairs: Optional[int] = None, strict_retry: bool = False,
+                max_pairs: Optional[int] = None,
                 formula: Optional[str] = None):
     """Register a term-relation law on the relations named in ``inputs``,
     drawn in that order.
@@ -548,8 +552,6 @@ def termrel_law(law_id: str, group: str, kind: str, inputs: str,
     ``support``/``work`` are the headroom table: inputs are drawn with
     support depth ``support`` and the law is evaluated over the depth-
     ``work`` universe, which the operators never enumerate.
-    ``strict_retry`` re-checks failures under the all-variables reading of
-    relational substitution before reporting them.
     """
     bases = _inputs(inputs)[1]
 
@@ -561,11 +563,7 @@ def termrel_law(law_id: str, group: str, kind: str, inputs: str,
             rels = _draw(bases, lambda: Rel(u, frozenset(
                 {(rng.choice(sup), rng.choice(sup))
                  for _ in range(rng.randint(0, cap))})))
-            res = fn(u, rels, st)
-            if res is not None and res is not SKIP and strict_retry:
-                if fn(u, rels, st, strict=True) is None:
-                    return None
-            return res
+            return fn(u, rels, st)
         TERMREL_ENTRIES.append(
             (Law(law_id, group, kind, formula, constant=not bases), runner))
         return fn
@@ -584,7 +582,7 @@ row = partial(termrel_row, "substitution")
 row("subst-delta-delta", "equality", "", "Delta[Delta] = Delta",
     "Delta[Delta] != Delta", work=2)
 row("subst-compose", "inequality", "a b c d", "(a;b)[c;d] <= a[c];b[d]",
-    work=4, max_pairs=3, strict_retry=True)
+    work=4, max_pairs=3)
 row("subst-converse", "equality", "a b", "a[b]° = a°[b°]", work=4, max_pairs=3)
 row("subst-monotone", "implication", "a b a2>=a b2>=b", "a[b] <= a2[b2]",
     "subst not monotone", work=4, max_pairs=3)
@@ -594,7 +592,7 @@ row("subst-join", "equality", "a b c", "(a | b)[c] = a[c] | b[c]",
 # share a variable, which couples the outer instantiation on the left but
 # not on the right
 row("subst-assoc", "inequality", "a b c", "a[b][c] <= a[b[c]]",
-    work=6, max_pairs=3, strict_retry=True)
+    work=6, max_pairs=3)
 row("ieta-subst", "inequality", "b", "I_eta[b] <= b", work=2)
 row = partial(termrel_row, "compat-refinement")
 row("tilde-delta", "inequality", "", "tilde(Delta) <= Delta",

@@ -234,24 +234,18 @@ def _var_occurrence_depths(t: Term) -> Dict[str, int]:
     return out
 
 
-def subst_rel(a: Rel, b: Rel,
-              stats: Optional[OpStats] = None,
-              strict: bool = False) -> Rel:
-    """a[b]: instantiate each pair of ``a`` at its occurring variables with
-    pairs of ``b``.  A pair (t, s) of ``a`` contributes (t^sigma, s^rho)
-    whenever sigma(x) b rho(x) for every variable x occurring in t or s.
+def subst_rel(a: Rel, b: Rel, stats: Optional[OpStats] = None) -> Rel:
+    """a[b]: a pair (t, s) of ``a`` contributes (t^sigma, s^rho) whenever
+    sigma b rho, that is sigma(x) b rho(x) for every declared variable x.
 
-    With ``strict=True`` the quantification ranges over *all* declared
-    variables instead of only the occurring ones.  The two readings differ
-    exactly when ``b`` is empty but the universe declares variables: then
-    no substitution is b-related to any other, so the strict result is
-    empty.  (Images of non-occurring variables never show up in the result,
-    so this is the only divergence.)
-
-    A variable's images are the pairs of ``b`` that fit the depths its
-    occurrences leave; each pair of bounds gets its pool once per call."""
+    Only the variables occurring in t or s show up in (t^sigma, s^rho), so
+    when ``b`` is non-empty the pair is instantiated at those alone; when
+    ``b`` is empty and the universe declares a variable, no substitution
+    is b-related to any other and a[b] is empty.  A variable's images are
+    the pairs of ``b`` that fit the depths its occurrences leave; each
+    pair of bounds gets its pool once per call."""
     u = a.carrier
-    if strict and not b.pairs and u.variables:
+    if not b.pairs and u.variables:
         return Rel.bottom(u)
     bpairs = list(b.pairs)
     explicit = u.explicit is not None
@@ -361,7 +355,6 @@ def full_closure(a: Rel, stats: Optional[OpStats] = None) -> Rel:
     then optionally contract the root."""
     u = a.carrier
     asucc = successors(a.pairs)
-    hats = set(i_eta(u).pairs | i_sigma0(u).pairs)  # hat(x) so far
 
     def contract(h: Set[TPair]) -> Set[TPair]:
         out = set(h)
@@ -370,10 +363,7 @@ def full_closure(a: Rel, stats: Optional[OpStats] = None) -> Rel:
                 out.add((p, r))
         return out
 
-    def increment(old: Succ, new: Succ, every: Succ,
-                  st: OpStats) -> Set[TPair]:
-        fresh = _lift(u, old, new, every, st) - hats
-        hats.update(fresh)
-        return contract(fresh)
-
-    return _semi_naive(u, contract(hats), increment, stats)
+    return _semi_naive(
+        u, contract(i_eta(u).pairs | i_sigma0(u).pairs),
+        lambda old, new, every, st: contract(_lift(u, old, new, every, st)),
+        stats)

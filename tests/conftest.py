@@ -3,7 +3,9 @@ from collections import Counter
 import pytest
 
 import relrew.analysis as an
+import relrew.laws as laws
 import relrew.termrel as tr
+from relrew.relalg import Rel
 from relrew.rewrite import parse_trs
 
 ARITH_TEXT = """\
@@ -42,6 +44,35 @@ def lossy_lift(monkeypatch):
         return out
 
     monkeypatch.setattr(tr, "_lift", lossy)
+
+
+@pytest.fixture
+def lossy_subst(monkeypatch):
+    """A relational substitution that loses the least pair of each
+    non-empty result, patched in every module that imports it."""
+    subst = tr.subst_rel
+
+    def lossy(*args, **kwargs):
+        out = subst(*args, **kwargs)
+        if out.pairs:
+            return Rel(out.carrier, out.pairs - {min(out.pairs)})
+        return out
+
+    for module in (tr, laws, an):
+        monkeypatch.setattr(module, "subst_rel", lossy)
+
+
+@pytest.fixture
+def stale_old(monkeypatch):
+    """Semi-naive evaluation whose ``old`` never takes a generation: each
+    increment sees an empty ``old``, as if no generation were merged."""
+    semi_naive = tr._semi_naive
+
+    def stale(u, seed, increment, stats):
+        return semi_naive(u, seed, lambda old, new, every, st:
+                          increment({}, new, every, st), stats)
+
+    monkeypatch.setattr(tr, "_semi_naive", stale)
 
 
 @pytest.fixture

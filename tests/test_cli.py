@@ -179,6 +179,34 @@ def test_check_laws_replay_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+SUBST_ASSOC_SEED32 = """\
+[
+  {
+    "counterexamples": [],
+    "group": "substitution",
+    "kind": "inequality",
+    "law": "subst-assoc",
+    "overflow_dropped": 0,
+    "samples": 200,
+    "skips": 0,
+    "soft": false,
+    "unconfirmed": 0,
+    "verdict": "pass"
+  }
+]
+"""
+
+
+def test_check_laws_subst_assoc_seed32(capsys):
+    """Seed 32 draws an empty ``c`` for ``a[b][c] <= a[b[c]]``.  With an
+    image needed for every declared variable both sides are empty; a
+    reading that instantiates only the occurring variables keeps the
+    ground pairs of ``a[b]`` on the left and fails the law."""
+    code = main(["check-laws", "--seed", "32", "--law", "subst-assoc"])
+    assert capsys.readouterr().out == SUBST_ASSOC_SEED32
+    assert code == EXIT_OK
+
+
 def test_check_laws_bad_config(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text("[1,2,3]")
@@ -209,6 +237,14 @@ def test_check_laws_out_of_range_config(tmp_path, capsys):
     ({"density": -5}, "density"),
     ({"density": 0.9}, "density"),
     ({"density": 1.5}, "density"),
+    # seed takes any integer, and no integer key takes true or false
+    ({"seed": "abc"}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"seed": None}, "seed"),
+    ({"seed": [1]}, "seed"),
+    ({"samples": True}, "samples"),
+    ({"max_pairs": False}, "max_pairs"),
 ])
 def test_check_laws_mistyped_config(tmp_path, capsys, config, key):
     """A config value of the wrong type or out of range is an input error

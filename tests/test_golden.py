@@ -76,14 +76,50 @@ def test_golden_condensation_mutation_caught(name, one_node_bottoms, capsys):
     assert code != EXIT_CODES[name]
 
 
-def test_golden_compose_mutation_report():
-    with corrupted_compose():
-        reports = run_all(SampleConfig(seed=3, samples=5))
-    out = reports_to_json(reports)
-    assert out == _golden("mutation-compose-run-all-seed3-samples5.json")
+COMPOSE_MUTATION = "mutation-compose-run-all-seed3-samples5.json"
+LIFT_MUTATION = "mutation-lift-termrel-seed3-samples5.json"
 
 
-def test_golden_lift_mutation_report(lossy_lift):
-    out = reports_to_json(run_termrel_law_suite(SampleConfig(seed=3,
-                                                             samples=5)))
-    assert out == _golden("mutation-lift-termrel-seed3-samples5.json")
+def _mutation_report(name, request):
+    """The report of a ``mutation-*`` golden's run, under its mutant."""
+    if name == COMPOSE_MUTATION:
+        with corrupted_compose():
+            return reports_to_json(run_all(SampleConfig(seed=3, samples=5)))
+    request.getfixturevalue("lossy_lift")
+    return reports_to_json(run_termrel_law_suite(SampleConfig(seed=3,
+                                                              samples=5)))
+
+
+def test_golden_compose_mutation_report(request):
+    out = _mutation_report(COMPOSE_MUTATION, request)
+    assert out == _golden(COMPOSE_MUTATION)
+
+
+def test_golden_lift_mutation_report(request):
+    assert _mutation_report(LIFT_MUTATION, request) == _golden(LIFT_MUTATION)
+
+
+def _output(name, request, capsys):
+    if name.startswith("mutation-"):
+        return _mutation_report(name, request)
+    main(_argv(name))
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["analyze-arith-cp-d2.json",
+                                  "analyze-nonconfluent-cp-d2.json",
+                                  "check-laws-seed3-samples5.json",
+                                  COMPOSE_MUTATION, LIFT_MUTATION])
+def test_golden_subst_mutation_caught(name, lossy_subst, request, capsys):
+    """A relational substitution that loses a pair changes the critical
+    pair reports and the substitution laws' verdicts."""
+    assert _output(name, request, capsys) != _golden(name)
+
+
+@pytest.mark.parametrize("name", ["check-laws-seed3-samples5.json",
+                                  COMPOSE_MUTATION, LIFT_MUTATION])
+def test_golden_semi_naive_mutation_caught(name, stale_old, request, capsys):
+    """Semi-naive evaluation that never grows ``old`` misses the argument
+    combinations of older pairs before a new one, so the closure laws
+    leave their goldens."""
+    assert _output(name, request, capsys) != _golden(name)

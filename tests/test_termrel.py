@@ -289,14 +289,24 @@ def test_subst_instantiates():
     assert (app("A", ZERO, app("S", ZERO)), app("S", ZERO)) in out.pairs
 
 
-def test_subst_occurring_vs_strict():
-    ground = (ZERO, app("S", ZERO))
-    a = rel(U2, ground, (app("S", X), X))
-    empty = Rel.bottom(U2)
-    # occurring-variables reading: ground pairs survive an empty image set
-    assert subst_rel(a, empty).pairs == frozenset({ground})
-    # all-variables reading: nothing survives
-    assert subst_rel(a, empty, strict=True).pairs == frozenset()
+def test_subst_by_empty_relates_nothing_over_declared_variables():
+    """Over a universe that declares x and y no substitution is related
+    to another by an empty relation, so a[Bot] is Bot, ground pairs of
+    ``a`` included."""
+    a = rel(U2, (ZERO, app("S", ZERO)), (app("S", X), X))
+    st = OpStats()
+    assert subst_rel(a, Rel.bottom(U2), st).pairs == frozenset()
+    assert st.dropped == 0
+
+
+def test_subst_by_empty_is_identity_without_variables():
+    """Over a universe that declares no variable the empty substitution
+    is related to itself by every relation, so a[Bot] is a."""
+    u = universe(SIG, (), 2)
+    a = random_rel(u, 2, 6, random.Random(11))
+    st = OpStats()
+    assert subst_rel(a, Rel.bottom(u), st) == a
+    assert st.dropped == 0
 
 
 def test_subst_depth_filtering_counts_drops():
@@ -313,18 +323,17 @@ def test_subst_delta_is_identity_on_delta():
     assert subst_rel(d, d).pairs == d.pairs
 
 
-def ref_subst(a, b, strict):
+def ref_subst(a, b):
     """a[b] by brute force: every assignment of a pair of ``b`` to each
-    variable (each declared one if ``strict``, else each occurring one),
-    instantiated and then checked with the full membership test.  A drop
-    is an assignment to the occurring variables whose instantiation leaves
-    the universe; the strict reading's other variables never show up in a
-    result, so it counts each such assignment once."""
+    declared variable, instantiated and then checked with the full
+    membership test.  A drop is an assignment to the occurring variables
+    whose instantiation leaves the universe; the other variables never
+    show up in a result, so it counts each such assignment once."""
     u = a.carrier
     out, dropped = set(), set()
     for t0, s0 in a.pairs:
         occurring = sorted(free_vars(t0) | free_vars(s0))
-        vs = sorted(u.variables) if strict else occurring
+        vs = sorted(u.variables)
         for combo in product(b.pairs, repeat=len(vs)):
             sigma = {v: l for v, (l, _) in zip(vs, combo)}
             rho = {v: r for v, (_, r) in zip(vs, combo)}
@@ -340,15 +349,15 @@ def ref_subst(a, b, strict):
 def test_subst_matches_brute_force():
     """subst_rel, which filters each variable's images by the depth its
     occurrences leave them, gives the pairs and the drop count of the
-    brute-force enumeration, over both kinds of universe and both
-    readings, an empty ``b`` included.  Over a sparse explicit universe an
+    brute-force enumeration, over both kinds of universe, an empty ``b``
+    included.  Over a sparse explicit universe an
     instantiation of fitting depth can still leave it, which is a drop."""
     rng = random.Random(10)
     samples = [(random_rel(U2, 1, 2, rng) | random_rel(U2, 2, 2, rng),
                 random_rel(U2, 0, 2, rng) | random_rel(U2, rng.choice((1, 2)),
                                                    rng.choice((1, 3)), rng))
                for _ in range(30)]
-    ground = rel(U2, (ZERO, app("S", ZERO)))  # kept by the occurring reading
+    ground = rel(U2, (ZERO, app("S", ZERO)))  # removed by an empty b
     samples += [(random_rel(U2, 2, 3, rng) | ground, Rel.bottom(U2))
                 for _ in range(3)]
     cases = [(a, b, (U2, U2_EXPLICIT)) for a, b in samples]
@@ -361,17 +370,16 @@ def test_subst_matches_brute_force():
     cases.append((rel(tiny, (fx, fx)), rel(tiny, (a0, a0)), (tiny,)))
     dropped = {}
     for k, (a, b, us) in enumerate(cases):
-        for strict in (False, True):
-            want, want_dropped = ref_subst(a, b, strict)
-            for u in us:
-                st = OpStats()
-                got = subst_rel(Rel(u, a.pairs), Rel(u, b.pairs), st, strict)
-                key = (u.explicit is None, strict, k)
-                assert got.pairs == want, key
-                assert st.dropped == want_dropped, key
-                dropped[u] = dropped.get(u, 0) + want_dropped
+        want, want_dropped = ref_subst(a, b)
+        for u in us:
+            st = OpStats()
+            got = subst_rel(Rel(u, a.pairs), Rel(u, b.pairs), st)
+            key = (u.explicit is None, k)
+            assert got.pairs == want, key
+            assert st.dropped == want_dropped, key
+            dropped[u] = dropped.get(u, 0) + want_dropped
     assert dropped[U2] and dropped[sparse]
-    assert not want and want_dropped == 1  # the tiny case, strict reading
+    assert not want and want_dropped == 1  # the tiny case
 
 
 # ---------------------------------------------------------------------------
