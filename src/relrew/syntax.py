@@ -241,12 +241,16 @@ def subterms(t: Term) -> Iterator[Term]:
         yield from subterms(a)
 
 
-def is_well_formed(t: Term, signature: Signature, variables: Sequence[str]) -> bool:
+def _head_ok(t: Term, signature: Signature, variables: Sequence[str]) -> bool:
+    """Whether ``t``'s own symbol is declared, with ``t``'s arity."""
     if t.is_var:
         return t.name in variables
-    if t.name not in signature or signature.arity(t.name) != len(t.args):
-        return False
-    return all(is_well_formed(a, signature, variables) for a in t.args)
+    return t.name in signature and signature.arity(t.name) == len(t.args)
+
+
+def is_well_formed(t: Term, signature: Signature, variables: Sequence[str]) -> bool:
+    return _head_ok(t, signature, variables) and all(
+        is_well_formed(a, signature, variables) for a in t.args)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +287,7 @@ class Universe:
         if self.explicit is not None:
             return t in self.explicit
         return t.depth <= self.depth and is_well_formed(
-            t, self.signature, self.variables
-        )
+            t, self.signature, self.variables)
 
     # -- enumeration --------------------------------------------------------
     def __iter__(self) -> Iterator[Term]:
@@ -339,14 +342,16 @@ class Universe:
     def from_terms(signature: Signature, variables: Sequence[str],
                    terms: Sequence[Term]) -> "Universe":
         """Explicit universe: the subterm closure of ``terms``.  Repeated
-        variable names count once."""
-        closed = set()
-        for t in terms:
-            for s in subterms(t):
-                closed.add(s)
-        for t in closed:
-            if not is_well_formed(t, signature, variables):
-                raise TermError(f"term {format_term(t)} is not well-formed here")
+        variable names count once.  Being subterm-closed, the closure is
+        well-formed when each of its terms passes ``_head_ok``."""
+        closed, work = set(), list(terms)
+        while work:
+            t = work.pop()
+            if t not in closed:
+                if not _head_ok(t, signature, variables):
+                    raise TermError(f"term {format_term(t)} is not well-formed here")
+                closed.add(t)
+                work.extend(t.args)
         depth = max((t.depth for t in closed), default=0)
         return Universe(signature, tuple(sorted(set(variables))), depth,
                         frozenset(closed))

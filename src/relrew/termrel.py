@@ -259,8 +259,6 @@ def subst_rel(a: Rel, b: Rel, stats: Optional[OpStats] = None) -> Rel:
             out.add((t0, s0))
             continue
         pools: List[List[TPair]] = []
-        full = 1
-        kept = 1
         for v in vs:
             # images must keep the instantiated terms inside the universe
             lb = u.depth - occ_t.get(v, 0)
@@ -270,10 +268,9 @@ def subst_rel(a: Rel, b: Rel, stats: Optional[OpStats] = None) -> Rel:
                 pool = by_bound[lb, rb] = [
                     (l, r) for l, r in bpairs if l.depth <= lb and r.depth <= rb]
             pools.append(pool)
-            full *= len(bpairs)
-            kept *= len(pool)
+        kept = prod(map(len, pools))
         if stats is not None:
-            stats.note(full - kept)
+            stats.note(len(bpairs) ** len(vs) - kept)
         if kept == 0:
             continue
         for combo in product(*pools):
@@ -297,10 +294,12 @@ def subst_rel(a: Rel, b: Rel, stats: Optional[OpStats] = None) -> Rel:
 def _semi_naive(u: Universe, seed: Set[TPair], increment,
                 stats: Optional[OpStats]) -> Rel:
     """Least fixed point of a join-distributive step by semi-naive
-    evaluation (``relalg.lfp`` is the naive iteration).  ``seed`` is the step applied to the empty relation, and
-    ``increment(old, new, every, gen_stats)`` returns what the step adds
-    for the argument combinations that use at least one pair of the last
-    generation ``new``.
+    evaluation (``relalg.lfp`` is the naive iteration).  ``seed`` is the
+    step applied to the empty relation, and ``increment(old, new, every,
+    gen_stats)`` returns what the step adds for the argument combinations
+    that use at least one pair of the last generation ``new``.  Always
+    ``every = old | new``: each generation builds ``every`` once, and it is
+    the next ``old``; no successor map changes after an increment sees it.
 
     Generation k enumerates exactly the constructions whose newest pair was
     added in generation k; the naive iteration would enumerate them again
@@ -308,29 +307,24 @@ def _semi_naive(u: Universe, seed: Set[TPair], increment,
     the drops found so far after each generation therefore notes the same
     total as the naive iteration."""
     x = set(seed)
-    new = successors(seed)
-    every = successors(seed)
     old: Succ = {}
+    new = successors(seed)
     running = 0
     for _ in range(relalg.MAX_LFP_ITER):
         if not new:
             return Rel(u, frozenset(x))
+        every = dict(old)
+        for p, qs in new.items():
+            every[p] = old[p] | qs if p in old else qs
         gen = OpStats()
         produced = increment(old, new, every, gen)
         running += gen.dropped
         if stats is not None:
             stats.note(running)
-        _merge(old, new)
         fresh = produced - x
         x |= fresh
-        new = successors(fresh)
-        _merge(every, new)
+        old, new = every, successors(fresh)
     raise RuntimeError("fixed-point iteration did not converge")
-
-
-def _merge(into: Succ, succ: Succ) -> None:
-    for p, qs in succ.items():
-        into.setdefault(p, set()).update(qs)
 
 
 def sequential_closure(a: Rel, stats: Optional[OpStats] = None) -> Rel:

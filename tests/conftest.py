@@ -1,12 +1,17 @@
 from collections import Counter
+from functools import lru_cache
+from itertools import product
 
 import pytest
 
 import relrew.analysis as an
 import relrew.laws as laws
+import relrew.relalg as relalg
+import relrew.rewrite as rw
 import relrew.termrel as tr
 from relrew.relalg import Rel
 from relrew.rewrite import parse_trs
+from relrew.syntax import app
 
 ARITH_TEXT = """\
 # Peano-style arithmetic
@@ -64,8 +69,8 @@ def lossy_subst(monkeypatch):
 
 @pytest.fixture
 def stale_old(monkeypatch):
-    """Semi-naive evaluation whose ``old`` never takes a generation: each
-    increment sees an empty ``old``, as if no generation were merged."""
+    """Semi-naive evaluation whose ``old`` never takes the previous
+    generation's ``every``: each increment sees an empty ``old``."""
     semi_naive = tr._semi_naive
 
     def stale(u, seed, increment, stats):
@@ -95,3 +100,59 @@ def one_node_bottoms(monkeypatch):
         return reps, self.reach_bits(base), open_bit
 
     monkeypatch.setattr(an._Condensation, "joins", one_node)
+
+
+def _patch_stepper(monkeypatch, real, step):
+    """``step``, memoised afresh, in place of the stepper ``real``, both in
+    ``rewrite.STEPPERS`` and under its module name."""
+    step = lru_cache(maxsize=None)(step)
+    kind = next(k for k, f in rw.STEPPERS.items() if f is real)
+    monkeypatch.setitem(rw.STEPPERS, kind, step)
+    monkeypatch.setattr(rw, real.__name__, step)
+
+
+@pytest.fixture
+def root_only_full(monkeypatch):
+    """A full step that contracts only ``t``'s own root, not the root of
+    each term ``mid`` built from its arguments' full steps."""
+
+    def full(trs, t):
+        if t.is_var:
+            return frozenset((t,))
+        out = {app(t.name, *combo)
+               for combo in product(*(rw.full_step(trs, a) for a in t.args))}
+        out.update(r for _, _, r in rw.root_reducts(trs, t))
+        return frozenset(out)
+
+    _patch_stepper(monkeypatch, rw.full_step, full)
+
+
+@pytest.fixture
+def first_arg_par(monkeypatch):
+    """A parallel step that steps only the first argument and keeps the
+    others as they are."""
+
+    def par(trs, t):
+        out = {t}
+        if t.args:
+            out = {app(t.name, s, *t.args[1:])
+                   for s in rw.parallel_step(trs, t.args[0])}
+        out.update(r for _, _, r in rw.root_reducts(trs, t))
+        return frozenset(out)
+
+    _patch_stepper(monkeypatch, rw.parallel_step, par)
+
+
+@pytest.fixture
+def unexpanded_reach(monkeypatch):
+    """A graph search that marks what the seeds step to but never expands
+    it, patched in ``relalg`` and ``analysis``."""
+
+    def shallow(succ, seeds):
+        seen = set(seeds)
+        for s in list(seen):
+            seen.update(succ.get(s, ()))
+        return seen
+
+    for module in (relalg, an):
+        monkeypatch.setattr(module, "reach", shallow)

@@ -119,7 +119,41 @@ def test_golden_subst_mutation_caught(name, lossy_subst, request, capsys):
 @pytest.mark.parametrize("name", ["check-laws-seed3-samples5.json",
                                   COMPOSE_MUTATION, LIFT_MUTATION])
 def test_golden_semi_naive_mutation_caught(name, stale_old, request, capsys):
-    """Semi-naive evaluation that never grows ``old`` misses the argument
-    combinations of older pairs before a new one, so the closure laws
-    leave their goldens."""
+    """Semi-naive evaluation whose ``old`` never takes the previous
+    generation's ``every`` misses the argument combinations of older pairs
+    before a new one, so the closure laws leave their goldens."""
+    assert _output(name, request, capsys) != _golden(name)
+
+
+def _reduce_goldens(kind):
+    return sorted(n for n in EXIT_CODES
+                  if n.startswith("reduce-arith-") and f"-{kind}" in n)
+
+
+@pytest.mark.parametrize("name", _reduce_goldens("full"))
+def test_golden_full_step_mutation_caught(name, root_only_full, request,
+                                          capsys):
+    """A full step that contracts only the root of the term it starts from
+    misses the redexes its parallel argument steps create."""
+    assert _output(name, request, capsys) != _golden(name)
+
+
+@pytest.mark.parametrize("name", _reduce_goldens("par") + [
+    "analyze-arith-spectrum-d2.json",
+    "analyze-nonconfluent-spectrum-d2.json",
+    "analyze-nonconfluent-spectrum-d2-b1.json"])
+def test_golden_parallel_step_mutation_caught(name, first_arg_par, request,
+                                              capsys):
+    """A parallel step that rewrites only the first argument loses the
+    graphs' parallel edges, and the spectrum finds seq-steps outside it."""
+    assert _output(name, request, capsys) != _golden(name)
+
+
+@pytest.mark.parametrize("name", ["analyze-newman-cr-d2.json",
+                                  "analyze-nonconfluent-cr-d2.json",
+                                  "check-laws-seed3-samples5.json"])
+def test_golden_reach_mutation_caught(name, unexpanded_reach, request,
+                                      capsys):
+    """A graph search that stops one step from its seeds splits the weak
+    components Church-Rosser checks and shortens the stars of the laws."""
     assert _output(name, request, capsys) != _golden(name)

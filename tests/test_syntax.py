@@ -1,6 +1,7 @@
 """Signatures, terms, parsing, matching, and finite universes."""
 
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -243,3 +244,22 @@ def test_universe_repeated_variables_count_once():
     t = app("S", var("x"))
     assert Universe.from_terms(SIG, ["x", "x"], [t]) == \
         Universe.from_terms(SIG, ["x"], [t])
+
+
+ILL_FORMED = [(app("S", app("A", app("0"))), "A(0)"),
+              (app("M", app("S", var("z")), app("0")), "z"),
+              (app("B"), "B")]
+
+
+@pytest.mark.parametrize("bad", [bad for bad, _ in ILL_FORMED])
+def test_from_terms_rejects_ill_formed(bad):
+    good = app("A", app("0"), var("x"))
+    with pytest.raises(TermError, match="not well-formed here"):
+        Universe.from_terms(SIG, VARS, [good, bad])
+
+
+@pytest.mark.parametrize("bad, offender", ILL_FORMED)
+def test_from_terms_names_the_offending_subterm(bad, offender):
+    """The message names the ill-formed subterm, not a term around it."""
+    with pytest.raises(TermError, match=f"^term {re.escape(offender)} is not"):
+        Universe.from_terms(SIG, VARS, [bad])

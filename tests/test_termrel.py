@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 import relrew.relalg as relalg
+import relrew.termrel as tr
 from relrew.relalg import Rel, lfp, reach, successors
 from relrew.rewrite import (
     full_step,
@@ -536,6 +537,35 @@ def test_closures_match_naive_on_explicit_closure(arith):
     g = reduction_graph(arith, list(seed_terms(arith, 2)), kind="full")
     u = Universe.from_terms(arith.signature, arith.variables, g.nodes)
     _assert_matches_naive(ground_instances(arith, u))
+
+
+def test_semi_naive_builds_each_generation_once(monkeypatch):
+    """Each generation's ``every`` is its ``old`` joined with ``new`` and is
+    the next generation's ``old``, and no successor map a lift has seen
+    changes afterwards."""
+    lift, runs = tr._lift, []
+
+    def recording(u, before, hot, after, stats, arity=None):
+        maps = (before, hot, after)
+        runs[-1].append((maps, [{p: set(qs) for p, qs in m.items()}
+                                for m in maps]))
+        return lift(u, before, hot, after, stats, arity)
+
+    monkeypatch.setattr(tr, "_lift", recording)
+    rng = random.Random(14)
+    for _ in range(3):
+        a = random_rel(U2, 1, 4, rng)
+        for closure in (parallel_closure, full_closure):
+            runs.append([])
+            closure(a)
+    assert all(len(run) > 1 for run in runs)
+    for run in runs:
+        for k, ((before, hot, after), snapshot) in enumerate(run):
+            assert [before, hot, after] == snapshot
+            assert after == {p: before.get(p, set()) | hot.get(p, set())
+                             for p in before.keys() | hot.keys()}
+            if k:
+                assert before is run[k - 1][0][2]
 
 
 def test_closures_agree_on_explicit_and_depth_universes():
