@@ -36,10 +36,10 @@ from .syntax import (
     Term,
     TermError,
     Universe,
-    app,
     apply_subst,
     format_term,
     free_vars,
+    make,
     match,
     parse_term,
     subterms,
@@ -218,7 +218,7 @@ def _steps_at(trs: TRS, t: Term, position: Tuple[int, ...]
     for k, a in enumerate(args):
         head, tail = args[:k], args[k + 1:]
         for target, w in _steps_at(trs, a, position + (k,)):
-            out.append((Term(t.name, head + (target,) + tail), w))
+            out.append((make(t.name, head + (target,) + tail), w))
     return out
 
 
@@ -248,7 +248,7 @@ def parallel_step(trs: TRS, t: Term) -> FrozenSet[Term]:
     """Targets of the parallel step relation (includes t itself)."""
     if t.is_var:
         return frozenset((t,))
-    out = {app(t.name, *combo)
+    out = {make(t.name, combo)
            for combo in product(*_arg_steps(parallel_step, trs, t))}
     out.update(r for _, _, r in root_reducts(trs, t))
     return frozenset(out)
@@ -262,7 +262,7 @@ def full_step(trs: TRS, t: Term) -> FrozenSet[Term]:
         return frozenset((t,))
     out: Set[Term] = set()
     for combo in product(*_arg_steps(full_step, trs, t)):
-        mid = app(t.name, *combo)
+        mid = make(t.name, combo)
         out.add(mid)
         out.update(r for _, _, r in root_reducts(trs, mid))
     return frozenset(out)

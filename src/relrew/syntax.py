@@ -1,9 +1,11 @@
 """First-order terms over a ranked signature, and finite term universes.
 
 Terms are interned: structurally equal terms are the same object, so equality
-and hashing are O(1).  A universe is a finite, subterm-closed set of terms,
-either "all terms up to a depth bound" or an explicit term set (e.g. the
-reachable closure of a rewrite graph).
+and hashing are O(1).  Applications are built through ``make``, which finds
+one already interned with a single lookup in the intern table.  A universe
+is a finite, subterm-closed set of terms, either "all terms up to a depth
+bound" or an explicit term set (e.g. the reachable closure of a rewrite
+graph).
 """
 
 from __future__ import annotations
@@ -111,8 +113,20 @@ def var(name: str) -> Term:
     return Term(name, (), True)
 
 
+_interned = Term._intern.get
+
+
+def make(name: str, args: Tuple[Term, ...]) -> Term:
+    """The application ``name(*args)``.  An interned one costs one lookup
+    in the intern table; only a new one goes through the class."""
+    t = _interned((name, args, False))
+    if t is None:
+        t = Term(name, args)
+    return t
+
+
 def app(name: str, *args: Term) -> Term:
-    return Term(name, tuple(args), False)
+    return make(name, args)
 
 
 def term_key(t: Term):
@@ -212,7 +226,7 @@ def apply_subst(t: Term, subst: Mapping[str, Term]) -> Term:
         return subst.get(t.name, t)
     if not t.args:
         return t
-    return app(t.name, *(apply_subst(a, subst) for a in t.args))
+    return make(t.name, tuple([apply_subst(a, subst) for a in t.args]))
 
 
 def match(pattern: Term, subject: Term) -> Optional[Dict[str, Term]]:

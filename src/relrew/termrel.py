@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from . import relalg
 from .relalg import Rel, successors
-from .syntax import Term, Universe, app, apply_subst
+from .syntax import Term, Universe, apply_subst, make
 
 TPair = Tuple[Term, Term]
 Succ = Dict[Term, Set[Term]]
@@ -126,11 +126,9 @@ def _lift(u: Universe, before: Optional[Succ], hot: Succ,
                 if arity is not None and len(args) != arity:
                     continue
                 if before is None:
-                    # built in place: a tuple per target costs the
-                    # sequential closure about a tenth of its time
                     head, tail = args[:i], args[i + 1:]
                     for q in qs:
-                        s = app(t.name, *head, q, *tail)
+                        s = make(t.name, head + (q,) + tail)
                         if s in explicit:
                             out.add((t, s))
                         elif stats is not None:
@@ -142,7 +140,7 @@ def _lift(u: Universe, before: Optional[Succ], hot: Succ,
                 if not all(pools):
                     continue
                 for combo in product(*pools):
-                    s = app(t.name, *combo)
+                    s = make(t.name, combo)
                     if s in explicit:
                         out.add((t, s))
                     elif stats is not None:
@@ -176,7 +174,7 @@ def _lift(u: Universe, before: Optional[Succ], hot: Succ,
                            - prod(map(len, pools)))
             for combo in product(*pools):
                 ls, rs = zip(*combo)
-                out.add((Term(name, ls), Term(name, rs)))
+                out.add((make(name, ls), make(name, rs)))
     return out
 
 

@@ -144,6 +144,60 @@ def first_arg_par(monkeypatch):
 
 
 @pytest.fixture
+def no_last_arg_seq(monkeypatch):
+    """Sequential steps that never rewrite inside the last argument of a
+    term, at any level; the seq stepper is memoised afresh over them."""
+
+    def steps(trs, t, position=()):
+        out = [(reduct, rw.StepWitness(position, i, subst))
+               for i, subst, reduct in rw.root_reducts(trs, t)]
+        args = t.args
+        for k, a in enumerate(args[:-1]):
+            for target, w in steps(trs, a, position + (k,)):
+                out.append((app(t.name, *args[:k], target, *args[k + 1:]), w))
+        return out
+
+    monkeypatch.setattr(rw, "sequential_steps", steps)
+    _patch_stepper(monkeypatch, rw.sequential_step,
+                   rw.sequential_step.__wrapped__)
+
+
+@pytest.fixture
+def singleton_components(monkeypatch):
+    """A condensation that never merges nodes: each node is its own
+    component, numbered in depth-first post-order.  Components must be
+    numbered so that every edge goes down, which a cycle's edges cannot
+    all do, so an edge to a node still on the search path is lost."""
+    condense = an._condense
+
+    def singletons(order, succs):
+        adj = condense(order, succs).adj
+        comp = [-1] * len(adj)
+        seen, ncomp = set(), 0
+        for root in range(len(adj)):
+            if root in seen:
+                continue
+            seen.add(root)
+            work = [(root, iter(adj[root]))]
+            while work:
+                v, it = work[-1]
+                for w in it:
+                    if w not in seen:
+                        seen.add(w)
+                        work.append((w, iter(adj[w])))
+                        break
+                else:
+                    work.pop()
+                    comp[v], ncomp = ncomp, ncomp + 1
+        succ = [set() for _ in adj]
+        for v, row in enumerate(adj):
+            succ[comp[v]].update(comp[w] for w in row if comp[w] < comp[v])
+        return an._Condensation(adj, comp, succ)
+
+    monkeypatch.setattr(an, "_condense", singletons)
+
+
+@pytest.fixture
 def unexpanded_reach(monkeypatch):
     """A graph search that marks what the seeds step to but never expands
     it, patched in ``relalg`` and ``analysis``."""

@@ -157,3 +157,32 @@ def test_golden_reach_mutation_caught(name, unexpanded_reach, request,
     """A graph search that stops one step from its seeds splits the weak
     components Church-Rosser checks and shortens the stars of the laws."""
     assert _output(name, request, capsys) != _golden(name)
+
+
+@pytest.mark.parametrize("name", _reduce_goldens("seq") + [
+    "analyze-arith-spectrum-d2.json",
+    "analyze-nonconfluent-confluence-d2.json",
+    "analyze-nonconfluent-cr-d2.json",
+    "analyze-nonconfluent-spectrum-d2-b1.json",
+    "analyze-nonconfluent-spectrum-d2.json",
+    "analyze-twocycle-confluence-d2.json",
+    "analyze-twocycle-cr-d2.json",
+    "analyze-twocycle-spectrum-d2.json",
+    "analyze-twocycle-weak-d2.json"])
+def test_golden_sequential_step_mutation_caught(name, no_last_arg_seq,
+                                                request, capsys):
+    """Sequential steps that never rewrite inside a last argument lose the
+    graphs' seq edges there, and with them peaks, joins and stars."""
+    assert _output(name, request, capsys) != _golden(name)
+
+
+@pytest.mark.parametrize("name", ["analyze-newman-spectrum-d2.json",
+                                  "analyze-newman-weak-d2.json",
+                                  "analyze-twocycle-confluence-d2.json",
+                                  "analyze-twocycle-cr-d2.json",
+                                  "analyze-twocycle-spectrum-d2.json"])
+def test_golden_condense_mutation_caught(name, singleton_components,
+                                         request, capsys):
+    """A condensation that never merges a cycle's nodes loses an edge of
+    each cycle, so the cyclic systems' reducts stop reaching each other."""
+    assert _output(name, request, capsys) != _golden(name)

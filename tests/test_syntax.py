@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relrew.rewrite import parse_trs
+import relrew.rewrite as rw
+from relrew.relalg import Rel
+from relrew.rewrite import parse_trs, sequential_steps
 from relrew.syntax import (
     MAX_TERM_DEPTH,
     Signature,
+    Term,
     TermError,
     Universe,
     app,
@@ -18,6 +21,7 @@ from relrew.syntax import (
     format_term,
     free_vars,
     is_well_formed,
+    make,
     match,
     parse_term,
     subterms,
@@ -25,6 +29,7 @@ from relrew.syntax import (
     universe,
     var,
 )
+from relrew.termrel import check_refine, tilde
 
 SIG = Signature({"0": 0, "S": 1, "A": 2, "M": 2})
 VARS = ("x", "y")
@@ -263,3 +268,46 @@ def test_from_terms_names_the_offending_subterm(bad, offender):
     """The message names the ill-formed subterm, not a term around it."""
     with pytest.raises(TermError, match=f"^term {re.escape(offender)} is not"):
         Universe.from_terms(SIG, VARS, [bad])
+
+
+def test_make_is_the_interned_application():
+    """``make`` returns the one interned term, whether or not it existed."""
+    args = (var("x"), app("0"))
+    assert ("make-new", args, False) not in Term._intern
+    new = make("make-new", args)
+    assert new is Term("make-new", args) is make("make-new", args)
+    old = Term("make-old", args)
+    assert make("make-old", args) is old
+    assert make("x", ()) is not var("x")
+    assert not make("x", ()).is_var
+
+
+def test_interned_applications_make_no_class_call(arith, monkeypatch):
+    """Building applications that are already interned, through ``make``,
+    ``app``, ``apply_subst``, both universe kinds of the congruence lift
+    and the steppers, never calls the class."""
+    x, zero = var("x"), app("0")
+    t = app("M", app("S", x), app("A", zero, x))
+    rels = [Rel(u, frozenset({(x, zero), (zero, x)}))
+            for u in (universe(SIG, VARS, 2),
+                      Universe.from_terms(SIG, VARS, [t]))]
+
+    def build():
+        return (make("A", (zero, x)), app("S", x),
+                apply_subst(t, {"x": zero}),
+                [check_refine(r) for r in rels], [tilde(r) for r in rels],
+                sequential_steps(arith, t),
+                rw.parallel_step.__wrapped__(arith, t),
+                rw.full_step.__wrapped__(arith, t))
+
+    first = build()  # interns every application built
+    calls = []
+    new = Term.__new__
+
+    def counted(cls, *args):
+        calls.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(Term, "__new__", staticmethod(counted))
+    assert build() == first
+    assert calls == []
