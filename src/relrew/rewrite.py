@@ -40,6 +40,7 @@ from .syntax import (
     format_term,
     free_vars,
     make,
+    make_all,
     match,
     parse_term,
     subterms,
@@ -248,8 +249,7 @@ def parallel_step(trs: TRS, t: Term) -> FrozenSet[Term]:
     """Targets of the parallel step relation (includes t itself)."""
     if t.is_var:
         return frozenset((t,))
-    out = {make(t.name, combo)
-           for combo in product(*_arg_steps(parallel_step, trs, t))}
+    out = set(make_all(t.name, product(*_arg_steps(parallel_step, trs, t))))
     out.update(r for _, _, r in root_reducts(trs, t))
     return frozenset(out)
 
@@ -261,8 +261,7 @@ def full_step(trs: TRS, t: Term) -> FrozenSet[Term]:
     if t.is_var:
         return frozenset((t,))
     out: Set[Term] = set()
-    for combo in product(*_arg_steps(full_step, trs, t)):
-        mid = make(t.name, combo)
+    for mid in make_all(t.name, product(*_arg_steps(full_step, trs, t))):
         out.add(mid)
         out.update(r for _, _, r in root_reducts(trs, mid))
     return frozenset(out)

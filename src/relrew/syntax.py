@@ -1,11 +1,11 @@
 """First-order terms over a ranked signature, and finite term universes.
 
 Terms are interned: structurally equal terms are the same object, so equality
-and hashing are O(1).  Applications are built through ``make``, which finds
-one already interned with a single lookup in the intern table.  A universe
-is a finite, subterm-closed set of terms, either "all terms up to a depth
-bound" or an explicit term set (e.g. the reachable closure of a rewrite
-graph).
+and hashing are O(1).  Every term is built by one subscript of the intern
+table, which builds the term on a miss; ``make_all`` builds a whole stream
+of applications in one C-level pass over it.  A universe is a finite,
+subterm-closed set of terms, either "all terms up to a depth bound" or an
+explicit term set (e.g. the reachable closure of a rewrite graph).
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from itertools import product, repeat
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 NAME_RE = re.compile(r"[A-Za-z0-9_'+\-]+")
 
@@ -72,6 +73,27 @@ class Signature:
         return "Signature({%s})" % ", ".join(f"{n!r}: {a}" for n, a in self._items)
 
 
+class _InternTable(dict):
+    """The intern table, from ``(name, args, is_var)`` to its one term.  A
+    lookup of a key not yet in it builds, checks and stores the term, so
+    every construction is one subscript and a hit calls no Python code."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> "Term":
+        name, args, is_var = key
+        if is_var and args:
+            raise TermError("variables take no arguments")
+        t = object.__new__(Term)
+        t.name = name
+        t.args = args
+        t.is_var = is_var
+        t.depth = depth = max((a.depth for a in args), default=-1) + 1
+        t.key = (depth, is_var, name, tuple(a.key for a in args))
+        self[key] = t
+        return t
+
+
 class Term:
     """An interned first-order term: a variable or an operator application.
 
@@ -80,23 +102,10 @@ class Term:
     key tuples, so building it never recurses."""
 
     __slots__ = ("name", "args", "is_var", "depth", "key")
-    _intern: Dict[tuple, "Term"] = {}
+    _intern: Dict[tuple, "Term"] = _InternTable()
 
     def __new__(cls, name: str, args: Tuple["Term", ...] = (), is_var: bool = False):
-        key = (name, args, is_var)
-        t = cls._intern.get(key)
-        if t is not None:
-            return t
-        if is_var and args:
-            raise TermError("variables take no arguments")
-        t = object.__new__(cls)
-        t.name = name
-        t.args = args
-        t.is_var = is_var
-        t.depth = depth = max((a.depth for a in args), default=-1) + 1
-        t.key = (depth, is_var, name, tuple(a.key for a in args))
-        cls._intern[key] = t
-        return t
+        return cls._intern[name, args, is_var]
 
     # interning makes identity-based eq/hash correct; the order is the key's
     def __lt__(self, other: "Term") -> bool:
@@ -113,16 +122,19 @@ def var(name: str) -> Term:
     return Term(name, (), True)
 
 
-_interned = Term._intern.get
+_interned = Term._intern.__getitem__
 
 
 def make(name: str, args: Tuple[Term, ...]) -> Term:
-    """The application ``name(*args)``.  An interned one costs one lookup
-    in the intern table; only a new one goes through the class."""
-    t = _interned((name, args, False))
-    if t is None:
-        t = Term(name, args)
-    return t
+    """The application ``name(*args)``: one subscript of the intern table."""
+    return _interned((name, args, False))
+
+
+def make_all(name: str, arg_tuples: Iterable[Tuple[Term, ...]]) -> Iterator[Term]:
+    """The applications ``name(*args)`` for each ``args`` of ``arg_tuples``,
+    in order and lazily.  The table is subscripted from C, so an
+    application already interned costs no Python call."""
+    return map(_interned, zip(repeat(name), arg_tuples, repeat(False)))
 
 
 def app(name: str, *args: Term) -> Term:

@@ -40,16 +40,17 @@ the root step distributes too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product, repeat
 from math import prod
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import relalg
 from .relalg import Rel, successors
-from .syntax import Term, Universe, apply_subst, make
+from .syntax import Term, Universe, make, make_all
 
 TPair = Tuple[Term, Term]
 Succ = Dict[Term, Set[Term]]
+Column = Tuple[Tuple[Term, ...], int, int]  # (pool, inner, outer); see _columns
 
 
 @dataclass
@@ -92,6 +93,11 @@ def i_sigma0(u: Universe) -> Rel:
 # ---------------------------------------------------------------------------
 # the congruence lift and its instances
 
+def _sides(pairs: Sequence[TPair]) -> Tuple[Tuple[Term, ...], Tuple[Term, ...]]:
+    """The left sides and the right sides of ``pairs``, aligned."""
+    return tuple(zip(*pairs)) or ((), ())
+
+
 def _lift(u: Universe, before: Optional[Succ], hot: Succ,
           after: Optional[Succ], stats: Optional[OpStats],
           arity: Optional[int] = None) -> Set[TPair]:
@@ -104,8 +110,10 @@ def _lift(u: Universe, before: Optional[Succ], hot: Succ,
     parents through the occurrence index.  Over a depth-d universe the
     applications are assembled backward from the pairs whose sides both
     have depth < d; identical siblings range over the terms of depth < d.
-    Each combination of pairs is split once into its left and right
-    argument tuples, and both applications are interned from them.
+    Each pool is split once into its left and right sides; per operator
+    and position the product of the left sides and the aligned product of
+    the right sides are interned in bulk by ``make_all`` and zipped into
+    pairs, so no combination is handled in Python.
     Either way a drop is a construction from a parent inside the universe
     whose result leaves it.  Backward, those are counted without building
     them: per operator and position, the product of the pools' pairs whose
@@ -139,8 +147,7 @@ def _lift(u: Universe, before: Optional[Succ], hot: Succ,
                 pools.extend(after.get(x) for x in args[i + 1:])
                 if not all(pools):
                     continue
-                for combo in product(*pools):
-                    s = make(t.name, combo)
+                for s in make_all(t.name, product(*pools)):
                     if s in explicit:
                         out.add((t, s))
                     elif stats is not None:
@@ -149,32 +156,34 @@ def _lift(u: Universe, before: Optional[Succ], hot: Succ,
 
     d = u.depth
 
-    # the pairs that fit below an operator, and how many have a left side
-    # that does (and so sit in a parent inside the universe)
-    def pool(succ: Succ) -> Tuple[List[TPair], int]:
+    # the pairs that fit below an operator, split into their left and right
+    # sides, and how many pairs have a left side that does (and so sit in a
+    # parent inside the universe)
+    def pool(succ: Succ) -> Tuple[Tuple[Term, ...], Tuple[Term, ...], int]:
         below = [(p, q) for p, qs in succ.items() if p.depth < d for q in qs]
-        return [pq for pq in below if pq[1].depth < d], len(below)
+        return _sides([pq for pq in below if pq[1].depth < d]) + (len(below),)
 
-    hot_pool, hot_n = pool(hot)
+    hot_ls, hot_rs, hot_n = pool(hot)
     if not hot_n:  # no hot pair sits in a parent, as always at depth 0
         return out
     if before is None:
-        before_pool = after_pool = [(t, t) for t in u.terms_up_to(d - 1)]
-        before_n = after_n = len(before_pool)
+        before_ls = before_rs = after_ls = after_rs = u.terms_up_to(d - 1)
+        before_n = after_n = len(before_ls)
     else:
-        before_pool, before_n = pool(before)
-        after_pool, after_n = pool(after)
+        before_ls, before_rs, before_n = pool(before)
+        after_ls, after_rs, after_n = pool(after)
     for name, ar in u.signature.operators():
         if arity is not None and ar != arity:
             continue
         for i in range(ar):
-            pools = [before_pool] * i + [hot_pool] + [after_pool] * (ar - i - 1)
+            j = ar - i - 1
+            lefts = [before_ls] * i + [hot_ls] + [after_ls] * j
             if stats is not None:
-                stats.note(before_n ** i * hot_n * after_n ** (ar - i - 1)
-                           - prod(map(len, pools)))
-            for combo in product(*pools):
-                ls, rs = zip(*combo)
-                out.add((make(name, ls), make(name, rs)))
+                stats.note(before_n ** i * hot_n * after_n ** j
+                           - prod(map(len, lefts)))
+            rights = [before_rs] * i + [hot_rs] + [after_rs] * j
+            out.update(zip(make_all(name, product(*lefts)),
+                           make_all(name, product(*rights))))
     return out
 
 
@@ -232,6 +241,45 @@ def _var_occurrence_depths(t: Term) -> Dict[str, int]:
     return out
 
 
+def _columns(vs: Sequence[str], pools: Sequence[Tuple[Term, ...]]
+             ) -> Dict[str, Column]:
+    """The transpose of ``product(*pools)`` over non-empty pools, one column
+    per variable of ``vs``.  Column j repeats each image of pool j ``inner``
+    times in a row (the product of the later pools' sizes) and that block
+    ``outer`` times (the earlier pools'); it is given as ``(pool, inner,
+    outer)`` and read by ``_column``."""
+    cols, inner, outer = {}, prod(map(len, pools)), 1
+    for v, pool in zip(vs, pools):
+        inner //= len(pool)
+        cols[v] = (pool, inner, outer)
+        outer *= len(pool)
+    return cols
+
+
+def _column(pool: Tuple[Term, ...], inner: int, outer: int) -> Iterable[Term]:
+    """One column of ``_columns``, lazily: its block is materialised only
+    when it both repeats images and is repeated itself."""
+    if inner == 1:
+        block = pool
+    else:
+        block = chain.from_iterable(map(repeat, pool, repeat(inner)))
+        if outer > 1:
+            block = tuple(block)
+    return block if outer == 1 else chain.from_iterable(repeat(block, outer))
+
+
+def _instantiate(t: Term, columns: Dict[str, Column], n: int) -> Iterable[Term]:
+    """The n instances of t under n substitutions given column-wise by
+    ``_columns``, in order.  Each application node of t is built for all n
+    at once by ``make_all``."""
+    if t.is_var:
+        return _column(*columns[t.name])
+    if not t.args:
+        return repeat(t, n)
+    return make_all(t.name, zip(*[_instantiate(a, columns, n)
+                                  for a in t.args]))
+
+
 def subst_rel(a: Rel, b: Rel, stats: Optional[OpStats] = None) -> Rel:
     """a[b]: a pair (t, s) of ``a`` contributes (t^sigma, s^rho) whenever
     sigma b rho, that is sigma(x) b rho(x) for every declared variable x.
@@ -241,13 +289,17 @@ def subst_rel(a: Rel, b: Rel, stats: Optional[OpStats] = None) -> Rel:
     ``b`` is empty and the universe declares a variable, no substitution
     is b-related to any other and a[b] is empty.  A variable's images are
     the pairs of ``b`` that fit the depths its occurrences leave; each
-    pair of bounds gets its pool once per call."""
+    pair of bounds gets its pool, split into left and right sides, once
+    per call.  A pair of ``a`` is instantiated column-wise: the product of
+    its variables' pools, transposed (``_columns``), gives each variable
+    one column of left images and one of right images, and t and s are
+    instantiated from those columns node by node (``_instantiate``)."""
     u = a.carrier
     if not b.pairs and u.variables:
         return Rel.bottom(u)
     bpairs = list(b.pairs)
-    explicit = u.explicit is not None
-    by_bound: Dict[Tuple[int, int], List[TPair]] = {}
+    explicit = u.explicit
+    by_bound: Dict[Tuple[int, int], Tuple[Tuple[Term, ...], ...]] = {}
     out: Set[TPair] = set()
     for t0, s0 in a.pairs:
         occ_t = _var_occurrence_depths(t0)
@@ -256,33 +308,33 @@ def subst_rel(a: Rel, b: Rel, stats: Optional[OpStats] = None) -> Rel:
         if not vs:
             out.add((t0, s0))
             continue
-        pools: List[List[TPair]] = []
+        lpools: List[Tuple[Term, ...]] = []
+        rpools: List[Tuple[Term, ...]] = []
         for v in vs:
             # images must keep the instantiated terms inside the universe
             lb = u.depth - occ_t.get(v, 0)
             rb = u.depth - occ_s.get(v, 0)
             pool = by_bound.get((lb, rb))
             if pool is None:
-                pool = by_bound[lb, rb] = [
-                    (l, r) for l, r in bpairs if l.depth <= lb and r.depth <= rb]
-            pools.append(pool)
-        kept = prod(map(len, pools))
+                pool = by_bound[lb, rb] = _sides(
+                    [(l, r) for l, r in bpairs if l.depth <= lb and r.depth <= rb])
+            lpools.append(pool[0])
+            rpools.append(pool[1])
+        kept = prod(map(len, lpools))
         if stats is not None:
             stats.note(len(bpairs) ** len(vs) - kept)
         if kept == 0:
             continue
-        for combo in product(*pools):
-            sigma = {v: l for v, (l, _) in zip(vs, combo)}
-            rho = {v: r for v, (_, r) in zip(vs, combo)}
-            t = apply_subst(t0, sigma)
-            s = apply_subst(s0, rho)
-            if explicit:
-                if t in u and s in u:
-                    out.add((t, s))
-                elif stats is not None:
-                    stats.note()
-            else:
+        ts = _instantiate(t0, _columns(vs, lpools), kept)
+        ss = _instantiate(s0, _columns(vs, rpools), kept)
+        if explicit is None:
+            out.update(zip(ts, ss))
+            continue
+        for t, s in zip(ts, ss):
+            if t in explicit and s in explicit:
                 out.add((t, s))
+            elif stats is not None:
+                stats.note()
     return Rel(u, frozenset(out))
 
 
@@ -298,19 +350,32 @@ def _semi_naive(u: Universe, seed: Set[TPair], increment,
     that use at least one pair of the last generation ``new``.  Always
     ``every = old | new``: each generation builds ``every`` once, and it is
     the next ``old``; no successor map changes after an increment sees it.
+    The three maps hold only the pairs that can sit in a parent inside the
+    universe (on a depth universe, a left side of depth < d; on an explicit
+    one, a left side with an occurrence): no other pair is ever lifted.
+    The result ``x`` keeps every pair.
 
     Generation k enumerates exactly the constructions whose newest pair was
     added in generation k; the naive iteration would enumerate them again
     in every later round up to the fixed point.  Adding the running sum of
-    the drops found so far after each generation therefore notes the same
-    total as the naive iteration."""
+    the drops found so far after each generation, up to the one that adds
+    nothing, therefore notes the same total as the naive iteration."""
+    if u.explicit is None:
+        d = u.depth
+
+        def liftable(pairs: Set[TPair]) -> Succ:
+            return successors(pq for pq in pairs if pq[0].depth < d)
+    else:
+        occurrences = u.occurrences
+
+        def liftable(pairs: Set[TPair]) -> Succ:
+            return successors(pq for pq in pairs if pq[0] in occurrences)
+
     x = set(seed)
     old: Succ = {}
-    new = successors(seed)
+    new = liftable(x)
     running = 0
     for _ in range(relalg.MAX_LFP_ITER):
-        if not new:
-            return Rel(u, frozenset(x))
         every = dict(old)
         for p, qs in new.items():
             every[p] = old[p] | qs if p in old else qs
@@ -320,8 +385,10 @@ def _semi_naive(u: Universe, seed: Set[TPair], increment,
         if stats is not None:
             stats.note(running)
         fresh = produced - x
+        if not fresh:
+            return Rel(u, frozenset(x))
         x |= fresh
-        old, new = every, successors(fresh)
+        old, new = every, liftable(fresh)
     raise RuntimeError("fixed-point iteration did not converge")
 
 

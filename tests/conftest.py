@@ -68,6 +68,23 @@ def lossy_subst(monkeypatch):
 
 
 @pytest.fixture
+def left_images_subst(monkeypatch):
+    """A relational substitution that instantiates both sides of each pair
+    from the left images: ``subst_rel`` transposes the left pools and then
+    the right pools of a pair, and the second transpose is handed the
+    first's columns."""
+    columns, left = tr._columns, []
+
+    def left_twice(vs, pools):
+        if left:
+            return left.pop()
+        left.append(columns(vs, pools))
+        return left[0]
+
+    monkeypatch.setattr(tr, "_columns", left_twice)
+
+
+@pytest.fixture
 def stale_old(monkeypatch):
     """Semi-naive evaluation whose ``old`` never takes the previous
     generation's ``every``: each increment sees an empty ``old``."""

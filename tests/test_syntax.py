@@ -22,6 +22,7 @@ from relrew.syntax import (
     free_vars,
     is_well_formed,
     make,
+    make_all,
     match,
     parse_term,
     subterms,
@@ -29,7 +30,7 @@ from relrew.syntax import (
     universe,
     var,
 )
-from relrew.termrel import check_refine, tilde
+from relrew.termrel import check_refine, subst_rel, tilde
 
 SIG = Signature({"0": 0, "S": 1, "A": 2, "M": 2})
 VARS = ("x", "y")
@@ -282,32 +283,73 @@ def test_make_is_the_interned_application():
     assert not make("x", ()).is_var
 
 
+def test_make_all_matches_make():
+    """``make_all`` gives ``make``'s terms in order, over a generator that
+    mixes applications already interned with new ones, and builds nothing
+    until it is consumed."""
+    x, zero = var("x"), app("0")
+    old = make("make-all", (x, zero))
+    new_args = [(zero, zero), (x, x), (zero, x)]
+    assert not any(("make-all", a, False) in Term._intern for a in new_args)
+    arg_tuples = [(x, zero), new_args[0], (x, zero), new_args[1], new_args[0],
+                  new_args[2], (x, zero)]
+    size = len(Term._intern)
+    lazy = make_all("make-all", (a for a in arg_tuples))
+    assert len(Term._intern) == size
+    got = list(lazy)
+    assert len(Term._intern) == size + len(new_args)
+    want = [make("make-all", a) for a in arg_tuples]
+    assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+    assert got[0] is got[2] is got[6] is old and got[1] is got[4]
+    assert list(make_all("make-all", iter(()))) == []
+
+
+def test_variable_with_arguments_is_not_interned():
+    """A variable with arguments is an error, and the failed build leaves
+    no entry in the intern table."""
+    t = app("0")
+    size = len(Term._intern)
+    with pytest.raises(TermError, match="variables take no arguments"):
+        Term("x", (t,), True)
+    assert ("x", (t,), True) not in Term._intern
+    assert len(Term._intern) == size
+
+
 def test_interned_applications_make_no_class_call(arith, monkeypatch):
-    """Building applications that are already interned, through ``make``,
-    ``app``, ``apply_subst``, both universe kinds of the congruence lift
-    and the steppers, never calls the class."""
+    """Rebuilding applications that are already interned, through
+    ``make``, ``make_all``, ``app``, ``apply_subst``, ``subst_rel`` and both
+    universe kinds of the congruence lift, and the steppers, never misses
+    the intern table, so no term is built twice."""
     x, zero = var("x"), app("0")
     t = app("M", app("S", x), app("A", zero, x))
     rels = [Rel(u, frozenset({(x, zero), (zero, x)}))
             for u in (universe(SIG, VARS, 2),
                       Universe.from_terms(SIG, VARS, [t]))]
+    subst = [Rel(r.carrier, frozenset({(t, app("S", x)), (app("S", x), x)}))
+             for r in rels]
 
     def build():
         return (make("A", (zero, x)), app("S", x),
+                list(make_all("A", [(zero, x), (x, x)])),
                 apply_subst(t, {"x": zero}),
                 [check_refine(r) for r in rels], [tilde(r) for r in rels],
+                [subst_rel(a, r) for a, r in zip(subst, rels)],
                 sequential_steps(arith, t),
                 rw.parallel_step.__wrapped__(arith, t),
                 rw.full_step.__wrapped__(arith, t))
 
     first = build()  # interns every application built
-    calls = []
-    new = Term.__new__
+    assert all(out.pairs for out in first[6])
+    misses = []
+    table = type(Term._intern)
+    missing = table.__missing__
 
-    def counted(cls, *args):
-        calls.append(args)
-        return new(cls, *args)
+    def counted(self, key):
+        misses.append(key)
+        return missing(self, key)
 
-    monkeypatch.setattr(Term, "__new__", staticmethod(counted))
+    monkeypatch.setattr(table, "__missing__", counted)
     assert build() == first
-    assert calls == []
+    assert misses == []
+    make("interned-miss", (zero,))  # the counter does see a miss
+    assert misses == [("interned-miss", (zero,), False)]

@@ -351,8 +351,9 @@ def test_subst_matches_brute_force():
     """subst_rel, which filters each variable's images by the depth its
     occurrences leave them, gives the pairs and the drop count of the
     brute-force enumeration, over both kinds of universe, an empty ``b``
-    included.  Over a sparse explicit universe an
-    instantiation of fitting depth can still leave it, which is a drop."""
+    included, and on pairs chosen for the column-wise instantiation's edge
+    cases.  Over a sparse explicit universe an instantiation of fitting
+    depth can still leave it, which is a drop."""
     rng = random.Random(10)
     samples = [(random_rel(U2, 1, 2, rng) | random_rel(U2, 2, 2, rng),
                 random_rel(U2, 0, 2, rng) | random_rel(U2, rng.choice((1, 2)),
@@ -365,6 +366,16 @@ def test_subst_matches_brute_force():
     sparse = Universe.from_terms(SIG, VARS, rng.sample(U2.terms(), 8))
     cases += [(random_rel(sparse, 2, 2, rng), random_rel(sparse, 1, 2, rng),
                (sparse,)) for _ in range(10)]
+    # a variable repeated in one term, a variable on one side only, a
+    # ground compound subterm, one variable at different depths in t and s
+    S0, SX = app("S", ZERO), app("S", X)
+    edge_b = rel(U2, (X, ZERO), (ZERO, S0), (Y, SX), (S0, app("A", ZERO, Y)),
+                 (SX, X))
+    cases += [(rel(U2, pair), edge_b, (U2, U2_EXPLICIT)) for pair in [
+        (app("A", X, X), X), (app("M", Y, Y), app("A", Y, X)),
+        (SX, ZERO), (ZERO, app("S", Y)),
+        (app("A", S0, X), app("M", X, S0)), (app("A", S0, ZERO), Y),
+        (app("S", SX), app("A", X, Y)), (X, app("M", SX, X))]]
     # f(x)[x := a] = f(a) has depth 1 but is not in {f(x), x, a}
     fx, a0 = app("f", X), app("a")
     tiny = Universe.from_terms(Signature({"a": 0, "f": 1}), ("x",), [fx, a0])
