@@ -11,8 +11,10 @@ The three steppers implement, for a set of ground rules R:
                     the created root redex (reflexive, may develop redexes
                     created by the parallel part).
 
-A reduction graph keeps its nodes and its frontier only; its steps are
-read from the steppers, whose memo already holds them.
+Each stepper is memoised per term and builds a term's targets from its
+arguments' memoised targets.  ``sequential_steps`` also names each
+sequential step's witness, for the rule labels of a DOT graph.  A reduction graph keeps its nodes and its frontier only;
+its steps are read from the steppers, whose memo already holds them.
 
 ``ground_instances`` turns the rule set into a relation on a finite
 universe (all substitution instances of the rules that fit), so the
@@ -205,7 +207,8 @@ class StepWitness:
 def sequential_steps(trs: TRS, t: Term) -> List[Tuple[Term, StepWitness]]:
     """All single-position rewrites of t, with their witnesses, in pre-order
     of the position: t's root reducts first, then each argument's steps,
-    in argument order, rebuilt into t."""
+    in argument order, rebuilt into t.  Not memoised: ``graph_to_dot``
+    reads its rule labels from it, and ``sequential_step`` is the stepper."""
     return _steps_at(trs, t, ())
 
 
@@ -225,7 +228,17 @@ def _steps_at(trs: TRS, t: Term, position: Tuple[int, ...]
 
 @lru_cache(maxsize=None)
 def sequential_step(trs: TRS, t: Term) -> FrozenSet[Term]:
-    return frozenset(target for target, _ in sequential_steps(trs, t))
+    """Targets of the sequential step relation: t's root reducts, and t
+    with one argument replaced by one of that argument's own (memoised)
+    sequential step targets.  No witness is built; ``sequential_steps``
+    gives the same targets with their witnesses."""
+    out = {r for _, _, r in root_reducts(trs, t)}
+    args = t.args
+    for k, a in enumerate(args):
+        head, tail = args[:k], args[k + 1:]
+        out.update(make_all(t.name, [head + (s,) + tail
+                                     for s in sequential_step(trs, a)]))
+    return frozenset(out)
 
 
 MAX_NODES = 200_000  # a reduction graph's node cap; no step builds more
@@ -257,13 +270,18 @@ def parallel_step(trs: TRS, t: Term) -> FrozenSet[Term]:
 @lru_cache(maxsize=None)
 def full_step(trs: TRS, t: Term) -> FrozenSet[Term]:
     """Targets of the full step relation: parallel-rewrite the arguments,
-    then optionally contract the root redex of the result."""
+    then optionally contract the root redex of the result.  Each result of
+    the first part keeps t's head, so when no rule has that head there is
+    no root redex to contract."""
     if t.is_var:
         return frozenset((t,))
-    out: Set[Term] = set()
-    for mid in make_all(t.name, product(*_arg_steps(full_step, trs, t))):
-        out.add(mid)
-        out.update(r for _, _, r in root_reducts(trs, mid))
+    mids = frozenset(make_all(t.name, product(*_arg_steps(full_step, trs, t))))
+    if t.name not in trs.head_index:
+        return mids
+    out = set(mids)
+    for mid in mids:
+        for _, _, r in root_reducts(trs, mid):
+            out.add(r)
     return frozenset(out)
 
 
@@ -324,6 +342,10 @@ def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
     stays within the depth the term functions handle.  The nodes left
     unexpanded make up ``frontier``, ``exhausted`` is then False, and the
     graph is the partial closure explored so far.
+
+    Each node's targets are tested for depth only where they are new to
+    the graph, and against the seeds deeper than ``MAX_TERM_DEPTH``: every
+    other node was a new target, and passed the test, when it was added.
     """
     if kind not in STEPPERS:
         raise ValueError(f"unknown step kind {kind!r}")
@@ -331,6 +353,7 @@ def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
     g = ReductionGraph(trs, kind, tuple(seeds))
     frontier = list(dict.fromkeys(seeds))
     g.nodes.update(frontier)
+    deep_seeds = {t for t in frontier if t.depth > MAX_TERM_DEPTH}
     layer = 0
     while frontier and (bound is None or layer < bound):
         layer += 1
@@ -344,13 +367,13 @@ def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
             except _TooWide:
                 wide = True
                 break
-            if any(s.depth > MAX_TERM_DEPTH for s in targets):
+            new = targets - g.nodes
+            if (any(s.depth > MAX_TERM_DEPTH for s in new)
+                    or not deep_seeds.isdisjoint(targets)):
                 g.frontier.add(t)
                 continue
-            for target in targets:
-                if target not in g.nodes:
-                    g.nodes.add(target)
-                    next_frontier.append(target)
+            g.nodes |= new
+            next_frontier.extend(new)
         if wide or len(g.nodes) > max_nodes:  # whatever order the layer came in
             g.nodes.difference_update(next_frontier)
             break

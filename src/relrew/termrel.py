@@ -303,7 +303,7 @@ def subst_rel(a: Rel, b: Rel, stats: Optional[OpStats] = None) -> Rel:
     out: Set[TPair] = set()
     for t0, s0 in a.pairs:
         occ_t = _var_occurrence_depths(t0)
-        occ_s = _var_occurrence_depths(s0)
+        occ_s = occ_t if s0 is t0 else _var_occurrence_depths(s0)
         vs = sorted(set(occ_t) | set(occ_s))
         if not vs:
             out.add((t0, s0))

@@ -162,21 +162,19 @@ def first_arg_par(monkeypatch):
 
 @pytest.fixture
 def no_last_arg_seq(monkeypatch):
-    """Sequential steps that never rewrite inside the last argument of a
-    term, at any level; the seq stepper is memoised afresh over them."""
+    """A sequential step that never rewrites inside the last argument of a
+    term, at any level: it recurses into the other arguments through
+    itself."""
 
-    def steps(trs, t, position=()):
-        out = [(reduct, rw.StepWitness(position, i, subst))
-               for i, subst, reduct in rw.root_reducts(trs, t)]
+    def seq(trs, t):
+        out = {r for _, _, r in rw.root_reducts(trs, t)}
         args = t.args
         for k, a in enumerate(args[:-1]):
-            for target, w in steps(trs, a, position + (k,)):
-                out.append((app(t.name, *args[:k], target, *args[k + 1:]), w))
-        return out
+            out.update(app(t.name, *args[:k], s, *args[k + 1:])
+                       for s in rw.sequential_step(trs, a))
+        return frozenset(out)
 
-    monkeypatch.setattr(rw, "sequential_steps", steps)
-    _patch_stepper(monkeypatch, rw.sequential_step,
-                   rw.sequential_step.__wrapped__)
+    _patch_stepper(monkeypatch, rw.sequential_step, seq)
 
 
 @pytest.fixture

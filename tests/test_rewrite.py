@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -25,10 +26,11 @@ from relrew.rewrite import (
     sequential_steps,
 )
 from relrew import rewrite
+from relrew.analysis import seed_terms
 from relrew.cli import main as cli_main
 from relrew.relalg import reach
-from relrew.syntax import (Term, TermError, app, apply_subst, subterms,
-                           universe, var)
+from relrew.syntax import (MAX_TERM_DEPTH, Term, TermError, app, apply_subst,
+                           subterms, universe, var)
 from relrew.termrel import OpStats
 
 X, Y, ZERO = var("x"), var("y"), app("0")
@@ -251,6 +253,33 @@ def test_sequential_steps_match_reference_stepper(k):
         got = [(target, _context(t, w.position), w.rule_index, w.subst)
                for target, w in sequential_steps(trs, t)]
         assert got == reference, t
+        assert sequential_step(trs, t) == {target for target, *_ in got}, t
+
+
+def test_sequential_step_matches_witness_stepper_on_seeds(arith):
+    """The memoised stepper gives the witness stepper's targets on every
+    depth-3 seed of arith."""
+    seeds = seed_terms(arith, 3)
+    assert len(seeds) == 3918
+    for t in seeds:
+        assert sequential_step(arith, t) == {
+            target for target, _ in sequential_steps(arith, t)}, t
+
+
+@pytest.mark.parametrize("k", range(2))  # the third's rule-less head is a constant
+def test_full_step_on_ruleless_head_is_argument_product(k):
+    """Under a head no rule has, a full step rewrites the arguments only:
+    its targets are the product of the arguments' full steps."""
+    trs = _reference_trs()[k]
+    checked = 0
+    for t in universe(trs.signature, trs.variables, 2).terms():
+        if t.is_var or t.name in trs.head_index:
+            continue
+        assert full_step(trs, t) == {
+            Term(t.name, combo)
+            for combo in product(*(full_step(trs, a) for a in t.args))}, t
+        checked += bool(t.args)
+    assert checked
 
 
 def test_root_reducts_cover_heads_cases():
@@ -374,6 +403,64 @@ def test_graph_reachable(arith):
     g = reduction_graph(arith, [seed], kind="seq")
     assert arith.parse("S(0)") in reach({t: g.steps(t) for t in g.nodes},
                                         (seed,))
+
+
+def _graph_testing_every_target(trs, seeds, kind, bound=None,
+                                max_nodes=rewrite.MAX_NODES):
+    """Reference for ``reduction_graph``: the same breadth-first loop, but
+    it tests the depth of every target of a node, new to the graph or
+    not.  Returns the nodes and the frontier."""
+    step = STEPPERS[kind]
+    nodes, unexpanded = set(seeds), set()
+    frontier = list(dict.fromkeys(seeds))
+    layer = 0
+    while frontier and (bound is None or layer < bound):
+        layer += 1
+        next_frontier, wide = [], False
+        for t in frontier:
+            if len(nodes) > max_nodes:
+                break
+            try:
+                targets = step(trs, t)
+            except rewrite._TooWide:
+                wide = True
+                break
+            if any(s.depth > MAX_TERM_DEPTH for s in targets):
+                unexpanded.add(t)
+                continue
+            for target in targets:
+                if target not in nodes:
+                    nodes.add(target)
+                    next_frontier.append(target)
+        if wide or len(nodes) > max_nodes:
+            nodes.difference_update(next_frontier)
+            break
+        frontier = next_frontier
+    unexpanded.update(frontier)
+    return nodes, unexpanded
+
+
+def test_graph_deep_seed_reduct_matches_reference(arith):
+    """A seed deeper than the depth limit, built as a library caller can,
+    is a reduct of another node.  That node is left unexpanded although
+    the reduct is no new target, and every graph equals the reference's."""
+    tower = ZERO
+    for _ in range(MAX_TERM_DEPTH - 1):
+        tower = app("S", tower)
+    shallow = app("A", app("S", ZERO), tower)  # at the depth limit
+    deep = app("S", app("A", ZERO, tower))     # its root reduct, one deeper
+    deeper = app("A", ZERO, deep)              # its root reduct is deep
+    assert (shallow.depth, deep.depth) == (MAX_TERM_DEPTH, MAX_TERM_DEPTH + 1)
+    for seeds in ([shallow, deep], [deep, shallow], [deeper, deep],
+                  [shallow, deeper, deep]):
+        for kind in STEPPERS:
+            for bound, cap in ((None, rewrite.MAX_NODES), (1, 3), (None, 2)):
+                g = reduction_graph(arith, seeds, kind=kind, bound=bound,
+                                    max_nodes=cap)
+                assert (g.nodes, g.frontier) == _graph_testing_every_target(
+                    arith, seeds, kind, bound, cap), (seeds, kind, bound, cap)
+            g = reduction_graph(arith, seeds, kind=kind)
+            assert shallow not in g.nodes or shallow in g.frontier
 
 
 GROWING = "sig a/0 f/1\nvar x\nrule f(x) -> f(f(x))\n"
