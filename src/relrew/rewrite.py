@@ -3,8 +3,7 @@ reduction graphs, and the induced relations on a term universe.
 
 The three steppers implement, for a set of ground rules R:
 
-* sequential step   rewrite exactly one redex occurrence, named by its
-                    position: the argument indices on the path from the root;
+* sequential step   rewrite exactly one redex occurrence;
 * parallel step     rewrite any number of pairwise disjoint redexes at once
                     (reflexive by construction);
 * full step         rewrite arguments in parallel, then optionally contract
@@ -12,9 +11,11 @@ The three steppers implement, for a set of ground rules R:
                     created by the parallel part).
 
 Each stepper is memoised per term and builds a term's targets from its
-arguments' memoised targets.  ``sequential_steps`` also names each
-sequential step's witness, for the rule labels of a DOT graph.  A reduction graph keeps its nodes and its frontier only;
-its steps are read from the steppers, whose memo already holds them.
+arguments' memoised targets.  A reduction graph keeps its nodes and its
+frontier only; its steps are read from the steppers, whose memo already
+holds them.  A DOT graph labels each sequential edge with the rules that
+take it, read from the root reducts along the one path where its ends
+differ.
 
 ``ground_instances`` turns the rule set into a relation on a finite
 universe (all substitution instances of the rules that fit), so the
@@ -41,7 +42,6 @@ from .syntax import (
     apply_subst,
     format_term,
     free_vars,
-    make,
     make_all,
     match,
     parse_term,
@@ -50,8 +50,8 @@ from .syntax import (
 )
 from .termrel import OpStats
 
-# a root rewrite: (rule index, substitution items sorted by variable, result)
-Reduct = Tuple[int, Tuple[Tuple[str, Term], ...], Term]
+# a root rewrite: (rule index, result)
+Reduct = Tuple[int, Term]
 
 
 @dataclass(frozen=True)
@@ -177,9 +177,8 @@ def format_trs(trs: TRS) -> str:
 
 def root_reducts(trs: TRS, t: Term) -> Tuple[Reduct, ...]:
     """All rule applications at the root of t, in rule order: (rule index,
-    substitution items sorted by variable, result).  Only the rules whose
-    left side has t's head symbol are tried, and the answer is kept in the
-    TRS's ``reduct_table``."""
+    result).  Only the rules whose left side has t's head symbol are tried,
+    and the answer is kept in the TRS's ``reduct_table``."""
     table = trs.reduct_table
     out = table.get(t)
     if out is None:
@@ -188,41 +187,8 @@ def root_reducts(trs: TRS, t: Term) -> Tuple[Reduct, ...]:
             for i, rule in trs.head_index.get(t.name, ()):
                 sigma = match(rule.lhs, t)
                 if sigma is not None:
-                    found.append((i, tuple(sorted(sigma.items())),
-                                  apply_subst(rule.rhs, sigma)))
+                    found.append((i, apply_subst(rule.rhs, sigma)))
         out = table[t] = tuple(found)
-    return out
-
-
-@dataclass(frozen=True)
-class StepWitness:
-    """One sequential rewrite: the subterm at ``position`` (the argument
-    indices, from 0, on the path from the root) is replaced by rhs^subst."""
-
-    position: Tuple[int, ...]
-    rule_index: int
-    subst: Tuple[Tuple[str, Term], ...]
-
-
-def sequential_steps(trs: TRS, t: Term) -> List[Tuple[Term, StepWitness]]:
-    """All single-position rewrites of t, with their witnesses, in pre-order
-    of the position: t's root reducts first, then each argument's steps,
-    in argument order, rebuilt into t.  Not memoised: ``graph_to_dot``
-    reads its rule labels from it, and ``sequential_step`` is the stepper."""
-    return _steps_at(trs, t, ())
-
-
-def _steps_at(trs: TRS, t: Term, position: Tuple[int, ...]
-              ) -> List[Tuple[Term, StepWitness]]:
-    # the position grows on the way down, so each witness is built once and
-    # only the target is rebuilt at every level on the way up
-    out = [(reduct, StepWitness(position, i, subst))
-           for i, subst, reduct in root_reducts(trs, t)]
-    args = t.args
-    for k, a in enumerate(args):
-        head, tail = args[:k], args[k + 1:]
-        for target, w in _steps_at(trs, a, position + (k,)):
-            out.append((make(t.name, head + (target,) + tail), w))
     return out
 
 
@@ -230,9 +196,8 @@ def _steps_at(trs: TRS, t: Term, position: Tuple[int, ...]
 def sequential_step(trs: TRS, t: Term) -> FrozenSet[Term]:
     """Targets of the sequential step relation: t's root reducts, and t
     with one argument replaced by one of that argument's own (memoised)
-    sequential step targets.  No witness is built; ``sequential_steps``
-    gives the same targets with their witnesses."""
-    out = {r for _, _, r in root_reducts(trs, t)}
+    sequential step targets."""
+    out = {r for _, r in root_reducts(trs, t)}
     args = t.args
     for k, a in enumerate(args):
         head, tail = args[:k], args[k + 1:]
@@ -263,7 +228,7 @@ def parallel_step(trs: TRS, t: Term) -> FrozenSet[Term]:
     if t.is_var:
         return frozenset((t,))
     out = set(make_all(t.name, product(*_arg_steps(parallel_step, trs, t))))
-    out.update(r for _, _, r in root_reducts(trs, t))
+    out.update(r for _, r in root_reducts(trs, t))
     return frozenset(out)
 
 
@@ -280,7 +245,7 @@ def full_step(trs: TRS, t: Term) -> FrozenSet[Term]:
         return mids
     out = set(mids)
     for mid in mids:
-        for _, _, r in root_reducts(trs, mid):
+        for _, r in root_reducts(trs, mid):
             out.add(r)
     return frozenset(out)
 
@@ -393,7 +358,7 @@ def ground_instances(trs: TRS, u: Universe,
     """
     pairs: Set[Tuple[Term, Term]] = set()
     for t in u.terms():
-        for _, _, r in root_reducts(trs, t):
+        for _, r in root_reducts(trs, t):
             if r in u:
                 pairs.add((t, r))
             elif stats is not None:
@@ -415,16 +380,29 @@ def _ranked(g: ReductionGraph) -> Tuple[List[Term], List[Tuple[int, int]]]:
                    for j in sorted(rank[q] for q in g.steps(p))]
 
 
+def _rules_between(trs: TRS, p: Term, q: Term) -> Set[int]:
+    """The indices of the rules of the sequential steps from p to q.  A
+    sequential step rewrites one position, so below the root it leaves
+    every argument but one as it is: the one in which p and q differ, or
+    any of them when p is q."""
+    out = {i for i, r in root_reducts(trs, p) if r is q}
+    if p is q:
+        for a in p.args:
+            out |= _rules_between(trs, a, a)
+    elif p.name == q.name:
+        differ = [k for k, (a, b) in enumerate(zip(p.args, q.args))
+                  if a is not b]
+        if len(differ) == 1:
+            k = differ[0]
+            out |= _rules_between(trs, p.args[k], q.args[k])
+    return out
+
+
 def graph_to_dot(g: ReductionGraph) -> str:
     """DOT text of the graph; a seq graph labels each edge with the
-    indices of the rules that take it."""
+    indices of the rules that take it, from ``_rules_between``."""
     nodes, edges = _ranked(g)
     names = [format_term(t) for t in nodes]
-    rules: Dict[Tuple[Term, Term], Set[int]] = {}
-    if g.kind == "seq":
-        for p in g.nodes - g.frontier:
-            for q, w in sequential_steps(g.trs, p):
-                rules.setdefault((p, q), set()).add(w.rule_index)
     lines = ["digraph reduction {"]
     lines.append('  rankdir=LR;')
     for t, name in zip(nodes, names):
@@ -433,9 +411,9 @@ def graph_to_dot(g: ReductionGraph) -> str:
         lines.append(f'  "{name}" [shape={shape}{seed}];')
     for i, j in edges:
         label = ""
-        used = rules.get((nodes[i], nodes[j]))
-        if used:
-            label = f' [label="r{",r".join(str(r) for r in sorted(used))}"]'
+        if g.kind == "seq":
+            used = sorted(_rules_between(g.trs, nodes[i], nodes[j]))
+            label = f' [label="r{",r".join(map(str, used))}"]'
         lines.append(f'  "{names[i]}" -> "{names[j]}"{label};')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -138,7 +138,7 @@ def root_only_full(monkeypatch):
             return frozenset((t,))
         out = {app(t.name, *combo)
                for combo in product(*(rw.full_step(trs, a) for a in t.args))}
-        out.update(r for _, _, r in rw.root_reducts(trs, t))
+        out.update(r for _, r in rw.root_reducts(trs, t))
         return frozenset(out)
 
     _patch_stepper(monkeypatch, rw.full_step, full)
@@ -154,7 +154,7 @@ def first_arg_par(monkeypatch):
         if t.args:
             out = {app(t.name, s, *t.args[1:])
                    for s in rw.parallel_step(trs, t.args[0])}
-        out.update(r for _, _, r in rw.root_reducts(trs, t))
+        out.update(r for _, r in rw.root_reducts(trs, t))
         return frozenset(out)
 
     _patch_stepper(monkeypatch, rw.parallel_step, par)
@@ -167,7 +167,7 @@ def no_last_arg_seq(monkeypatch):
     itself."""
 
     def seq(trs, t):
-        out = {r for _, _, r in rw.root_reducts(trs, t)}
+        out = {r for _, r in rw.root_reducts(trs, t)}
         args = t.args
         for k, a in enumerate(args[:-1]):
             out.update(app(t.name, *args[:k], s, *args[k + 1:])

@@ -80,18 +80,16 @@ def test_criterion_3_closures_match_steppers(arith):
 
 
 def test_criterion_4_law_suite_default_config():
-    """Every hard law passes with 0 counterexamples over >= 200 samples at
-    the default config; side-condition skips stay below 100%; under 10 min."""
+    """Every law passes with 0 counterexamples over >= 200 samples at the
+    default config; side-condition skips stay below 100%; under 10 min."""
     t0 = time.monotonic()
     cfg = SampleConfig()
     assert cfg.samples >= 200
     reports = run_all(cfg)
     elapsed = time.monotonic() - t0
-    hard_fail = [r.law_id for r in reports if not r.soft and r.verdict != "pass"]
-    soft_fail = [r.law_id for r in reports if r.soft and r.counterexamples]
+    hard_fail = [r.law_id for r in reports if r.verdict != "pass"]
     all_skipped = [r.law_id for r in reports if r.skips >= r.samples]
-    ok = (not hard_fail and not soft_fail and not all_skipped
-          and elapsed < 600.0)
+    ok = not hard_fail and not all_skipped and elapsed < 600.0
     _report(4, ok,
             f"{len(reports)} laws x {cfg.samples} samples, "
             f"hard failures={hard_fail}, vacuous={all_skipped}, {elapsed:.0f}s")

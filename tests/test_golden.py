@@ -6,6 +6,9 @@ counterexample witnesses and notes, by the commit before the formula rows.
 The ``reduce-*`` goldens, one ground and one open arithmetic seed under each
 step kind and output format, were written by the commit before sequential
 steps were taken by position; the seq DOT goldens pin the rule labels.
+The ``reduce-selfloop-*`` goldens, whose seq graph has self-loops and an
+edge labelled with two rules, were written by the commit before those
+labels were read from the root reducts.
 The goldens of cut-off graphs and closures, whose names end in ``-bN`` for
 ``--bound N``, were written by the commit before reduction graphs stopped
 storing their edges.  The goldens of the two cyclic systems under
@@ -34,7 +37,8 @@ with open(os.path.join(GOLDEN, "exit_codes.json"), encoding="utf-8") as f:
 
 REDUCE_SEEDS = {"arith": {"ground": "M(S(0),A(0,A(S(0),0)))",
                           "open": "A(S(x),M(S(0),y))"},
-                "newman": {"b": "b"}}
+                "newman": {"b": "b"},
+                "selfloop": {"s": "f(g(g(a)),g(a))"}}
 REDUCE_FORMATS = {"txt": "text", "dot": "dot", "json": "json"}
 
 

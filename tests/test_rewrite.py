@@ -23,7 +23,6 @@ from relrew.rewrite import (
     reduction_graph,
     root_reducts,
     sequential_step,
-    sequential_steps,
 )
 from relrew import rewrite
 from relrew.analysis import seed_terms
@@ -83,8 +82,7 @@ def test_comments_and_blank_lines():
 
 def test_root_reducts(arith):
     t = arith.parse("A(0,S(0))")
-    reducts = root_reducts(arith, t)
-    assert [(i, r) for i, _, r in reducts] == [(0, app("S", ZERO))]
+    assert root_reducts(arith, t) == ((0, app("S", ZERO)),)
 
 
 def test_sequential_step_worked_example(arith):
@@ -121,17 +119,33 @@ def _replace_at(t, position, s):
                 + t.args[k + 1:])
 
 
+def _path_between(p, q):
+    """The argument indices down to the one subterm where p and q differ."""
+    position = ()
+    while p.name == q.name:
+        differ = [k for k, (a, b) in enumerate(zip(p.args, q.args))
+                  if a is not b]
+        if len(differ) != 1:
+            break
+        k = differ[0]
+        position, p, q = position + (k,), p.args[k], q.args[k]
+    return position
+
+
 def test_step_witnesses_replay(arith):
-    """Each witness names the redex by position: the rule's left side under
-    the substitution is the subterm there, and putting the right side in
-    its place gives the target."""
+    """An edge's rule labels and the path on which its ends differ name
+    the rewrite: the rule's left side matches the subterm there, and
+    putting the right side in its place gives the target."""
     t = arith.parse("M(S(0),A(0,S(A(0,0))))")
-    steps = sequential_steps(arith, t)
-    assert [w.position for _, w in steps] == [(), (1,), (1, 1, 0)]
-    for target, w in steps:
-        rule, subst = arith.rules[w.rule_index], dict(w.subst)
-        assert apply_subst(rule.lhs, subst) is _subterm_at(t, w.position)
-        assert _replace_at(t, w.position, apply_subst(rule.rhs, subst)) is target
+    targets = {_path_between(t, q): q for q in sequential_step(arith, t)}
+    labels = {position: rewrite._rules_between(arith, t, q)
+              for position, q in targets.items()}
+    assert labels == {(): {3}, (1,): {0}, (1, 1, 0): {0}}
+    for position, q in targets.items():
+        for i in labels[position]:
+            rule, subst = arith.rules[i], {}
+            assert _naive_match(rule.lhs, _subterm_at(t, position), subst)
+            assert _replace_at(t, position, apply_subst(rule.rhs, subst)) is q
 
 
 def test_is_normal_form(arith):
@@ -180,8 +194,7 @@ def _naive_reducts(trs, t):
     for i, rule in enumerate(trs.rules):
         subst = {}
         if _naive_match(rule.lhs, t, subst):
-            out.append((i, tuple(sorted(subst.items())),
-                        apply_subst(rule.rhs, subst)))
+            out.append((i, apply_subst(rule.rhs, subst)))
     return out
 
 
@@ -190,6 +203,12 @@ def _reference_trs():
     texts = [(root / name).read_text() for name in ("arith.trs",
                                                       "nonconfluent.trs")]
     return [parse_trs(text) for text in texts + [HEADS_TEXT]]
+
+
+def _selfloop_trs():
+    """Sequential self-loops, and an edge that two rules take."""
+    path = pathlib.Path(__file__).parent / "data" / "selfloop.trs"
+    return parse_trs(path.read_text())
 
 
 @pytest.mark.parametrize("k", range(3))
@@ -203,7 +222,7 @@ def test_root_reducts_match_naive_matcher(k):
         for _ in range(2):  # the second call reads the table
             got = root_reducts(trs, t)
             assert isinstance(got, tuple)
-            assert all(isinstance(r, tuple) and isinstance(r[1], tuple)
+            assert all(isinstance(r, tuple) and isinstance(r[1], Term)
                        for r in got)
             assert list(got) == _naive_reducts(trs, t), t
         matched += bool(got)
@@ -231,39 +250,45 @@ def _decompose(t):
     return out
 
 
-def _context(t, position):
-    """The context that ``position`` cuts out of t."""
-    return _replace_at(t, position, HOLE)
+def _reference_steps(trs, t):
+    """t's sequential steps by the context reference: each target, with
+    the indices of the rules that take t there."""
+    splits = _decompose(t)
+    # one split per subterm occurrence, each plugging back to t
+    assert len(splits) == len(list(subterms(t)))
+    assert all(_plug(c, s) is t for c, s in splits)
+    out = {}
+    for c, s in splits:
+        for i, r in _naive_reducts(trs, s):
+            out.setdefault(_plug(c, r), set()).add(i)
+    return out
 
 
-@pytest.mark.parametrize("k", range(3))
-def test_sequential_steps_match_reference_stepper(k):
-    """Over a depth-2 universe, the positional walk gives the steps the
-    context stepper gives: the same targets, rule indices, substitutions
-    and order, with each position naming the context of the rewrite."""
-    trs = _reference_trs()[k]
+def _assert_matches_reference(trs, t):
+    reference = _reference_steps(trs, t)
+    assert sequential_step(trs, t) == set(reference), t
+    for q, used in reference.items():
+        assert rewrite._rules_between(trs, t, q) == used, (t, q)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_sequential_step_matches_reference_stepper(k):
+    """Over a depth-2 universe, the memoised stepper gives the context
+    stepper's targets, and each edge's rule labels are the rules the
+    context stepper takes it with."""
+    trs = (_reference_trs() + [_selfloop_trs()])[k]
     for t in universe(trs.signature, trs.variables, 2).terms():
-        splits = _decompose(t)
-        # one split per subterm occurrence, each plugging back to t
-        assert len(splits) == len(list(subterms(t)))
-        assert all(_plug(c, s) is t for c, s in splits)
-        reference = [(_plug(c, r), c, i, subst)
-                     for c, s in splits
-                     for i, subst, r in _naive_reducts(trs, s)]
-        got = [(target, _context(t, w.position), w.rule_index, w.subst)
-               for target, w in sequential_steps(trs, t)]
-        assert got == reference, t
-        assert sequential_step(trs, t) == {target for target, *_ in got}, t
+        _assert_matches_reference(trs, t)
 
 
-def test_sequential_step_matches_witness_stepper_on_seeds(arith):
-    """The memoised stepper gives the witness stepper's targets on every
-    depth-3 seed of arith."""
-    seeds = seed_terms(arith, 3)
-    assert len(seeds) == 3918
-    for t in seeds:
-        assert sequential_step(arith, t) == {
-            target for target, _ in sequential_steps(arith, t)}, t
+def test_sequential_step_matches_reference_stepper_on_seeds(arith):
+    """The same, on every depth-3 seed of arith and of the self-loop
+    system, where the swap at the root of f(g(g(a)),g(a)) changes both
+    arguments, and one of them also steps by itself."""
+    assert len(seed_terms(arith, 3)) == 3918
+    for trs in (arith, _selfloop_trs()):
+        for t in seed_terms(trs, 3):
+            _assert_matches_reference(trs, t)
 
 
 @pytest.mark.parametrize("k", range(2))  # the third's rule-less head is a constant
@@ -285,10 +310,10 @@ def test_full_step_on_ruleless_head_is_argument_product(k):
 def test_root_reducts_cover_heads_cases():
     trs = parse_trs(HEADS_TEXT)
     c, d = app("c"), app("d")
-    assert root_reducts(trs, c) == ((0, (), d),)
-    assert [i for i, _, _ in root_reducts(trs, app("g", app("g", c)))] == [1, 2]
-    assert [i for i, _, _ in root_reducts(trs, app("f", c, c))] == [3, 4]
-    assert [i for i, _, _ in root_reducts(trs, app("f", c, d))] == [4]
+    assert root_reducts(trs, c) == ((0, d),)
+    assert [i for i, _ in root_reducts(trs, app("g", app("g", c)))] == [1, 2]
+    assert [i for i, _ in root_reducts(trs, app("f", c, c))] == [3, 4]
+    assert [i for i, _ in root_reducts(trs, app("f", c, d))] == [4]
     assert root_reducts(trs, X) == ()
 
 
@@ -512,7 +537,7 @@ def test_ground_instances_on_u2(arith):
     # every pair really is a root step, and lhs instances whose reduct
     # escapes the universe are counted
     for t, r in g.pairs:
-        assert r in [red for _, _, red in root_reducts(arith, t)]
+        assert r in [red for _, red in root_reducts(arith, t)]
     assert len(g.pairs) == 66
     assert st.dropped == 126
 
@@ -534,3 +559,19 @@ def test_graph_to_dot_deterministic(arith):
     g2 = reduction_graph(arith, [arith.parse("M(S(0),S(0))")], kind="seq")
     assert graph_to_dot(g1) == graph_to_dot(g2)
     assert graph_to_dot(g1).startswith("digraph")
+
+
+def test_deep_seq_dot_edges_match_json(arith):
+    """On the seq graph of a right-nested A(0,A(0,...0)) at the depth
+    limit, the DOT edges are the JSON edges, and each is labelled r0.  A
+    node's redexes all contract to the same term, so it has one edge,
+    which rule 0 takes at each of its A's."""
+    t = ZERO
+    for _ in range(MAX_TERM_DEPTH):
+        t = app("A", ZERO, t)
+    g = reduction_graph(arith, [t], kind="seq")
+    assert g.exhausted
+    edges = json.loads(graph_to_json(g))["edges"]
+    assert len(edges) == MAX_TERM_DEPTH
+    dot = [line for line in graph_to_dot(g).splitlines() if " -> " in line]
+    assert dot == [f'  "{p}" -> "{q}" [label="r0"];' for p, q in edges]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import relrew.rewrite as rw
 from relrew.relalg import Rel
-from relrew.rewrite import parse_trs, sequential_steps
+from relrew.rewrite import parse_trs
 from relrew.syntax import (
     MAX_TERM_DEPTH,
     Signature,
@@ -334,7 +334,7 @@ def test_interned_applications_make_no_class_call(arith, monkeypatch):
                 apply_subst(t, {"x": zero}),
                 [check_refine(r) for r in rels], [tilde(r) for r in rels],
                 [subst_rel(a, r) for a, r in zip(subst, rels)],
-                sequential_steps(arith, t),
+                rw.sequential_step.__wrapped__(arith, t),
                 rw.parallel_step.__wrapped__(arith, t),
                 rw.full_step.__wrapped__(arith, t))
 
