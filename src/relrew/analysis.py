@@ -449,26 +449,23 @@ def exhaustive_church_rosser(trs: TRS, seeds: Sequence[Term],
 # critical pairs, relationally
 
 @dataclass
-class CPReport:
-    cp1: PropertyReport
-    cp2: PropertyReport
-    cp1_prime: PropertyReport
+class ChecksReport:
+    """A property checked as several inclusions, one report each; it fails
+    if one of them fails, and is unconfirmed if one of them is."""
+    property: str
+    checks: Tuple[PropertyReport, ...]
     overflow_dropped: int
 
     @property
     def verdict(self) -> str:
-        verdicts = {c.verdict for c in (self.cp1, self.cp2, self.cp1_prime)}
+        verdicts = {c.verdict for c in self.checks}
         return _verdict(FAILS in verdicts, UNCONFIRMED in verdicts)
 
     def to_json(self) -> dict:
         return {
-            "property": "critical-pairs",
+            "property": self.property,
             "overflow_dropped": self.overflow_dropped,
-            "checks": [
-                self.cp1.to_json(),
-                self.cp2.to_json(),
-                self.cp1_prime.to_json(),
-            ],
+            "checks": [c.to_json() for c in self.checks],
         }
 
 
@@ -491,7 +488,7 @@ def _unjoined(name: str, peaks: Rel, joins: Callable[[Term, Term], bool],
                      dropped)
 
 
-def check_cp(trs: TRS, depth: int = 2) -> CPReport:
+def check_cp(trs: TRS, depth: int = 2) -> ChecksReport:
     """Evaluate the relational critical-pair conditions for the rule
     relation of ``trs`` over the depth-bounded working universe:
 
@@ -519,45 +516,29 @@ def check_cp(trs: TRS, depth: int = 2) -> CPReport:
     # the universe it is checked exactly (every lhs instance is present)
     cp1_prime = _failures("cp-1-prime",
                           {(p, q) for p, q in root_peaks.pairs if p is not q})
-    return CPReport(cp1, cp2, cp1_prime, stats.dropped)
+    return ChecksReport("critical-pairs", (cp1, cp2, cp1_prime),
+                        stats.dropped)
 
 
-@dataclass
-class TechniqueReport:
-    premise_root_peaks: PropertyReport       # a°;a ≤ aˢ*;aˢ*°
-    premise_root_vs_inner: PropertyReport    # a°;∂_Δ(aˢ) ≤ aˢ*;aˢ*°
-    conclusion: PropertyReport               # aˢ°;aˢ ≤ aˢ*;aˢ*°
-    overflow_dropped: int
-
-    @property
-    def premises_hold(self) -> bool:
-        return self.premise_root_peaks.ok and self.premise_root_vs_inner.ok
-
-    def to_json(self) -> dict:
-        return {
-            "property": "weak-confluence-technique",
-            "overflow_dropped": self.overflow_dropped,
-            "checks": [
-                self.premise_root_peaks.to_json(),
-                self.premise_root_vs_inner.to_json(),
-                self.conclusion.to_json(),
-            ],
-        }
-
-
-def check_weak_confluence_technique(a: Rel) -> TechniqueReport:
+def check_weak_confluence_technique(a: Rel) -> ChecksReport:
     """The weak-confluence proof technique, instantiated: if root peaks
     join and root-vs-inner peaks join, then all one-step peaks of the
-    sequential closure join.  Each check reports the pairs dropped up to
-    its own evaluation."""
+    sequential closure join.  The checks are the two premises and the
+    conclusion:
+
+    * a°;a ≤ aˢ*;aˢ*°
+    * a°;∂_Δ(aˢ) ≤ aˢ*;aˢ*°
+    * aˢ°;aˢ ≤ aˢ*;aˢ*°
+
+    Each check reports the pairs dropped up to its own evaluation."""
     stats = OpStats()
     aseq = sequential_closure(a, stats)
     root, root_dropped = a.converse().compose(a), stats.dropped
     inner = a.converse().compose(check_refine(aseq, stats))
     one_step = aseq.converse().compose(aseq)
     joins = _joins(aseq, root, inner, one_step)
-    return TechniqueReport(
+    return ChecksReport("weak-confluence-technique", (
         _unjoined("root-peaks-join", root, joins, root_dropped),
         _unjoined("root-vs-inner-peaks-join", inner, joins, stats.dropped),
-        _unjoined("one-step-peaks-join", one_step, joins, stats.dropped),
+        _unjoined("one-step-peaks-join", one_step, joins, stats.dropped)),
         stats.dropped)

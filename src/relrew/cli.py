@@ -180,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("check",
                       choices=("confluence", "weak", "cr", "cp", "spectrum"))
     p_an.add_argument("--depth", type=_count, default=None,
-                      help="seed/universe depth (default 3, cp default 2)")
+                      help="seed/universe depth, 0..200 (default 3, cp "
+                      "default 2)")
     p_an.add_argument("--bound", type=_count, default=None,
                       help="maximum number of full-step BFS layers of the "
                       "closure (default: explore until exhausted; cp "

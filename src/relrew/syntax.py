@@ -25,7 +25,8 @@ class TermError(ValueError):
 
 
 class UniverseError(ValueError):
-    """A universe was too large to materialize."""
+    """A universe too large to materialize, or deeper than
+    ``MAX_TERM_DEPTH``."""
 
 
 class Signature:
@@ -290,7 +291,9 @@ class Universe:
     """A finite, subterm-closed set of well-formed terms.
 
     With ``explicit=None`` the universe is all well-formed terms of depth at
-    most ``depth``.  An explicit universe carries its (subterm-closed) term
+    most ``depth``, built on first enumeration by ``_depth_universe_terms``;
+    its depth may not exceed ``MAX_TERM_DEPTH``, the depth ``parse_term``
+    allows a term.  An explicit universe carries its (subterm-closed) term
     set; ``depth`` then records the maximum depth present.
     """
 
@@ -302,6 +305,9 @@ class Universe:
     def __post_init__(self):
         if self.depth < 0:
             raise UniverseError("universe depth must be >= 0")
+        if self.explicit is None and self.depth > MAX_TERM_DEPTH:
+            raise UniverseError(f"universe depth {self.depth} is over the "
+                                f"limit of {MAX_TERM_DEPTH}")
 
     # -- membership ---------------------------------------------------------
     def __contains__(self, t: Term) -> bool:
@@ -318,11 +324,6 @@ class Universe:
     # -- enumeration --------------------------------------------------------
     def __iter__(self) -> Iterator[Term]:
         return iter(self.terms())
-
-    def size(self) -> int:
-        if self.explicit is not None:
-            return len(self.explicit)
-        return _depth_universe_size(self.signature, self.variables, self.depth)
 
     def terms(self) -> Tuple[Term, ...]:
         """All terms, sorted by the deterministic structural key."""
@@ -384,31 +385,28 @@ class Universe:
 
 
 @lru_cache(maxsize=None)
-def _depth_universe_size(sig: Signature, variables: Tuple[str, ...], d: int) -> int:
-    leaves = len(variables) + len(sig.constants())
-    if d == 0:
-        return leaves
-    below = _depth_universe_size(sig, variables, d - 1)
-    return leaves + sum(below ** a for _, a in sig.operators())
-
-
-@lru_cache(maxsize=None)
 def _depth_universe_terms(sig: Signature, variables: Tuple[str, ...],
                           d: int) -> Tuple[Term, ...]:
-    n = _depth_universe_size(sig, variables, d)
-    if n > DEFAULT_UNIVERSE_CAP:
-        raise UniverseError(
-            f"universe of depth {d} has {n} terms "
-            f"(cap {DEFAULT_UNIVERSE_CAP}); not materializing"
-        )
-    out = [var(v) for v in sorted(variables)]
-    out.extend(app(c) for c in sig.constants())
-    if d > 0:
-        below = _depth_universe_terms(sig, variables, d - 1)
+    """The terms of depth <= ``d``, sorted, built level by level: level k
+    is the leaves plus every application over level k-1.  A level's size is
+    known before it is built, so a universe over ``DEFAULT_UNIVERSE_CAP``
+    is refused at its first level over the cap, before that level is
+    built.  The terms of a level are distinct by construction, so the last
+    level is sorted as it is."""
+    leaves = [var(v) for v in sorted(set(variables))]
+    leaves.extend(app(c) for c in sig.constants())
+    level = leaves
+    for k in range(1, d + 1):
+        n = len(leaves) + sum(len(level) ** a for _, a in sig.operators())
+        if n > DEFAULT_UNIVERSE_CAP:
+            raise UniverseError(
+                f"universe of depth {d} is over the cap of "
+                f"{DEFAULT_UNIVERSE_CAP} terms: {n} terms of depth <= {k}; "
+                f"not materializing")
+        below, level = level, list(leaves)
         for name, ar in sig.operators():
-            for args in product(below, repeat=ar):
-                out.append(app(name, *args))
-    return tuple(sorted(set(out), key=term_key))
+            level.extend(make_all(name, product(below, repeat=ar)))
+    return tuple(sorted(level, key=term_key))
 
 
 @lru_cache(maxsize=None)

@@ -115,8 +115,8 @@ def test_criterion_6_cp_pipeline(arith):
     """CP-1' holds for arithmetic; the system is weakly confluent on the
     depth-3 reachable closure; and premises => conclusion of the
     weak-confluence technique on every non-overflowing sample."""
-    cp = check_cp(arith, depth=2)
-    cp1p_ok = cp.cp1_prime.verdict == HOLDS
+    _, _, cp1_prime = check_cp(arith, depth=2).checks
+    cp1p_ok = cp1_prime.verdict == HOLDS
 
     weak = exhaustive_weak_confluence(arith, seed_terms(arith, 3))
     weak_ok = weak.verdict == HOLDS
@@ -131,12 +131,13 @@ def test_criterion_6_cp_pipeline(arith):
             (rng.choice(sup), rng.choice(sup)) for _ in range(rng.randint(0, 5))
         )
         rep = check_weak_confluence_technique(Rel(u, pairs))
-        if rep.premises_hold and rep.overflow_dropped == 0:
+        root, inner, conclusion = rep.checks
+        if root.ok and inner.ok and rep.overflow_dropped == 0:
             exercised += 1
-            if not rep.conclusion.ok:
+            if not conclusion.ok:
                 implication_ok = False
     _report(6, cp1p_ok and weak_ok and implication_ok and exercised > 0,
-            f"CP-1' {cp.cp1_prime.verdict}, weak confluence {weak.verdict}, "
+            f"CP-1' {cp1_prime.verdict}, weak confluence {weak.verdict}, "
             f"technique implication held on {exercised} samples")
 
 

@@ -265,24 +265,24 @@ def test_spectrum_survey_small(arith):
 # critical pairs
 
 def test_check_cp_arith(arith):
-    report = check_cp(arith, depth=2)
-    assert report.cp1.verdict == HOLDS
-    assert report.cp2.verdict == HOLDS
-    assert report.cp1_prime.verdict == HOLDS
+    cp1, cp2, cp1_prime = check_cp(arith, depth=2).checks
+    assert cp1.verdict == HOLDS
+    assert cp2.verdict == HOLDS
+    assert cp1_prime.verdict == HOLDS
 
 
 def test_check_cp_overlapping_rules():
-    report = check_cp(parse_trs(NONCONFLUENT), depth=1)
-    assert report.cp1_prime.verdict == FAILS
-    assert report.cp1.verdict == FAILS  # b and c do not join
+    cp1, _, cp1_prime = check_cp(parse_trs(NONCONFLUENT), depth=1).checks
+    assert cp1_prime.verdict == FAILS
+    assert cp1.verdict == FAILS  # b and c do not join
 
 
 def test_technique_on_arith(arith):
     u = universe(arith.signature, arith.variables, 2)
     g = ground_instances(arith, u)
-    report = check_weak_confluence_technique(g)
-    assert report.premises_hold
-    assert report.conclusion.ok
+    root, inner, conclusion = check_weak_confluence_technique(g).checks
+    assert root.ok and inner.ok
+    assert conclusion.ok
 
 
 def test_technique_implication_random(arith):
@@ -297,9 +297,10 @@ def test_technique_implication_random(arith):
             (rng.choice(sup), rng.choice(sup)) for _ in range(rng.randint(0, 5))
         )
         report = check_weak_confluence_technique(Rel(u, pairs))
-        if report.premises_hold and report.overflow_dropped == 0:
+        root, inner, conclusion = report.checks
+        if root.ok and inner.ok and report.overflow_dropped == 0:
             checked += 1
-            assert report.conclusion.ok
+            assert conclusion.ok
     assert checked > 10  # the implication was actually exercised
 
 

@@ -18,7 +18,7 @@ from relrew.cli import (
     EXIT_UNCONFIRMED,
     main,
 )
-from relrew.syntax import MAX_TERM_DEPTH
+from relrew.syntax import DEFAULT_UNIVERSE_CAP, MAX_TERM_DEPTH
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 NONCONFLUENT = "sig a/0 b/0 c/0\nrule a -> b\nrule a -> c\n"
@@ -360,6 +360,41 @@ def test_analyze_cp_depth3_nonconfluent(capsys):
                         "cp-1-prime": "fails"}
     witnesses = payload["checks"][2]["witnesses"]
     assert witnesses and all(len(w) == 2 for w in witnesses)
+
+
+UNARY = "sig 0/0 S/1\nvar x\nrule S(S(x)) -> x\n"
+CAP = f"cap of {DEFAULT_UNIVERSE_CAP} terms"
+DEPTH_LIMIT = f"limit of {MAX_TERM_DEPTH}"
+
+
+@pytest.mark.parametrize("text, check, depth, limit", [
+    (None, "confluence", 26, CAP),
+    (None, "cp", 26, CAP),
+    (None, "cp", 5000, DEPTH_LIMIT),
+    (None, "weak", 20, CAP),
+    (UNARY, "confluence", 2000, DEPTH_LIMIT),
+], ids=["arith-confluence-26", "arith-cp-26", "arith-cp-5000",
+        "arith-weak-20", "unary-confluence-2000"])
+def test_analyze_too_deep_universe_is_input_error(arith_file, tmp_path, text,
+                                                  check, depth, limit):
+    """A ``--depth`` whose universe passes the term cap, or is deeper than
+    any term may be, ends at once with exit 3 and names the limit.  Sizing
+    the universe by a recurrence over its depths multiplied integers of
+    millions of digits at depth 26, and overflowed the stack at 2000."""
+    path = arith_file
+    if text is not None:
+        path = str(tmp_path / "unary.trs")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(relrew.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relrew.cli", "analyze", path, check,
+         "--depth", str(depth)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=20)
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert limit in proc.stderr
 
 
 GROWING = "sig a/0 f/1\nvar x\nrule f(x) -> f(f(x))\n"

@@ -2,6 +2,7 @@
 
 import pathlib
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from relrew.syntax import (
     Term,
     TermError,
     Universe,
+    UniverseError,
     app,
     apply_subst,
     format_term,
@@ -193,22 +195,46 @@ def test_universe_sizes_small():
     # depth 0: x, y, 0.  depth 1 adds S/A/M applications of those:
     # 3 + 3 + 9 + 9 = 24.  depth 2: 24 + 24 + 576 + 576 = 1200, minus the
     # 21 applications already counted at depth 1: 1179.
-    assert universe(SIG, VARS, 0).size() == 3
-    assert universe(SIG, VARS, 1).size() == 24
-    assert universe(SIG, VARS, 2).size() == 1179
+    assert len(universe(SIG, VARS, 0).terms()) == 3
+    assert len(universe(SIG, VARS, 1).terms()) == 24
     assert len(universe(SIG, VARS, 2).terms()) == 1179
 
 
 def test_universe_size_matches_enumeration():
+    """Each level is the leaves plus every application over the level
+    below, with no term twice: a set-based reference gives the same
+    terms."""
+    ref = {var("x"), var("y"), app("0")}
     for d in range(3):
-        u = universe(SIG, VARS, d)
-        assert u.size() == len(u.terms())
+        ts = universe(SIG, VARS, d).terms()
+        assert len(set(ts)) == len(ts)
+        assert set(ts) == ref
+        ref = {var("x"), var("y"), app("0")} | {
+            make(name, args) for name, ar in SIG.operators()
+            for args in product(ref, repeat=ar)}
 
 
 def test_universe_depth3_size():
-    # the depth-3 open universe is far too large to materialize; the size
-    # recurrence must still report it
-    assert universe(SIG, VARS, 3).size() == 2_781_264
+    """The depth-3 open universe is far too large to materialize; it is
+    refused before its last level is built, with that level's size."""
+    with pytest.raises(UniverseError, match=r"depth 3 .* cap of 500000 "
+                       r"terms: 2781264 terms of depth <= 3"):
+        universe(SIG, VARS, 3).terms()
+
+
+def test_universe_deeper_than_max_term_depth():
+    """A depth universe deeper than any term ``parse_term`` accepts is
+    refused on construction, before it is enumerated; an explicit universe
+    is not."""
+    unary = Signature({"0": 0, "S": 1})
+    assert len(universe(unary, ("x",), MAX_TERM_DEPTH).terms()) == \
+        2 * MAX_TERM_DEPTH + 2
+    with pytest.raises(UniverseError, match=f"limit of {MAX_TERM_DEPTH}"):
+        universe(unary, ("x",), MAX_TERM_DEPTH + 1)
+    deep = app("0")
+    for _ in range(MAX_TERM_DEPTH + 1):
+        deep = app("S", deep)
+    assert Universe.from_terms(unary, (), [deep]).depth == MAX_TERM_DEPTH + 1
 
 
 def test_universe_membership():
@@ -246,7 +272,9 @@ def test_universe_repeated_variables_count_once():
     universe cap counts the terms the universe enumerates."""
     u = universe(SIG, ("x", "x"), 2)
     assert u.variables == ("x",)
-    assert u.size() == len(u.terms()) == universe(SIG, ("x",), 2).size()
+    assert u.terms() == universe(SIG, ("x",), 2).terms()
+    assert len(u.terms()) == 2 + 12 + 2 * 12 ** 2  # leaves x, 0; S, A, M
+    assert len(Universe(SIG, ("x", "x"), 1).terms()) == 12
     t = app("S", var("x"))
     assert Universe.from_terms(SIG, ["x", "x"], [t]) == \
         Universe.from_terms(SIG, ["x"], [t])

@@ -19,6 +19,7 @@ from relrew.syntax import (
     DEFAULT_UNIVERSE_CAP,
     Signature,
     Universe,
+    UniverseError,
     app,
     apply_subst,
     free_vars,
@@ -266,7 +267,9 @@ def test_check_refine_over_unmaterialisable_depth3_universe():
     range over its depth-2 terms: 2 pairs at S, 2 x 1179 per position of A
     and M, and nothing escapes."""
     u3 = universe(SIG, VARS, 3)
-    assert u3.size() > DEFAULT_UNIVERSE_CAP
+    with pytest.raises(UniverseError, match=f"cap of {DEFAULT_UNIVERSE_CAP} "
+                       "terms: 2781264 terms of depth <= 3"):
+        u3.terms()
     st = OpStats()
     out = check_refine(rel(u3, (ZERO, app("S", ZERO)), (X, Y)), st)
     assert len(out.pairs) == 9434
