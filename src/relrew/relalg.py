@@ -138,9 +138,6 @@ class Rel:
         return Rel(self.carrier, frozenset(out))
 
     # -- closures --------------------------------------------------------------
-    def sym_closure(self) -> "Rel":
-        return self.join(self.converse())
-
     def trans_closure(self) -> "Rel":
         """a+: each source paired with everything its successors reach."""
         succ = successors(self.pairs)
@@ -164,7 +161,11 @@ class Rel:
 def successors(pairs: Iterable[Pair]) -> Succ:
     succ: Succ = {}
     for p, q in pairs:
-        succ.setdefault(p, set()).add(q)
+        s = succ.get(p)
+        if s is None:
+            succ[p] = {q}
+        else:
+            s.add(q)
     return succ
 
 

@@ -225,3 +225,11 @@ def unexpanded_reach(monkeypatch):
 
     for module in (relalg, an):
         monkeypatch.setattr(module, "reach", shallow)
+
+
+@pytest.fixture
+def shallow_stars(monkeypatch):
+    """Bitset star rows of the abstract checks that take at most one step:
+    each row is the element's successor row plus the element itself."""
+    monkeypatch.setattr(an, "_star_rows", lambda rows: [
+        row | 1 << i for i, row in enumerate(rows)])

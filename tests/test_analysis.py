@@ -6,6 +6,7 @@ import pytest
 
 from relrew.analysis import (
     _condense,
+    _failures,
     FAILS,
     HOLDS,
     UNCONFIRMED,
@@ -58,6 +59,57 @@ def test_cr_iff_confluence_random():
         n = rng.randint(1, 6)
         a = random_rel(n, rng.uniform(0.05, 0.5), rng)
         assert is_church_rosser(a).ok == is_confluent(a).ok
+
+
+ABSTRACT_CHECKS = (has_diamond, is_weakly_confluent, is_confluent,
+                   is_church_rosser)
+
+
+def _reference_reports(a):
+    """The four abstract checks as the compose formulas of their
+    inclusions, with stars over the whole carrier."""
+    s = a.kleene_star()
+    valleys = s.compose(s.converse())
+    formulas = (
+        ("diamond", a.converse().compose(a), a.compose(a.converse())),
+        ("weak-confluence", a.converse().compose(a), valleys),
+        ("confluence", s.converse().compose(s), valleys),
+        ("church-rosser", (a | a.converse()).kleene_star(), valleys))
+    return [_failures(name, lhs.pairs - rhs.pairs).to_json()
+            for name, lhs, rhs in formulas]
+
+
+def test_abstract_checks_match_compose_formulas():
+    """Bitset rows over the field give the compose formulas' reports,
+    witnesses and their order included, on carriers with elements in no
+    pair and on empty relations."""
+    rng = random.Random(2024)
+    rels = []
+    for k in range(2000):
+        n = k % 10
+        field = [x for x in range(n) if rng.random() < 0.8]
+        density = rng.uniform(0.05, 0.6)
+        rels.append(Rel.from_pairs(n, [(p, q) for p in field for q in field
+                                       if rng.random() < density]))
+    assert any(0 < len({x for pq in a.pairs for x in pq}) < a.n for a in rels)
+    for a in rels + [Rel.bottom(n) for n in range(10)]:
+        assert [check(a).to_json() for check in ABSTRACT_CHECKS] == \
+            _reference_reports(a)
+
+
+def test_abstract_checks_over_unenumerable_term_carrier(arith):
+    """Only the relation's field is numbered, so a relation over arith's
+    depth-3 universe, too large to enumerate, is checked without it."""
+    u = universe(arith.signature, arith.variables, 3)
+    a = Rel.from_pairs(u, [(arith.parse(p), arith.parse(q)) for p, q in
+                           (("A(0,0)", "0"), ("A(0,0)", "S(0)"),
+                            ("S(0)", "S(0)"))])
+    got = [check(a).to_json() for check in ABSTRACT_CHECKS]
+    assert [(r["property"], r["verdict"], r["witnesses"]) for r in got] == [
+        ("diamond", FAILS, [["0", "0"], ["0", "S(0)"], ["S(0)", "0"]]),
+        ("weak-confluence", FAILS, [["0", "S(0)"], ["S(0)", "0"]]),
+        ("confluence", FAILS, [["0", "S(0)"], ["S(0)", "0"]]),
+        ("church-rosser", FAILS, [["0", "S(0)"], ["S(0)", "0"]])]
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +384,14 @@ def test_abstract_reports_pinned(n, pairs):
                     "witnesses": [list(w) for w in witnesses.split()],
                     "overflow_dropped": 0}
                    for name, witnesses in _ABSTRACT_PINS[n, pairs]]
+
+
+def test_abstract_pins_catch_shallow_stars(shallow_stars):
+    """Star rows cut to one step lose the path 0 -> 1 -> 2 of the second
+    pinned relation, so its pinned reports no longer match."""
+    n, pairs = list(_ABSTRACT_PINS)[1]
+    with pytest.raises(AssertionError):
+        test_abstract_reports_pinned(n, pairs)
 
 
 _TECHNIQUE_PINS = [
