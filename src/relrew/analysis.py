@@ -15,12 +15,15 @@ pairs dropped from the working universe or by a closure cut off after
 ``bound`` layers, is ``unconfirmed``; otherwise the property ``holds``.
 
 The reachable closure is a finite graph, so every join question and the
-spectrum's star equalities are decided on the condensation of its step
-graph into strongly connected components (iterative Tarjan, linear time).
-A bottom SCC is one that no step leaves.  Two nodes are joinable iff they
-reach a common bottom SCC (Huet 1980), so the closure is confluent iff
-every node reaches exactly one, and Church-Rosser iff every weakly
-connected component contains exactly one.  Their witnesses are the
+spectrum's ``full ⊆ seq-star`` test are decided on the condensation of its
+sequential step graph into strongly connected components (iterative
+Tarjan, linear time).  The spectrum's star equality follows from its
+inclusions by fixed-point induction, so only a failing inclusion condenses
+the parallel and full step graphs too, to compare the stars.  A bottom
+SCC is one that no step leaves.  Two nodes are joinable iff they reach a
+common bottom SCC (Huet 1980), so the closure is confluent iff every node
+reaches exactly one, and Church-Rosser iff every weakly connected
+component contains exactly one.  Their witnesses are the
 ``term_key``-least members of two bottom SCCs, which cannot be joined;
 every check walks the closure in ``term_key`` order, so its witnesses do
 not depend on where terms were allocated.
@@ -369,45 +372,49 @@ def spectrum_survey(trs: TRS, seeds: Sequence[Term],
     """Check seq ⊆ par ⊆ full ⊆ seq-star pointwise on the reachable closure,
     and that the three reflexive-transitive closures coincide.
 
-    Each of the three step graphs is condensed on its own; a node's star
-    is the bitset of nodes its component reaches, so ``full ⊆ seq-star`` is
-    a bit test and the star comparison an integer comparison.  On a
-    closure cut off by ``bound`` the stars are partial, so only a
-    ``seq<=par`` or ``par<=full`` violation is definitive."""
+    Only the sequential step graph is condensed: a node's seq-star is the
+    bitset of nodes its component reaches, so ``full ⊆ seq-star`` is a bit
+    test on every full edge.  Without a violation the stars are equal by
+    fixed-point induction (if F(a) ≤ a then μF ≤ a): seq ⊆ par ⊆ full
+    gives seq* ⊆ par* ⊆ full*, and full ⊆ seq* makes seq* closed under
+    x ↦ Δ | full;x, whose least fixed point is full*, so full* ⊆ seq*.
+    Only a violation condenses the parallel and full graphs too, and
+    compares each node's three stars.  On a closure cut off by ``bound``
+    the stars are partial, so only a ``seq<=par`` or ``par<=full``
+    violation is definitive."""
     g, order, open_nodes = _closure(trs, seeds, bound)
+    index = {t: i for i, t in enumerate(order)}
     seq_rows = [g.steps(t, "seq") for t in order]
     par_rows = [g.steps(t, "par") for t in order]
     full_rows = [g.steps(t) for t in order]
-    violations: List[Tuple[str, str, str]] = []
+    bad: List[Tuple[str, Term, Term]] = []
     for t, sq, pr, fl in zip(order, seq_rows, par_rows, full_rows):
-        for bad in sorted(sq - pr, key=term_key):
-            violations.append(("seq<=par", format_term(t), format_term(bad)))
-        for bad in sorted(pr - fl, key=term_key):
-            violations.append(("par<=full", format_term(t), format_term(bad)))
+        bad += [("seq<=par", t, s) for s in sorted(sq - pr, key=term_key)]
+        bad += [("par<=full", t, s) for s in sorted(pr - fl, key=term_key)]
     # on a cut-off closure only these violations are definitive
-    definitive = bool(violations)
-    full = _condense(order, full_rows)
+    definitive = bool(bad)
     seq_star = _condense(order, seq_rows).node_stars()
-    par_star = _condense(order, par_rows).node_stars()
-    full_star = full.node_stars()
-    stars_equal = True
-    witnesses: List[Tuple[str, str]] = []
-    for i, t in enumerate(order):
-        star = seq_star[i]
-        for j in full.adj[i]:
-            if not star >> j & 1:
-                violations.append(("full<=seq-star", format_term(t),
-                                   format_term(order[j])))
-        # seq ⊆ par ⊆ full makes the three stars coincide iff full ⊆ seq-star,
-        # but we verify the reach sets directly as well
-        if par_star[i] != star or full_star[i] != star:
-            stars_equal = False
-            witnesses.append((format_term(t), "star-mismatch"))
-    failed = definitive or not open_nodes and (violations or not stars_equal)
-    return SpectrumReport("spectrum", _verdict(failed, open_nodes),
-                          witnesses[:MAX_WITNESSES], nodes=len(order),
-                          inclusion_violations=violations[:MAX_WITNESSES * 4],
-                          stars_equal=stars_equal)
+    for t, fl, star in zip(order, full_rows, seq_star):
+        try:
+            row = sorted(index[s] for s in fl)
+        except KeyError as e:  # the full graph must be closed, as in _condense
+            raise RuntimeError(f"successor {format_term(e.args[0])} of "
+                               f"{format_term(t)} is outside the closure"
+                               ) from None
+        bad += [("full<=seq-star", t, order[j])
+                for j in row if not star >> j & 1]
+    unequal: List[Term] = []  # the nodes whose three stars differ
+    if bad:
+        par_star = _condense(order, par_rows).node_stars()
+        full_star = _condense(order, full_rows).node_stars()
+        unequal = [t for t, s, p, f in zip(order, seq_star, par_star,
+                                           full_star) if p != s or f != s]
+    return SpectrumReport(
+        "spectrum", _verdict(definitive or not open_nodes and bad, open_nodes),
+        [(format_term(t), "star-mismatch") for t in unequal[:MAX_WITNESSES]],
+        nodes=len(order), stars_equal=not unequal,
+        inclusion_violations=[(k, format_term(t), format_term(s))
+                              for k, t, s in bad[:MAX_WITNESSES * 4]])
 
 
 def _seq_condensation(trs: TRS, seeds: Sequence[Term], bound: Optional[int]

@@ -56,7 +56,9 @@ def test_criterion_2_spectrum_depth3(arith):
     report = spectrum_survey(arith, seed_terms(arith, 3))
     elapsed = time.monotonic() - t0
     _report(2, report.ok and elapsed < 60.0,
-            f"{report.nodes} nodes, 0 violations, stars equal, {elapsed:.1f}s")
+            f"{report.verdict}: {report.nodes} nodes, "
+            f"{len(report.inclusion_violations)} violations, "
+            f"stars_equal={report.stars_equal}, {elapsed:.1f}s")
 
 
 def test_criterion_3_closures_match_steppers(arith):

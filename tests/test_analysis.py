@@ -1,15 +1,19 @@
 """Confluence-family checks: abstract, exhaustive, and critical-pair."""
 
+import os
 import random
 
 import pytest
 
+import relrew.analysis as an
 from relrew.analysis import (
     _condense,
     _failures,
     FAILS,
     HOLDS,
+    MAX_WITNESSES,
     UNCONFIRMED,
+    SpectrumReport,
     check_cp,
     check_weak_confluence_technique,
     exhaustive_church_rosser,
@@ -23,11 +27,12 @@ from relrew.analysis import (
     spectrum_survey,
 )
 from relrew.relalg import Rel, random_rel
-from relrew.rewrite import (ground_instances, parse_trs, reduction_graph,
-                            sequential_step)
+from relrew.rewrite import (ReductionGraph, ground_instances, parse_trs,
+                            reduction_graph, sequential_step)
 from relrew.syntax import format_term, term_key, universe
 
 NONCONFLUENT = "sig a/0 b/0 c/0\nrule a -> b\nrule a -> c\n"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +316,97 @@ def test_spectrum_survey_small(arith):
     assert report.ok
     assert report.inclusion_violations == []
     assert report.stars_equal
+
+
+def _reference_spectrum(trs, seeds, bound=None):
+    """The spectrum survey with all three step graphs condensed and every
+    node's three stars compared, whether or not an inclusion fails."""
+    g, order, open_nodes = an._closure(trs, seeds, bound)
+    seq_rows = [g.steps(t, "seq") for t in order]
+    par_rows = [g.steps(t, "par") for t in order]
+    full_rows = [g.steps(t) for t in order]
+    violations = []
+    for t, sq, pr, fl in zip(order, seq_rows, par_rows, full_rows):
+        for bad in sorted(sq - pr, key=term_key):
+            violations.append(("seq<=par", format_term(t), format_term(bad)))
+        for bad in sorted(pr - fl, key=term_key):
+            violations.append(("par<=full", format_term(t), format_term(bad)))
+    definitive = bool(violations)
+    full = an._condense(order, full_rows)
+    seq_star = an._condense(order, seq_rows).node_stars()
+    par_star = an._condense(order, par_rows).node_stars()
+    full_star = full.node_stars()
+    stars_equal = True
+    witnesses = []
+    for i, t in enumerate(order):
+        star = seq_star[i]
+        for j in full.adj[i]:
+            if not star >> j & 1:
+                violations.append(("full<=seq-star", format_term(t),
+                                   format_term(order[j])))
+        if par_star[i] != star or full_star[i] != star:
+            stars_equal = False
+            witnesses.append((format_term(t), "star-mismatch"))
+    failed = definitive or not open_nodes and (violations or not stars_equal)
+    return SpectrumReport("spectrum", an._verdict(failed, open_nodes),
+                          witnesses[:MAX_WITNESSES], nodes=len(order),
+                          inclusion_violations=violations[:MAX_WITNESSES * 4],
+                          stars_equal=stars_equal).to_json()
+
+
+# f(x) -> f(f(x)) grows forever, so its closure is cut off; a full step
+# doubles an f-tower, past the towers a sequential path would go through
+GROWING = "sig a/0 f/1\nvar x\nrule f(x) -> f(f(x))\n"
+
+
+@pytest.mark.parametrize("mutant", [None, "root_only_full", "first_arg_par",
+                                    "no_last_arg_seq",
+                                    "singleton_components"])
+def test_spectrum_matches_three_condensations(mutant, arith, request):
+    """The survey condenses the parallel and full graphs only when an
+    inclusion fails, and gives the reports of condensing all three, with
+    and without failing inclusions, on cut-off closures and under each
+    mutant of the steppers and of the condensation."""
+    if mutant:
+        request.getfixturevalue(mutant)
+    cases = [(arith, seed_terms(arith, 2), None)]
+    for path in ("tests/data/newman.trs", "tests/data/twocycle.trs",
+                 "tests/data/selfloop.trs", "perfbench/data/nonconfluent.trs"):
+        with open(os.path.join(ROOT, path), encoding="utf-8") as f:
+            trs = parse_trs(f.read())
+        cases += [(trs, seed_terms(trs, 2), bound) for bound in (None, 1)]
+    if not mutant:
+        growing = parse_trs(GROWING)
+        cases += [(growing, seed_terms(growing, 2), None),
+                  (arith, seed_terms(arith, 3), 1)]
+    reports = [spectrum_survey(*case).to_json() for case in cases]
+    assert reports == [_reference_spectrum(*case) for case in cases]
+    # root_only_full's full step still lies between par and seq-star
+    assert any(r["inclusion_violations"] for r in reports) == (
+        mutant != "root_only_full")
+    if not mutant:
+        assert not reports[0]["inclusion_violations"]
+        grown = reports[-2]
+        assert (grown["nodes"], len(grown["inclusion_violations"]),
+                grown["stars_equal"], len(grown["witnesses"])) == (
+                    402, 20, False, 5)
+
+
+def test_spectrum_rejects_full_step_outside_closure(arith, monkeypatch):
+    """A full step that leaves the closure raises the condensation's
+    error, though seq ⊆ par ⊆ full holds, so the full graph is never
+    condensed."""
+    outside = arith.parse("S(S(S(S(S(0)))))")
+    steps = ReductionGraph.steps
+
+    def leaky(self, t, kind=None):
+        out = steps(self, t, kind)
+        return out | {outside} if (kind or self.kind) == "full" else out
+
+    monkeypatch.setattr(ReductionGraph, "steps", leaky)
+    with pytest.raises(RuntimeError, match=r"successor S\(S\(S\(S\(S\(0\)"
+                       r"\)\)\)\) of 0 is outside the closure"):
+        spectrum_survey(arith, [arith.parse("A(0,0)")])
 
 
 # ---------------------------------------------------------------------------
