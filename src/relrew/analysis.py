@@ -10,9 +10,12 @@ checks run either on the reachable closure of a set of seeds or on a
 truncated working universe.
 
 Every report takes its verdict from one rule, ``_verdict``: ``fails`` needs
-a definitive counterexample; a check without one that was cut short, by
-pairs dropped from the working universe or by a closure cut off after
-``bound`` layers, is ``unconfirmed``; otherwise the property ``holds``.
+a definitive counterexample; a check without one that was cut short is
+``unconfirmed``; otherwise the property ``holds``.  A closure cut off after
+``bound`` layers is cut short.  An inclusion over a working universe that
+dropped pairs is cut short only where it has failing pairs, which are then
+not definitive: its ``holds`` means that no pair fails among the relations
+restricted to the universe.
 
 The reachable closure is a finite graph, so every join question and the
 spectrum's ``full ⊆ seq-star`` test are decided on the condensation of its
@@ -61,7 +64,8 @@ UNCONFIRMED = "unconfirmed"
 def _verdict(failed: object, cut: object) -> str:
     """The one verdict rule: ``fails`` iff there is a definitive
     counterexample, else ``unconfirmed`` iff the check was cut short,
-    else ``holds``."""
+    else ``holds``.  An inclusion over a working universe is cut short by
+    its drops only if it has failing pairs (``_failures``)."""
     return FAILS if failed else UNCONFIRMED if cut else HOLDS
 
 
@@ -92,7 +96,9 @@ def _failures(name: str, bad: Iterable[Tuple], dropped: int = 0
               ) -> PropertyReport:
     """The report of an inclusion whose failing pairs are ``bad``: the
     least ``MAX_WITNESSES`` of them are its witnesses, and they are
-    definitive iff its evaluation dropped no pairs."""
+    definitive iff its evaluation dropped no pairs.  Without a failing pair
+    it holds, drops or not: no pair fails among the relations restricted
+    to the working universe."""
     bad = sorted(bad)
     return PropertyReport(name, _verdict(bad and not dropped, bad),
                           [(str(p), str(q)) for p, q in bad[:MAX_WITNESSES]],

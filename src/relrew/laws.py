@@ -32,7 +32,8 @@ from functools import partial, reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .analysis import is_church_rosser, is_confluent
-from .relalg import Rel, lfp, random_coreflexive, random_rel
+from .relalg import (Rel, below_compose, below_star, lfp, random_coreflexive,
+                     random_rel)
 from .syntax import NAME_RE, Signature, TermError, universe
 from .termrel import (
     OpStats,
@@ -405,14 +406,33 @@ def _value(node, memo: dict, carrier, st: Optional[OpStats]):
     return memo[node]
 
 
+def _by_rows(op: str, lhs, rhs, value) -> Optional[bool]:
+    """Whether ``lhs op rhs`` holds, decided from its operands by the row
+    kernels when it reads ``x <= y;z``, ``x <= y*`` or ``x* = y*``, so the
+    right side is never built; None for any other comparison.  A star
+    equality is the two inclusions ``x <= y*`` and ``y <= x*``: each side
+    is then below the other's star, so the stars are equal."""
+    if op == "<=" and rhs[0] == ";":
+        return below_compose(value(lhs), value(rhs[1]), value(rhs[2]))
+    if op == "<=" and rhs[0] == "*":
+        return below_star(value(lhs), value(rhs[1]))
+    if op == "=" and lhs[0] == rhs[0] == "*":
+        x, y = value(lhs[1]), value(rhs[1])
+        return below_star(x, y) and below_star(y, x)
+    return None
+
+
 def _holds(tree, names: List[str], note: Optional[str], carrier, rels,
            st: Optional[OpStats] = None):
     """A row's check on one sample: with a ``note`` the formula's truth as
     a ``_bool``, else its comparison's ``_compare`` witness pair, for the
-    first failing instance of any enclosing ``all``."""
+    first failing instance of any enclosing ``all``.  A comparison that
+    ``_by_rows`` decides is built in full only when it fails, for its
+    witness."""
     memo = dict(zip(names, rels))
     if note is not None:
         return _bool(_value(tree, memo, carrier, st), rels, note)
+    value = partial(_value, memo=memo, carrier=carrier, st=st)
     trees = [tree]
     while trees:  # depth first, so instances come in order
         node = trees.pop()
@@ -420,8 +440,9 @@ def _holds(tree, names: List[str], note: Optional[str], carrier, rels,
             trees += reversed(_instances(node, carrier))
             continue
         op, lhs, rhs = node
-        res = _compare(op, _value(lhs, memo, carrier, st),
-                       _value(rhs, memo, carrier, st), rels)
+        if _by_rows(op, lhs, rhs, value):
+            continue
+        res = _compare(op, value(lhs), value(rhs), rels)
         if res is not None:
             return res
     return None

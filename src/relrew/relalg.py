@@ -4,9 +4,11 @@ A ``Rel`` is a set of pairs over a carrier: ``range(n)`` for abstract
 relations, or a term ``Universe`` for relations on terms.  The module
 provides the complete-lattice operations, relational composition and
 converse, both residuals of composition, the transitive and reflexive-
-transitive closures by the graph search ``reach``, and ``lfp``, the naive
-Kleene iteration for monotone maps on any lattice whose elements compare
-with ``==``.
+transitive closures by the graph search ``reach``, the row kernels
+``below_compose`` and ``below_star``, which decide ``x <= y;z`` and
+``x <= y*`` source by source of x without building the right side, and
+``lfp``, the naive Kleene iteration for monotone maps on any lattice whose
+elements compare with ``==``.
 """
 
 from __future__ import annotations
@@ -179,6 +181,49 @@ def reach(succ: Mapping[Any, Iterable[Any]], seeds: Iterable[Any]) -> Set[Any]:
                 seen.add(s)
                 work.append(s)
     return seen
+
+
+def below_compose(x: Rel, y: Rel, z: Rel) -> bool:
+    """Whether x <= y;z, without building y;z: each source's row of x
+    loses z's rows over that source's y-successors until it is empty.
+    Under ``corrupted_compose`` y;z lacks its least pair, as it does in
+    ``Rel.compose``."""
+    ysucc, zsucc = successors(y.pairs), successors(z.pairs)
+    if _corrupt_compose:
+        for p in sorted(ysucc):
+            row = set().union(*(zsucc.get(m, ()) for m in ysucc[p]))
+            if row:
+                if (p, min(row)) in x.pairs:
+                    return False
+                break
+    for p, want in successors(x.pairs).items():
+        for m in ysucc.get(p, ()):
+            want.difference_update(zsucc.get(m, ()))
+            if not want:
+                break
+        if want:
+            return False
+    return True
+
+
+def below_star(x: Rel, y: Rel) -> bool:
+    """Whether x <= y*, without building y*.  y* holds y, and relates each
+    element of the carrier, where x's pairs lie, to itself; for the other
+    pairs of x, y is searched from each source only until that source's
+    row is reached."""
+    rows = successors((p, q) for p, q in x.pairs - y.pairs if p != q)
+    ysucc = successors(y.pairs) if rows else {}
+    for p, want in rows.items():
+        seen, work = {p}, [p]
+        while want and work:
+            for s in ysucc.get(work.pop(), ()):
+                if s not in seen:
+                    seen.add(s)
+                    want.discard(s)
+                    work.append(s)
+        if want:
+            return False
+    return True
 
 
 def lfp(f: Callable[[X], X], bottom: X) -> X:

@@ -228,6 +228,34 @@ def unexpanded_reach(monkeypatch):
 
 
 @pytest.fixture
+def last_row_dropped(monkeypatch):
+    """A row check of x <= y;z that never reads z's row of its greatest
+    source, patched in ``relalg`` and ``laws``."""
+    below_compose = relalg.below_compose
+
+    def dropped(x, y, z):
+        last = max((p for p, _ in z.pairs), default=None)
+        return below_compose(x, y, Rel(z.carrier, frozenset(
+            (p, q) for p, q in z.pairs if p != last)))
+
+    for module in (relalg, laws):
+        monkeypatch.setattr(module, "below_compose", dropped)
+
+
+@pytest.fixture
+def one_step_stars(monkeypatch):
+    """A row check of x <= y* whose search stops one step from each source:
+    a pair of x is covered only if it is reflexive or in y, patched in
+    ``relalg`` and ``laws``."""
+
+    def one_step(x, y):
+        return all(p == q or (p, q) in y.pairs for p, q in x.pairs)
+
+    for module in (relalg, laws):
+        monkeypatch.setattr(module, "below_star", one_step)
+
+
+@pytest.fixture
 def shallow_stars(monkeypatch):
     """Bitset star rows of the abstract checks that take at most one step:
     each row is the element's successor row plus the element itself."""

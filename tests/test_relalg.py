@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relrew.relalg as relalg
 from relrew.relalg import Rel, corrupted_compose, lfp, random_rel
 from relrew.syntax import Signature, app, universe
 
@@ -118,6 +119,100 @@ def test_star_is_least_closure(a):
     assert a.leq(s)
     assert s.compose(s).leq(s)
     assert s.kleene_star().pairs == s.pairs
+
+
+# ---------------------------------------------------------------------------
+# the row kernels against materialise-and-diff
+
+def _row_samples(carrier, rng, count):
+    """``count`` times three triples (x, y, z) over ``carrier``.  y and z
+    each lie on a random part of the carrier, some empty.  x takes pairs of
+    y;z, then of y*, each with or without a few pairs from anywhere and
+    reflexive pairs; the third x lies between y and y*."""
+    elems = list(carrier)
+
+    def draw():
+        part = [e for e in elems if rng.random() < 0.6]
+        density = rng.choice([0.0, 0.1, 0.3, 0.6])
+        return frozenset((p, q) for p in part for q in part
+                         if rng.random() < density)
+
+    def some(pairs, keep):
+        return {pq for pq in sorted(pairs) if rng.random() < keep}
+
+    out = []
+    for _ in range(count):
+        y, z = Rel(carrier, draw()), Rel(carrier, draw())
+        ystar = y.kleene_star().pairs
+        for near in (y.compose(z).pairs, ystar):
+            x = some(near, rng.choice([0.3, 1.0]))
+            if rng.random() < 0.5:
+                x |= some(((p, q) for p in elems for q in elems), 0.03)
+                x |= some(((p, p) for p in elems), 0.2)
+            out.append((Rel(carrier, frozenset(x)), y, z))
+        out.append((Rel(carrier, y.pairs | some(ystar, 0.5)), y, z))
+    return out
+
+
+def _row_mismatches(carrier, seed, count=200):
+    """The samples on which a row kernel disagrees with building the right
+    side and taking the difference, with and without the compose hook,
+    and the cases the samples cover."""
+    rng = random.Random(seed)
+    bad, seen = [], set()
+    for x, y, z in _row_samples(carrier, rng, count):
+        ystar, xstar = y.kleene_star(), x.kleene_star()
+        yfield = {p for pq in y.pairs for p in pq}
+        seen.update(k for k, hit in (
+            ("empty y", not y.pairs), ("empty z", not z.pairs),
+            ("x source outside y", {p for p, _ in x.pairs} - yfield),
+            ("reflexive x pair outside y", any(
+                p == q and p not in yfield for p, q in x.pairs))) if hit)
+        verdicts = {
+            "x <= y;z": (relalg.below_compose(x, y, z),
+                         x.leq(y.compose(z))),
+            "x <= y*": (relalg.below_star(x, y), x.leq(ystar)),
+            "y <= x*": (relalg.below_star(y, x), y.leq(xstar)),
+            "x* = y*": (relalg.below_star(x, y) and relalg.below_star(y, x),
+                        xstar.pairs == ystar.pairs)}
+        with corrupted_compose():
+            verdicts["x <= y;z, compose hook"] = (
+                relalg.below_compose(x, y, z), x.leq(y.compose(z)))
+        for name, (rows, built) in verdicts.items():
+            seen.add((name, built))
+            if rows != built:
+                bad.append((name, sorted(x.pairs), sorted(y.pairs),
+                            sorted(z.pairs)))
+    return bad, seen
+
+
+ROW_CARRIERS = {"range": range(5),
+                "terms": universe(Signature({"0": 0, "S": 1, "A": 2}),
+                                  ("x",), 1)}
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_CARRIERS))
+def test_row_kernels_match_built_right_sides(kind):
+    """``below_compose`` and ``below_star`` decide x <= y;z, x <= y* and,
+    both ways, x* = y* as building the right side does, compose hook
+    included, on samples with each verdict, empty relations, sources of x
+    outside y's field and reflexive pairs under a star."""
+    bad, seen = _row_mismatches(ROW_CARRIERS[kind], 26)
+    assert not bad, bad[:3]
+    assert {"empty y", "empty z", "x source outside y",
+            "reflexive x pair outside y"} <= seen
+    for name in ("x <= y;z", "x <= y*", "y <= x*", "x* = y*",
+                 "x <= y;z, compose hook"):
+        assert {(name, True), (name, False)} <= seen, name
+
+
+@pytest.mark.parametrize("mutant", ["last_row_dropped", "one_step_stars"])
+@pytest.mark.parametrize("kind", sorted(ROW_CARRIERS))
+def test_row_kernel_mutants_caught(kind, mutant, request):
+    """A compose kernel that never reads z's last row, or a star search
+    that stops after one step, disagrees with the built right sides."""
+    request.getfixturevalue(mutant)
+    assert _row_mismatches(ROW_CARRIERS[kind], 26)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -204,14 +204,15 @@ def test_universe_size_matches_enumeration():
     """Each level is the leaves plus every application over the level
     below, with no term twice: a set-based reference gives the same
     terms."""
-    ref = {var("x"), var("y"), app("0")}
+    leaves = {var("x"), var("y"), app("0")}
+    ref = leaves
     for d in range(3):
+        if d:
+            ref = leaves | {make(name, args) for name, ar in SIG.operators()
+                            for args in product(ref, repeat=ar)}
         ts = universe(SIG, VARS, d).terms()
         assert len(set(ts)) == len(ts)
         assert set(ts) == ref
-        ref = {var("x"), var("y"), app("0")} | {
-            make(name, args) for name, ar in SIG.operators()
-            for args in product(ref, repeat=ar)}
 
 
 def test_universe_depth3_size():
