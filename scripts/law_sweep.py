@@ -4,10 +4,13 @@
 Useful for eyeballing skip rates and overflow (truncation) pressure at
 different sample sizes and seeds.  The laws run one at a time, each with
 the RNG of its own that ``run_all`` gives it, so each report is the one a
-whole run makes; ``--verbose`` prints each law's seconds.
+whole run makes; ``--verbose`` prints each law's seconds.  The cyclic
+garbage collector runs before each law's timer starts, so a law's seconds
+hold its own work and not a collection that earlier laws left pending.
 """
 
 import argparse
+import gc
 import sys
 import time
 from collections import defaultdict
@@ -28,6 +31,7 @@ def main():
                        density=args.density)
     reports, seconds = [], []
     for law_id in (i for ids in catalog().values() for i in ids):
+        gc.collect()
         t0 = time.perf_counter()
         reports += run_all(cfg, [law_id])
         seconds.append(time.perf_counter() - t0)

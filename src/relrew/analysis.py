@@ -41,7 +41,6 @@ bottom SCCs of the whole closure too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .relalg import Rel, reach, successors
@@ -69,12 +68,16 @@ def _verdict(failed: object, cut: object) -> str:
     return FAILS if failed else UNCONFIRMED if cut else HOLDS
 
 
-@dataclass
 class PropertyReport:
-    property: str
-    verdict: str
-    witnesses: List[Tuple[str, str]] = field(default_factory=list)
-    overflow_dropped: int = 0
+    __slots__ = ("property", "verdict", "witnesses", "overflow_dropped")
+
+    def __init__(self, property: str, verdict: str,
+                 witnesses: Optional[List[Tuple[str, str]]] = None,
+                 overflow_dropped: int = 0):
+        self.property = property
+        self.verdict = verdict
+        self.witnesses = [] if witnesses is None else witnesses
+        self.overflow_dropped = overflow_dropped
 
     @property
     def ok(self) -> bool:
@@ -193,7 +196,6 @@ def is_church_rosser(a: Rel) -> PropertyReport:
 # ---------------------------------------------------------------------------
 # exhaustive checks on reachable closures
 
-@dataclass
 class _Condensation:
     """Strongly connected components of a step graph on numbered nodes
     (in ``term_key`` order where witnesses are reported).
@@ -204,9 +206,13 @@ class _Condensation:
     component below ``c``, and ``succ[c]`` is the set of those.  A
     component without successors is a bottom SCC."""
 
-    adj: List[List[int]]
-    comp: List[int]
-    succ: List[Set[int]]
+    __slots__ = ("adj", "comp", "succ")
+
+    def __init__(self, adj: List[List[int]], comp: List[int],
+                 succ: List[Set[int]]):
+        self.adj = adj
+        self.comp = comp
+        self.succ = succ
 
     def joins(self, open_nodes: Set[int]) -> Tuple[List[int], List[int], int]:
         """``(reps, bits, open_bit)``: ``reps[rank]`` is the least node of
@@ -357,12 +363,20 @@ def _closure(trs: TRS, seeds: Sequence[Term], bound: Optional[int]
     return g, order, {i for i, t in enumerate(order) if t in g.frontier}
 
 
-@dataclass
 class SpectrumReport(PropertyReport):
-    nodes: int = 0
-    inclusion_violations: List[Tuple[str, str, str]] = field(
-        default_factory=list)
-    stars_equal: bool = True
+    __slots__ = ("nodes", "inclusion_violations", "stars_equal")
+
+    def __init__(self, property: str, verdict: str,
+                 witnesses: Optional[List[Tuple[str, str]]] = None,
+                 overflow_dropped: int = 0, nodes: int = 0,
+                 inclusion_violations: Optional[
+                     List[Tuple[str, str, str]]] = None,
+                 stars_equal: bool = True):
+        super().__init__(property, verdict, witnesses, overflow_dropped)
+        self.nodes = nodes
+        self.inclusion_violations = ([] if inclusion_violations is None
+                                     else inclusion_violations)
+        self.stars_equal = stars_equal
 
     def to_json(self) -> dict:
         return {
@@ -511,13 +525,17 @@ def exhaustive_church_rosser(trs: TRS, seeds: Sequence[Term],
 # ---------------------------------------------------------------------------
 # critical pairs, relationally
 
-@dataclass
 class ChecksReport:
     """A property checked as several inclusions, one report each; it fails
     if one of them fails, and is unconfirmed if one of them is."""
-    property: str
-    checks: Tuple[PropertyReport, ...]
-    overflow_dropped: int
+
+    __slots__ = ("property", "checks", "overflow_dropped")
+
+    def __init__(self, property: str, checks: Tuple[PropertyReport, ...],
+                 overflow_dropped: int):
+        self.property = property
+        self.checks = checks
+        self.overflow_dropped = overflow_dropped
 
     @property
     def verdict(self) -> str:

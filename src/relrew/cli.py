@@ -34,7 +34,6 @@ from .analysis import (
     seed_terms,
     spectrum_survey,
 )
-from .laws import SampleConfig, reports_to_json, run_all
 from .rewrite import TRS, graph_to_dot, graph_to_json, parse_trs, reduction_graph
 from .syntax import TermError, format_term
 
@@ -83,6 +82,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_check_laws(args: argparse.Namespace) -> int:
+    # imported here, not at the top: no other subcommand uses the law
+    # suites, and importing them costs every run time and memory
+    from .laws import SampleConfig, reports_to_json, run_all
+
     overrides = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import asdict, dataclass, field, fields
 from functools import partial, reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -60,20 +59,29 @@ SKIP = "skip"
 _INT_RANGES = {"seed": (None, None), "samples": (1, None),
                "carrier_max": (2, None), "max_pairs": (0, None),
                "lattice_ground": (2, 10)}
+# the keys, in parameter order: those a config file may set
+_KEYS = ("seed", "samples", "density", "signature", "variables",
+         "carrier_max", "lattice_ground", "max_pairs")
 
 
-@dataclass(frozen=True)
 class SampleConfig:
-    seed: int = 0
-    samples: int = 200
-    density: float = 0.15
-    signature: Signature = field(default_factory=lambda: ARITHMETIC)
-    variables: Tuple[str, ...] = ("x", "y")
-    carrier_max: int = 5
-    lattice_ground: int = 4
-    max_pairs: int = 4
+    """How the law suites sample: a value, equal and hashed by its keys."""
 
-    def __post_init__(self):
+    __slots__ = _KEYS
+
+    def __init__(self, seed: int = 0, samples: int = 200,
+                 density: float = 0.15, signature: Signature = ARITHMETIC,
+                 variables: Tuple[str, ...] = ("x", "y"),
+                 carrier_max: int = 5, lattice_ground: int = 4,
+                 max_pairs: int = 4):
+        self.seed = seed
+        self.samples = samples
+        self.density = density
+        self.signature = signature
+        self.variables = variables
+        self.carrier_max = carrier_max
+        self.lattice_ground = lattice_ground
+        self.max_pairs = max_pairs
         for key, (low, high) in _INT_RANGES.items():
             value = getattr(self, key)
             # bool is a subclass of int, yet no key takes true or false
@@ -109,9 +117,20 @@ class SampleConfig:
             raise ValueError("SampleConfig keys 'signature' and 'variables' "
                              "declare no constant and no variable, so no term")
 
+    def _key(self) -> tuple:
+        return tuple(getattr(self, k) for k in _KEYS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     @staticmethod
     def from_dict(d: dict) -> "SampleConfig":
-        unknown = sorted(set(d) - {f.name for f in fields(SampleConfig)})
+        unknown = sorted(set(d) - set(_KEYS))
         if unknown:
             raise ValueError(
                 f"unknown SampleConfig key(s): {', '.join(unknown)}")
@@ -126,34 +145,62 @@ class SampleConfig:
         return SampleConfig(**kwargs)
 
 
-@dataclass(frozen=True)
 class Law:
-    id: str
-    group: str
-    kind: str  # equality | inequality | implication
-    formula: Optional[str] = None  # None for a law written in Python
-    # no input relations and nothing drawn: one evaluation serves every sample
-    constant: bool = False
+    """A catalog entry: a value, equal and hashed by its fields."""
+
+    __slots__ = ("id", "group", "kind", "formula", "constant")
+
+    def __init__(self, id: str, group: str, kind: str,
+                 formula: Optional[str] = None, constant: bool = False):
+        self.id = id
+        self.group = group
+        self.kind = kind  # equality | inequality | implication
+        self.formula = formula  # None for a law written in Python
+        # no input relations and nothing drawn: one evaluation serves every
+        # sample
+        self.constant = constant
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.id, self.group, self.kind, self.formula, self.constant)
+                == (other.id, other.group, other.kind, other.formula,
+                    other.constant))
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.group, self.kind, self.formula,
+                     self.constant))
 
 
-@dataclass
 class LawReport:
-    law_id: str
-    group: str
-    kind: str
-    samples: int
-    skips: int
-    overflow_dropped: int
-    counterexamples: List[str]
-    verdict: str
-    # kept for the report shape: no law is soft, so nothing is unconfirmed
-    soft: bool = False
-    unconfirmed: int = 0
+    __slots__ = ("law_id", "group", "kind", "samples", "skips",
+                 "overflow_dropped", "counterexamples", "verdict", "soft",
+                 "unconfirmed")
+
+    def __init__(self, law_id: str, group: str, kind: str, samples: int,
+                 skips: int, overflow_dropped: int,
+                 counterexamples: List[str], verdict: str,
+                 soft: bool = False, unconfirmed: int = 0):
+        self.law_id = law_id
+        self.group = group
+        self.kind = kind
+        self.samples = samples
+        self.skips = skips
+        self.overflow_dropped = overflow_dropped
+        self.counterexamples = counterexamples
+        self.verdict = verdict
+        # kept for the report shape: no law is soft, so nothing is
+        # unconfirmed
+        self.soft = soft
+        self.unconfirmed = unconfirmed
 
     def to_json(self) -> dict:
-        out = asdict(self)
-        out["law"] = out.pop("law_id")
-        return out
+        return {"law": self.law_id, "group": self.group, "kind": self.kind,
+                "samples": self.samples, "skips": self.skips,
+                "overflow_dropped": self.overflow_dropped,
+                "counterexamples": list(self.counterexamples),
+                "verdict": self.verdict, "soft": self.soft,
+                "unconfirmed": self.unconfirmed}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterable,
                     Mapping, Set, Tuple, TypeVar, Union)
 
@@ -48,16 +47,28 @@ def _carrier(c: Union[int, Carrier]) -> Carrier:
     return range(c) if isinstance(c, int) else c
 
 
-@dataclass(frozen=True)
 class Rel:
     """A binary relation on a finite carrier: ``range(n)`` or a term
     ``Universe``.  The constructors take an int ``n`` for ``range(n)``.
 
     Only ``from_pairs`` checks that the pairs lie in the carrier; the
-    operations cannot leave it, so they build their results unchecked."""
+    operations cannot leave it, so they build their results unchecked.
+    A relation is a value, never changed after construction: ``lfp``
+    compares relations with ``==``, which compares carriers and pairs."""
 
-    carrier: Carrier
-    pairs: FrozenSet[Pair]
+    __slots__ = ("carrier", "pairs")
+
+    def __init__(self, carrier: Carrier, pairs: FrozenSet[Pair]):
+        self.carrier = carrier
+        self.pairs = pairs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.carrier, self.pairs) == (other.carrier, other.pairs)
+
+    def __hash__(self) -> int:
+        return hash((self.carrier, self.pairs))
 
     @property
     def n(self) -> int:

@@ -26,7 +26,6 @@ the inductive steppers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 from math import prod
@@ -54,29 +53,51 @@ from .termrel import OpStats
 Reduct = Tuple[int, Term]
 
 
-@dataclass(frozen=True)
 class Rule:
-    lhs: Term
-    rhs: Term
+    """A rewrite rule ``lhs -> rhs``: a value, equal and hashed by its two
+    sides, since the steppers' memos hash the rules of their TRS."""
 
-    def __post_init__(self):
-        if self.lhs.is_var:
-            raise TermError(f"rule left-hand side may not be a variable: {self.lhs}")
-        if not free_vars(self.rhs) <= free_vars(self.lhs):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Term, rhs: Term):
+        if lhs.is_var:
+            raise TermError(f"rule left-hand side may not be a variable: {lhs}")
+        if not free_vars(rhs) <= free_vars(lhs):
             raise TermError(
-                f"rule {format_term(self.lhs)} -> {format_term(self.rhs)} "
+                f"rule {format_term(lhs)} -> {format_term(rhs)} "
                 "introduces fresh variables on the right"
             )
+        self.lhs = lhs
+        self.rhs = rhs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lhs, self.rhs) == (other.lhs, other.rhs)
+
+    def __hash__(self) -> int:
+        return hash((self.lhs, self.rhs))
 
     def __str__(self) -> str:
         return f"{format_term(self.lhs)} -> {format_term(self.rhs)}"
 
 
-@dataclass(frozen=True)
 class TRS:
-    signature: Signature
-    variables: Tuple[str, ...]
-    rules: Tuple[Rule, ...]
+    """A term rewriting system: a value, never changed after construction,
+    equal and hashed by its signature, variables and rules.  The cached
+    properties take no part."""
+
+    def __init__(self, signature: Signature, variables: Tuple[str, ...],
+                 rules: Tuple[Rule, ...]):
+        self.signature = signature
+        self.variables = variables
+        self.rules = rules
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.signature, self.variables, self.rules)
+                == (other.signature, other.variables, other.rules))
 
     def parse(self, text: str) -> Term:
         return parse_term(text, self.signature, self.variables)
@@ -265,15 +286,20 @@ def is_normal_form(trs: TRS, t: Term) -> bool:
 # ---------------------------------------------------------------------------
 # reduction graphs
 
-@dataclass
 class ReductionGraph:
     """What a breadth-first search found: its nodes and the frontier of
     nodes it never expanded.  ``steps`` reads the steps from the steppers."""
-    trs: TRS
-    kind: str
-    seeds: Tuple[Term, ...]
-    nodes: Set[Term] = field(default_factory=set)
-    frontier: Set[Term] = field(default_factory=set)
+
+    __slots__ = ("trs", "kind", "seeds", "nodes", "frontier")
+
+    def __init__(self, trs: TRS, kind: str, seeds: Tuple[Term, ...],
+                 nodes: Optional[Set[Term]] = None,
+                 frontier: Optional[Set[Term]] = None):
+        self.trs = trs
+        self.kind = kind
+        self.seeds = seeds
+        self.nodes = set() if nodes is None else nodes
+        self.frontier = set() if frontier is None else frontier
 
     @property
     def exhausted(self) -> bool:

@@ -11,7 +11,6 @@ explicit term set (e.g. the reachable closure of a rewrite graph).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product, repeat
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
@@ -286,7 +285,6 @@ def is_well_formed(t: Term, signature: Signature, variables: Sequence[str]) -> b
 DEFAULT_UNIVERSE_CAP = 500_000
 
 
-@dataclass(frozen=True)
 class Universe:
     """A finite, subterm-closed set of well-formed terms.
 
@@ -295,19 +293,34 @@ class Universe:
     its depth may not exceed ``MAX_TERM_DEPTH``, the depth ``parse_term``
     allows a term.  An explicit universe carries its (subterm-closed) term
     set; ``depth`` then records the maximum depth present.
+
+    A universe is a value: never changed after construction, equal and
+    hashed by its four fields, as the relations' ``==`` needs.  The cached
+    properties take no part.
     """
 
-    signature: Signature
-    variables: Tuple[str, ...]
-    depth: int
-    explicit: Optional[frozenset] = None
-
-    def __post_init__(self):
-        if self.depth < 0:
+    def __init__(self, signature: Signature, variables: Tuple[str, ...],
+                 depth: int, explicit: Optional[frozenset] = None):
+        if depth < 0:
             raise UniverseError("universe depth must be >= 0")
-        if self.explicit is None and self.depth > MAX_TERM_DEPTH:
-            raise UniverseError(f"universe depth {self.depth} is over the "
+        if explicit is None and depth > MAX_TERM_DEPTH:
+            raise UniverseError(f"universe depth {depth} is over the "
                                 f"limit of {MAX_TERM_DEPTH}")
+        self.signature = signature
+        self.variables = variables
+        self.depth = depth
+        self.explicit = explicit
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.signature, self.variables, self.depth, self.explicit)
+                == (other.signature, other.variables, other.depth,
+                    other.explicit))
+
+    def __hash__(self) -> int:
+        return hash((self.signature, self.variables, self.depth,
+                     self.explicit))
 
     # -- membership ---------------------------------------------------------
     def __contains__(self, t: Term) -> bool:

@@ -39,7 +39,6 @@ the root step distributes too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, product, repeat
 from math import prod
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -53,7 +52,6 @@ Succ = Dict[Term, Set[Term]]
 Column = Tuple[Tuple[Term, ...], int, int]  # (pool, inner, outer); see _columns
 
 
-@dataclass
 class OpStats:
     """Counts pairs discarded because they left the working universe.
 
@@ -69,7 +67,10 @@ class OpStats:
     semi-naive evaluation reproduces that count exactly.
     """
 
-    dropped: int = 0
+    __slots__ = ("dropped",)
+
+    def __init__(self, dropped: int = 0):
+        self.dropped = dropped
 
     def note(self, k: int = 1) -> None:
         self.dropped += k

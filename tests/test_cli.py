@@ -397,6 +397,33 @@ def test_analyze_too_deep_universe_is_input_error(arith_file, tmp_path, text,
     assert limit in proc.stderr
 
 
+# Imports the package, the analyses and the CLI, notes which heavy modules
+# came with them, then runs check-laws in the same process.
+_IMPORT_GRAPH = """
+import sys
+import relrew, relrew.analysis, relrew.cli
+loaded = [m for m in ("dataclasses", "inspect", "relrew.laws")
+          if m in sys.modules]
+code = relrew.cli.main(["check-laws", "--law", "rel-compose-assoc",
+                        "--samples", "1"])
+print(loaded, code, "relrew.laws" in sys.modules)
+"""
+
+
+def test_import_graph_loads_laws_only_for_check_laws():
+    """Importing relrew, its analyses and its CLI loads neither
+    ``dataclasses`` (which brings ``inspect``, ``ast`` and ``dis``) nor the
+    law suites; ``check-laws`` loads the suites when it runs.  ``-S``
+    keeps site packages from loading modules of their own."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(relrew.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORT_GRAPH],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] 0 True"
+
+
 GROWING = "sig a/0 f/1\nvar x\nrule f(x) -> f(f(x))\n"
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import relrew.relalg as relalg
 from relrew.relalg import Rel, corrupted_compose, lfp, random_rel
-from relrew.syntax import Signature, app, universe
+from relrew.syntax import Signature, Universe, app, universe
 
 
 def rels(max_n=4):
@@ -90,6 +90,21 @@ def test_pair_out_of_carrier_rejected():
     assert Rel.from_pairs(u, [(zero, app("S", zero))]).carrier is u
     with pytest.raises(ValueError):
         Rel.from_pairs(u, [(zero, app("S", app("S", zero)))])
+
+
+def test_rel_value_semantics():
+    """Relations on equal carriers with equal pairs are equal and hash
+    alike, as ``lfp``'s ``==`` needs, also over two equal universes."""
+    assert Rel.from_pairs(3, [(0, 1)]) == Rel(range(3), frozenset({(0, 1)}))
+    assert hash(Rel.from_pairs(3, [(0, 1)])) == hash(Rel.from_pairs(3, [(0, 1)]))
+    assert Rel.from_pairs(3, [(0, 1)]) != Rel.from_pairs(3, [(1, 0)])
+    assert Rel.from_pairs(3, [(0, 1)]) != Rel.from_pairs(4, [(0, 1)])
+    sig = Signature({"0": 0, "S": 1})
+    zero, one = app("0"), app("S", app("0"))
+    a, b = (Rel.from_pairs(Universe.from_terms(sig, (), [one]), [(one, zero)])
+            for _ in range(2))
+    assert a.carrier is not b.carrier
+    assert a == b and hash(a) == hash(b)
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,22 @@ def test_reduct_table_is_per_instance():
     assert t not in second.reduct_table
 
 
+def test_equal_trs_share_the_step_memo():
+    """Two parses of one text are equal, hash alike, and so share the
+    steppers' memo entries: a step through the second is a cache hit."""
+    text = "sig p/1 q/0\nvar x\nrule p(x) -> x\n"
+    first, second = parse_trs(text), parse_trs(text)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    t = app("p", app("p", app("q")))
+    assert sequential_step(first, t) == {app("p", app("q"))}
+    before = sequential_step.cache_info()
+    assert sequential_step(second, t) == {app("p", app("q"))}
+    after = sequential_step.cache_info()
+    assert after.hits == before.hits + 1
+    assert after.misses == before.misses
+
+
 # ---------------------------------------------------------------------------
 # reduction graphs
 
