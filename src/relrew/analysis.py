@@ -349,8 +349,12 @@ def seed_terms(trs: TRS, depth: int) -> Tuple[Term, ...]:
     ground = universe(trs.signature, (), depth).terms()
     if not trs.variables:
         return ground
-    open_terms = universe(trs.signature, trs.variables, min(depth, 2)).terms()
-    return tuple(sorted(set(ground) | set(open_terms), key=term_key))
+    open_depth = min(depth, 2)
+    open_terms = universe(trs.signature, trs.variables, open_depth).terms()
+    # both are sorted by term_key, which orders by depth first, and the open
+    # universe holds every ground term up to its depth: the deeper ground
+    # terms follow it, in their own order
+    return open_terms + tuple(t for t in ground if t.depth > open_depth)
 
 
 def _closure(trs: TRS, seeds: Sequence[Term], bound: Optional[int]
@@ -409,8 +413,10 @@ def spectrum_survey(trs: TRS, seeds: Sequence[Term],
     full_rows = [g.steps(t) for t in order]
     bad: List[Tuple[str, Term, Term]] = []
     for t, sq, pr, fl in zip(order, seq_rows, par_rows, full_rows):
-        bad += [("seq<=par", t, s) for s in sorted(sq - pr, key=term_key)]
-        bad += [("par<=full", t, s) for s in sorted(pr - fl, key=term_key)]
+        bad += [("seq<=par", t, s)
+                for s in sorted(set(sq).difference(pr), key=term_key)]
+        bad += [("par<=full", t, s)
+                for s in sorted(set(pr).difference(fl), key=term_key)]
     # on a cut-off closure only these violations are definitive
     definitive = bool(bad)
     seq_star = _condense(order, seq_rows).node_stars()

@@ -13,10 +13,12 @@ elements compare with ``==``.
 
 from __future__ import annotations
 
-import random
 from contextlib import contextmanager
-from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterable,
-                    Mapping, Set, Tuple, TypeVar, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Hashable,
+                    Iterable, Mapping, Set, Tuple, TypeVar, Union)
+
+if TYPE_CHECKING:  # only the annotations name it; a caller brings its own
+    import random
 
 X = TypeVar("X")
 # range(n) or a term Universe: iterable, with membership by ``in``

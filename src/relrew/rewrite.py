@@ -10,8 +10,11 @@ The three steppers implement, for a set of ground rules R:
                     the created root redex (reflexive, may develop redexes
                     created by the parallel part).
 
-Each stepper is memoised per term and builds a term's targets from its
-arguments' memoised targets.  A reduction graph keeps its nodes and its
+Each stepper is memoised per term, as a tuple of its distinct targets in
+no fixed order, and builds a term's targets from its arguments' memoised
+targets.  A tuple keeps a memo entry at a pointer per target, where a
+frozenset keeps a hash table; a reader that needs set algebra builds a set
+where it needs one.  A reduction graph keeps its nodes and its
 frontier only; its steps are read from the steppers, whose memo already
 holds them.  A DOT graph labels each sequential edge with the rules that
 take it, read from the root reducts along the one path where its ends
@@ -29,7 +32,7 @@ import json
 from functools import cached_property, lru_cache
 from itertools import product
 from math import prod
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .relalg import Rel
 from .syntax import (
@@ -214,17 +217,17 @@ def root_reducts(trs: TRS, t: Term) -> Tuple[Reduct, ...]:
 
 
 @lru_cache(maxsize=None)
-def sequential_step(trs: TRS, t: Term) -> FrozenSet[Term]:
-    """Targets of the sequential step relation: t's root reducts, and t
-    with one argument replaced by one of that argument's own (memoised)
-    sequential step targets."""
+def sequential_step(trs: TRS, t: Term) -> Tuple[Term, ...]:
+    """The distinct targets of the sequential step relation: t's root
+    reducts, and t with one argument replaced by one of that argument's own
+    (memoised) sequential step targets."""
     out = {r for _, r in root_reducts(trs, t)}
     args = t.args
     for k, a in enumerate(args):
         head, tail = args[:k], args[k + 1:]
         out.update(make_all(t.name, [head + (s,) + tail
                                      for s in sequential_step(trs, a)]))
-    return frozenset(out)
+    return tuple(out)
 
 
 MAX_NODES = 200_000  # a reduction graph's node cap; no step builds more
@@ -234,41 +237,42 @@ class _TooWide(Exception):
     """A term's arguments give it more step targets than ``MAX_NODES``."""
 
 
-def _arg_steps(step, trs: TRS, t: Term) -> List[FrozenSet[Term]]:
-    """The step sets of t's arguments, whose product gives t as many
+def _arg_steps(step, trs: TRS, t: Term) -> List[Tuple[Term, ...]]:
+    """The step targets of t's arguments, whose product gives t as many
     distinct targets, checked against ``MAX_NODES`` before it is built."""
-    sets = [step(trs, a) for a in t.args]
-    if prod(map(len, sets)) > MAX_NODES:
+    rows = [step(trs, a) for a in t.args]
+    if prod(map(len, rows)) > MAX_NODES:
         raise _TooWide
-    return sets
+    return rows
 
 
 @lru_cache(maxsize=None)
-def parallel_step(trs: TRS, t: Term) -> FrozenSet[Term]:
-    """Targets of the parallel step relation (includes t itself)."""
+def parallel_step(trs: TRS, t: Term) -> Tuple[Term, ...]:
+    """The distinct targets of the parallel step relation (t among them)."""
     if t.is_var:
-        return frozenset((t,))
+        return (t,)
     out = set(make_all(t.name, product(*_arg_steps(parallel_step, trs, t))))
     out.update(r for _, r in root_reducts(trs, t))
-    return frozenset(out)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def full_step(trs: TRS, t: Term) -> FrozenSet[Term]:
-    """Targets of the full step relation: parallel-rewrite the arguments,
-    then optionally contract the root redex of the result.  Each result of
-    the first part keeps t's head, so when no rule has that head there is
-    no root redex to contract."""
+def full_step(trs: TRS, t: Term) -> Tuple[Term, ...]:
+    """The distinct targets of the full step relation: parallel-rewrite the
+    arguments, then optionally contract the root redex of the result.  Each
+    result of the first part keeps t's head, so when no rule has that head
+    there is no root redex to contract, and the product of the arguments'
+    distinct targets is already distinct."""
     if t.is_var:
-        return frozenset((t,))
-    mids = frozenset(make_all(t.name, product(*_arg_steps(full_step, trs, t))))
+        return (t,)
+    mids = tuple(make_all(t.name, product(*_arg_steps(full_step, trs, t))))
     if t.name not in trs.head_index:
         return mids
     out = set(mids)
     for mid in mids:
         for _, r in root_reducts(trs, mid):
             out.add(r)
-    return frozenset(out)
+    return tuple(out)
 
 
 STEPPERS = {
@@ -306,11 +310,12 @@ class ReductionGraph:
         """Whether every node was expanded: the graph is the closure."""
         return not self.frontier
 
-    def steps(self, t: Term, kind: Optional[str] = None) -> FrozenSet[Term]:
-        """The targets of node t's steps under ``kind`` (the graph's own by
-        default).  A frontier node was never expanded, so it has none."""
+    def steps(self, t: Term, kind: Optional[str] = None) -> Tuple[Term, ...]:
+        """The distinct targets of node t's steps under ``kind`` (the graph's
+        own by default).  A frontier node was never expanded, so it has
+        none."""
         if t in self.frontier:
-            return frozenset()
+            return ()
         return STEPPERS[kind or self.kind](self.trs, t)
 
     def normal_forms(self) -> List[Term]:
@@ -334,9 +339,10 @@ def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
     unexpanded make up ``frontier``, ``exhausted`` is then False, and the
     graph is the partial closure explored so far.
 
-    Each node's targets are tested for depth only where they are new to
-    the graph, and against the seeds deeper than ``MAX_TERM_DEPTH``: every
-    other node was a new target, and passed the test, when it was added.
+    Each node's targets are tested against the seeds deeper than
+    ``MAX_TERM_DEPTH``, and for depth only where they are new to the graph:
+    every other node was a new target, and passed the test, when it was
+    added.  A node whose targets the graph already holds adds nothing.
     """
     if kind not in STEPPERS:
         raise ValueError(f"unknown step kind {kind!r}")
@@ -358,12 +364,16 @@ def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
             except _TooWide:
                 wide = True
                 break
-            new = targets - g.nodes
-            if (any(s.depth > MAX_TERM_DEPTH for s in new)
-                    or not deep_seeds.isdisjoint(targets)):
+            if deep_seeds and not deep_seeds.isdisjoint(targets):
                 g.frontier.add(t)
                 continue
-            g.nodes |= new
+            if g.nodes.issuperset(targets):
+                continue
+            new = [s for s in targets if s not in g.nodes]
+            if any(s.depth > MAX_TERM_DEPTH for s in new):
+                g.frontier.add(t)
+                continue
+            g.nodes.update(new)
             next_frontier.extend(new)
         if wide or len(g.nodes) > max_nodes:  # whatever order the layer came in
             g.nodes.difference_update(next_frontier)

@@ -121,7 +121,8 @@ def one_node_bottoms(monkeypatch):
 
 def _patch_stepper(monkeypatch, real, step):
     """``step``, memoised afresh, in place of the stepper ``real``, both in
-    ``rewrite.STEPPERS`` and under its module name."""
+    ``rewrite.STEPPERS`` and under its module name.  Like the steppers, it
+    returns a tuple of distinct targets."""
     step = lru_cache(maxsize=None)(step)
     kind = next(k for k, f in rw.STEPPERS.items() if f is real)
     monkeypatch.setitem(rw.STEPPERS, kind, step)
@@ -135,11 +136,11 @@ def root_only_full(monkeypatch):
 
     def full(trs, t):
         if t.is_var:
-            return frozenset((t,))
+            return (t,)
         out = {app(t.name, *combo)
                for combo in product(*(rw.full_step(trs, a) for a in t.args))}
         out.update(r for _, r in rw.root_reducts(trs, t))
-        return frozenset(out)
+        return tuple(out)
 
     _patch_stepper(monkeypatch, rw.full_step, full)
 
@@ -155,7 +156,7 @@ def first_arg_par(monkeypatch):
             out = {app(t.name, s, *t.args[1:])
                    for s in rw.parallel_step(trs, t.args[0])}
         out.update(r for _, r in rw.root_reducts(trs, t))
-        return frozenset(out)
+        return tuple(out)
 
     _patch_stepper(monkeypatch, rw.parallel_step, par)
 
@@ -172,7 +173,7 @@ def no_last_arg_seq(monkeypatch):
         for k, a in enumerate(args[:-1]):
             out.update(app(t.name, *args[:k], s, *args[k + 1:])
                        for s in rw.sequential_step(trs, a))
-        return frozenset(out)
+        return tuple(out)
 
     _patch_stepper(monkeypatch, rw.sequential_step, seq)
 

@@ -128,6 +128,23 @@ def test_seed_terms_structure(arith):
         assert t in seeds
 
 
+def test_seed_terms_is_the_sorted_union(arith):
+    """The seeds are the ground terms up to the depth and the open terms up
+    to depth 2, sorted by ``term_key``, for arith, which has variables, and
+    newman, which has none."""
+    with open(os.path.join(ROOT, "tests/data/newman.trs"),
+              encoding="utf-8") as f:
+        newman = parse_trs(f.read())
+    assert arith.variables and not newman.variables
+    for trs in (arith, newman):
+        for depth in range(4):
+            ground = universe(trs.signature, (), depth).terms()
+            open_terms = universe(trs.signature, trs.variables,
+                                  min(depth, 2)).terms()
+            assert seed_terms(trs, depth) == tuple(
+                sorted(set(ground) | set(open_terms), key=term_key))
+
+
 def test_closure_nodes_contains_reducts(arith):
     seeds = [arith.parse("A(S(0),0)")]
     nodes = reduction_graph(arith, seeds, kind="full").nodes
@@ -325,11 +342,13 @@ def _reference_spectrum(trs, seeds, bound=None):
     seq_rows = [g.steps(t, "seq") for t in order]
     par_rows = [g.steps(t, "par") for t in order]
     full_rows = [g.steps(t) for t in order]
+    for row in seq_rows + par_rows + full_rows:
+        assert len(set(row)) == len(row), row  # distinct targets
     violations = []
     for t, sq, pr, fl in zip(order, seq_rows, par_rows, full_rows):
-        for bad in sorted(sq - pr, key=term_key):
+        for bad in sorted(set(sq) - set(pr), key=term_key):
             violations.append(("seq<=par", format_term(t), format_term(bad)))
-        for bad in sorted(pr - fl, key=term_key):
+        for bad in sorted(set(pr) - set(fl), key=term_key):
             violations.append(("par<=full", format_term(t), format_term(bad)))
     definitive = bool(violations)
     full = an._condense(order, full_rows)
@@ -401,7 +420,8 @@ def test_spectrum_rejects_full_step_outside_closure(arith, monkeypatch):
 
     def leaky(self, t, kind=None):
         out = steps(self, t, kind)
-        return out | {outside} if (kind or self.kind) == "full" else out
+        assert outside not in out  # the targets stay distinct
+        return out + (outside,) if (kind or self.kind) == "full" else out
 
     monkeypatch.setattr(ReductionGraph, "steps", leaky)
     with pytest.raises(RuntimeError, match=r"successor S\(S\(S\(S\(S\(0\)"

@@ -402,7 +402,7 @@ def test_analyze_too_deep_universe_is_input_error(arith_file, tmp_path, text,
 _IMPORT_GRAPH = """
 import sys
 import relrew, relrew.analysis, relrew.cli
-loaded = [m for m in ("dataclasses", "inspect", "relrew.laws")
+loaded = [m for m in ("dataclasses", "inspect", "random", "relrew.laws")
           if m in sys.modules]
 code = relrew.cli.main(["check-laws", "--law", "rel-compose-assoc",
                         "--samples", "1"])
@@ -412,9 +412,10 @@ print(loaded, code, "relrew.laws" in sys.modules)
 
 def test_import_graph_loads_laws_only_for_check_laws():
     """Importing relrew, its analyses and its CLI loads neither
-    ``dataclasses`` (which brings ``inspect``, ``ast`` and ``dis``) nor the
-    law suites; ``check-laws`` loads the suites when it runs.  ``-S``
-    keeps site packages from loading modules of their own."""
+    ``dataclasses`` (which brings ``inspect``, ``ast`` and ``dis``), nor
+    ``random``, which ``relalg`` names only in annotations, nor the law
+    suites; ``check-laws`` loads the suites when it runs.  ``-S`` keeps
+    site packages from loading modules of their own."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(relrew.__file__)))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _IMPORT_GRAPH],

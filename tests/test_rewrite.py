@@ -28,9 +28,10 @@ from relrew import rewrite
 from relrew.analysis import seed_terms
 from relrew.cli import main as cli_main
 from relrew.relalg import reach
-from relrew.syntax import (MAX_TERM_DEPTH, Term, TermError, app, apply_subst,
-                           subterms, universe, var)
-from relrew.termrel import OpStats
+from relrew.syntax import (MAX_TERM_DEPTH, Term, TermError, Universe, app,
+                           apply_subst, subterms, universe, var)
+from relrew.termrel import (OpStats, full_closure, parallel_closure,
+                            sequential_closure)
 
 X, Y, ZERO = var("x"), var("y"), app("0")
 
@@ -264,9 +265,18 @@ def _reference_steps(trs, t):
     return out
 
 
+def _distinct(targets):
+    """A stepper's targets as a set, after checking that they come as a
+    tuple with no term repeated."""
+    assert isinstance(targets, tuple), targets
+    out = set(targets)
+    assert len(out) == len(targets), targets
+    return out
+
+
 def _assert_matches_reference(trs, t):
     reference = _reference_steps(trs, t)
-    assert sequential_step(trs, t) == set(reference), t
+    assert _distinct(sequential_step(trs, t)) == set(reference), t
     for q, used in reference.items():
         assert rewrite._rules_between(trs, t, q) == used, (t, q)
 
@@ -291,6 +301,27 @@ def test_sequential_step_matches_reference_stepper_on_seeds(arith):
             _assert_matches_reference(trs, t)
 
 
+def test_steppers_return_distinct_targets_of_the_closures(arith):
+    """On every node of arith's closure from its depth-2 seeds, each
+    stepper returns a tuple with no term repeated, and as a set it is the
+    node's row of the matching closure of the rule relation, over the
+    universe of the nodes' subterms.  The closure is closed under every
+    kind of step, so every target lies in that universe."""
+    g = reduction_graph(arith, seed_terms(arith, 2), kind="full")
+    assert g.exhausted
+    u = Universe.from_terms(arith.signature, arith.variables, g.nodes)
+    ground = ground_instances(arith, u)
+    for step, closure in ((sequential_step, sequential_closure),
+                          (parallel_step, parallel_closure),
+                          (full_step, full_closure)):
+        rows = {t: set() for t in g.nodes}
+        for p, q in closure(ground).pairs:
+            if p in rows:
+                rows[p].add(q)
+        for t, row in rows.items():
+            assert _distinct(step(arith, t)) == row, (step.__name__, t)
+
+
 @pytest.mark.parametrize("k", range(2))  # the third's rule-less head is a constant
 def test_full_step_on_ruleless_head_is_argument_product(k):
     """Under a head no rule has, a full step rewrites the arguments only:
@@ -300,7 +331,7 @@ def test_full_step_on_ruleless_head_is_argument_product(k):
     for t in universe(trs.signature, trs.variables, 2).terms():
         if t.is_var or t.name in trs.head_index:
             continue
-        assert full_step(trs, t) == {
+        assert _distinct(full_step(trs, t)) == {
             Term(t.name, combo)
             for combo in product(*(full_step(trs, a) for a in t.args))}, t
         checked += bool(t.args)
@@ -335,9 +366,9 @@ def test_equal_trs_share_the_step_memo():
     assert first is not second
     assert first == second and hash(first) == hash(second)
     t = app("p", app("p", app("q")))
-    assert sequential_step(first, t) == {app("p", app("q"))}
+    assert sequential_step(first, t) == (app("p", app("q")),)
     before = sequential_step.cache_info()
-    assert sequential_step(second, t) == {app("p", app("q"))}
+    assert sequential_step(second, t) == (app("p", app("q")),)
     after = sequential_step.cache_info()
     assert after.hits == before.hits + 1
     assert after.misses == before.misses
@@ -526,9 +557,9 @@ def test_graph_steps_respect_frontier(arith):
         assert not g.exhausted
         for t in g.nodes - g.frontier:
             assert g.steps(t) == STEPPERS[g.kind](g.trs, t)
-            assert g.steps(t) <= g.nodes
+            assert _distinct(g.steps(t)) <= g.nodes
         for t in g.frontier:
-            assert not any(g.steps(t, kind) for kind in STEPPERS)
+            assert all(g.steps(t, kind) == () for kind in STEPPERS)
 
 
 @pytest.mark.parametrize("kind", list(STEPPERS))
