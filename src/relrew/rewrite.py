@@ -391,9 +391,11 @@ def ground_instances(trs: TRS, u: Universe,
     """All substitution instances of the rules that fit in the universe,
     as a relation (the root-step relation).  Instances whose left side is
     in the universe but whose right side escapes it are counted as dropped.
+    The result is a set and a count, so an explicit universe's terms are
+    taken as its set holds them, unsorted.
     """
     pairs: Set[Tuple[Term, Term]] = set()
-    for t in u.terms():
+    for t in u.terms() if u.explicit is None else u.explicit:
         for _, r in root_reducts(trs, t):
             if r in u:
                 pairs.add((t, r))

@@ -353,7 +353,8 @@ class Universe:
         """Each term mapped to the (parent, argument position) pairs at which
         it occurs as a direct argument of a term of the universe.  Built on
         first use, which materialises the universe; ``termrel._lift`` reads
-        it over explicit universes only."""
+        it over explicit universes only, so a closure over an explicit
+        universe that it takes in one pass by depth never builds it."""
         occ: Dict[Term, List[Tuple[Term, int]]] = {}
         for t in self.terms():
             for i, arg in enumerate(t.args):

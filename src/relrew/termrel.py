@@ -28,20 +28,30 @@ into their parents through the universe's occurrence index; over a depth
 universe the applications are assembled backward from the pairs that fit
 one level down, whatever the universe's size.
 
-The closures are evaluated semi-naively, as in Datalog: each generation
-lifts only the pairs the previous generation added.  In ``tilde``'s step
-the older pairs relate the positions before the new one and all pairs
-those after it, so each argument combination is built once.  That is
-sound because the steps distribute over joins: ``check_refine`` does,
-``tilde(x | d) == tilde(x) | derivative(x | d, d)``, and composing with
-the root step distributes too.
+A closure's step builds a pair at a parent only from pairs at the parent's
+arguments, so a term's row of the least fixed point depends only on its
+arguments' rows.  Over an explicit universe, which is subterm-closed, the
+closures therefore take its terms once, by increasing depth, and build
+each row from the finished rows of its arguments (``_by_depth``).  They
+stop at the first built term outside the universe, and the closure is then
+evaluated like one over a depth universe.
+
+There the closures are evaluated semi-naively, as in Datalog: each
+generation lifts only the pairs the previous generation added.  In
+``tilde``'s step the older pairs relate the positions before the new one
+and all pairs those after it, so each argument combination is built once.
+That is sound because the steps distribute over joins: ``check_refine``
+does, ``tilde(x | d) == tilde(x) | derivative(x | d, d)``, and composing
+with the root step distributes too.
 """
 
 from __future__ import annotations
 
 from itertools import chain, product, repeat
 from math import prod
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from . import relalg
 from .relalg import Rel, successors
@@ -50,6 +60,7 @@ from .syntax import Term, Universe, make, make_all
 TPair = Tuple[Term, Term]
 Succ = Dict[Term, Set[Term]]
 Column = Tuple[Tuple[Term, ...], int, int]  # (pool, inner, outer); see _columns
+Row = Tuple[Term, ...]  # one term's distinct targets; see _by_depth
 
 
 class OpStats:
@@ -64,7 +75,10 @@ class OpStats:
     (re-applying the step to the whole relation until nothing changes)
     would meet it: every round after the one that added the newest pair it
     uses, up to and including the round that confirms the fixed point.  The
-    semi-naive evaluation reproduces that count exactly.
+    semi-naive evaluation reproduces that count exactly, and only it gives
+    it: a closure over an explicit universe taken in one pass by depth
+    builds no drop, and its first construction outside the universe hands
+    the closure to the generations.
     """
 
     __slots__ = ("dropped",)
@@ -345,8 +359,10 @@ def subst_rel(a: Rel, b: Rel, stats: Optional[OpStats] = None) -> Rel:
 def _semi_naive(u: Universe, seed: Set[TPair], increment,
                 stats: Optional[OpStats]) -> Rel:
     """Least fixed point of a join-distributive step by semi-naive
-    evaluation (``relalg.lfp`` is the naive iteration).  ``seed`` is the
-    step applied to the empty relation, and ``increment(old, new, every,
+    evaluation (``relalg.lfp`` is the naive iteration).  It evaluates every
+    closure over a depth universe, and one over an explicit universe when
+    the one pass by depth built a term outside it.  ``seed`` is the step
+    applied to the empty relation, and ``increment(old, new, every,
     gen_stats)`` returns what the step adds for the argument combinations
     that use at least one pair of the last generation ``new``.  Always
     ``every = old | new``: each generation builds ``every`` once, and it is
@@ -393,18 +409,80 @@ def _semi_naive(u: Universe, seed: Set[TPair], increment,
     raise RuntimeError("fixed-point iteration did not converge")
 
 
+def _by_depth(u: Universe, row: Callable[[Term, Dict[Term, Row]],
+                                         Optional[Row]]) -> Optional[Rel]:
+    """The closure over an explicit universe in one pass: ``row(t, rows)``
+    gives t's row of the closure, a tuple of distinct targets, from its
+    arguments' finished ``rows``, or ``None`` at a built term outside the
+    universe.  A step builds a pair at a parent only from pairs at the
+    parent's arguments, so over a subterm-closed universe taking the terms
+    by increasing depth reaches the least fixed point in one visit per
+    term.  Returns ``None``, having noted nothing, at the first term left
+    outside."""
+    rows: Dict[Term, Row] = {}
+    for t in sorted(u.explicit, key=attrgetter("depth")):
+        r = row(t, rows)
+        if r is None:
+            return None
+        rows[t] = r
+    return Rel(u, frozenset(chain.from_iterable(
+        zip(repeat(t), r) for t, r in rows.items())))
+
+
 def sequential_closure(a: Rel, stats: Optional[OpStats] = None) -> Rel:
-    """a^s = lfp x. a | check_refine(x): one rewrite somewhere in a context."""
+    """a^s = lfp x. a | check_refine(x): one rewrite somewhere in a context.
+    Over an explicit universe t's row is a's row of t plus t with one
+    argument replaced by a member of that argument's row."""
     u = a.carrier
+    if u.explicit is not None:
+        explicit, asucc = u.explicit, successors(a.pairs)
+
+        def row(t: Term, rows: Dict[Term, Row]) -> Optional[Row]:
+            args, name, built = t.args, t.name, []
+            for i, x in enumerate(args):
+                qs = rows[x]
+                if qs:
+                    head, tail = args[:i], args[i + 1:]
+                    for q in qs:
+                        built.append(make(name, head + (q,) + tail))
+            if not explicit.issuperset(built):
+                return None
+            own = asucc.get(t)
+            if own:
+                return tuple(own.union(built))
+            # two positions build the same term only if both build t itself
+            return tuple(set(built) if built.count(t) > 1 else built)
+
+        closed = _by_depth(u, row)
+        if closed is not None:
+            return closed
     return _semi_naive(
         u, set(a.pairs),
         lambda old, new, every, st: _lift(u, None, new, None, st), stats)
 
 
 def parallel_closure(a: Rel, stats: Optional[OpStats] = None) -> Rel:
-    """a^p = lfp x. a | hat(x): simultaneous rewrites of disjoint subterms."""
+    """a^p = lfp x. a | hat(x): simultaneous rewrites of disjoint subterms.
+    Over an explicit universe t's row is its seed row (a, ``i_eta``,
+    ``i_sigma0``) plus the product of its arguments' rows."""
     u = a.carrier
     seed = set(a.pairs) | i_eta(u).pairs | i_sigma0(u).pairs
+    if u.explicit is not None:
+        explicit, ssucc = u.explicit, successors(seed)
+
+        def row(t: Term, rows: Dict[Term, Row]) -> Optional[Row]:
+            own = ssucc.get(t, ())
+            if not t.args:
+                return tuple(own)
+            built = list(make_all(t.name, product(*map(rows.__getitem__,
+                                                       t.args))))
+            if not explicit.issuperset(built):
+                return None
+            return tuple(own.union(built)) if own else tuple(built)
+
+        closed = _by_depth(u, row)
+        if closed is not None:
+            return closed
     return _semi_naive(
         u, seed,
         lambda old, new, every, st: _lift(u, old, new, every, st), stats)
@@ -412,7 +490,9 @@ def parallel_closure(a: Rel, stats: Optional[OpStats] = None) -> Rel:
 
 def full_closure(a: Rel, stats: Optional[OpStats] = None) -> Rel:
     """a^h = lfp x. hat(x);(a | Delta): rewrite all arguments in parallel,
-    then optionally contract the root."""
+    then optionally contract the root.  Over an explicit universe t's row
+    is the product of its arguments' rows, or t itself at a leaf, each
+    member then optionally contracted by a."""
     u = a.carrier
     asucc = successors(a.pairs)
 
@@ -423,7 +503,27 @@ def full_closure(a: Rel, stats: Optional[OpStats] = None) -> Rel:
                 out.add((p, r))
         return out
 
+    leaves = i_eta(u).pairs | i_sigma0(u).pairs
+    if u.explicit is not None:
+        explicit = u.explicit
+
+        def row(t: Term, rows: Dict[Term, Row]) -> Optional[Row]:
+            if t.args:
+                built = list(make_all(t.name, product(*map(rows.__getitem__,
+                                                           t.args))))
+                if not explicit.issuperset(built):
+                    return None
+            elif (t, t) in leaves:
+                built = [t]
+            else:
+                return ()
+            reducts = filter(None, map(asucc.get, built))
+            return tuple(set(built).union(*reducts))
+
+        closed = _by_depth(u, row)
+        if closed is not None:
+            return closed
     return _semi_naive(
-        u, contract(i_eta(u).pairs | i_sigma0(u).pairs),
+        u, contract(leaves),
         lambda old, new, every, st: contract(_lift(u, old, new, every, st)),
         stats)

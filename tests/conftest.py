@@ -262,3 +262,24 @@ def shallow_stars(monkeypatch):
     each row is the element's successor row plus the element itself."""
     monkeypatch.setattr(an, "_star_rows", lambda rows: [
         row | 1 << i for i, row in enumerate(rows)])
+
+
+@pytest.fixture
+def deepest_first(monkeypatch):
+    """The one-pass closures taking the terms by decreasing depth, so each
+    row is built before its arguments' rows, which it reads as empty."""
+
+    class Unbuilt(dict):
+        def __missing__(self, t):
+            return ()
+
+    def by_depth(u, row):
+        rows = Unbuilt()
+        for t in sorted(u.explicit, key=lambda t: t.depth, reverse=True):
+            r = row(t, rows)
+            if r is None:
+                return None
+            rows[t] = r
+        return Rel(u, frozenset((t, q) for t, r in rows.items() for q in r))
+
+    monkeypatch.setattr(tr, "_by_depth", by_depth)

@@ -1,6 +1,7 @@
 """Differential operators on term relations, cross-validated against the
 inductive steppers of the rewrite module and against each other."""
 
+import os
 import random
 from itertools import product
 
@@ -8,11 +9,15 @@ import pytest
 
 import relrew.relalg as relalg
 import relrew.termrel as tr
+from relrew.analysis import seed_terms
 from relrew.relalg import Rel, lfp, reach, successors
 from relrew.rewrite import (
     full_step,
     ground_instances,
     parallel_step,
+    parse_trs,
+    reduction_graph,
+    root_reducts,
     sequential_step,
 )
 from relrew.syntax import (
@@ -23,6 +28,7 @@ from relrew.syntax import (
     app,
     apply_subst,
     free_vars,
+    term_key,
     universe,
     var,
 )
@@ -608,3 +614,132 @@ def test_closure_iteration_cap(monkeypatch):
     with pytest.raises(RuntimeError):
         naive_closure("seq", a, None)
     assert sequential_closure(Rel.bottom(U1)).pairs == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# closures over an explicit universe in one pass by depth
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SYSTEMS = ("tests/data/newman.trs", "tests/data/twocycle.trs",
+           "tests/data/selfloop.trs", "perfbench/data/nonconfluent.trs")
+
+
+def _systems(arith):
+    out = [arith]
+    for path in SYSTEMS:
+        with open(os.path.join(ROOT, path), encoding="utf-8") as f:
+            out.append(parse_trs(f.read()))
+    return out
+
+
+def _closure_universe(trs, seeds, bound=None):
+    """The explicit universe of the full-step closure of ``seeds``, cut off
+    after ``bound`` layers if given."""
+    g = reduction_graph(trs, list(seeds), kind="full", bound=bound)
+    return Universe.from_terms(trs.signature, trs.variables, g.nodes)
+
+
+def test_one_pass_on_closed_closures(arith, monkeypatch):
+    """A full-step closure is closed under all three steps, so over its
+    universe each closure is taken in one pass by depth: generations never
+    run, nothing is dropped, and the pairs are the naive iteration's."""
+
+    def no_generations(*args):
+        raise AssertionError("semi-naive generations ran")
+
+    monkeypatch.setattr(tr, "_semi_naive", no_generations)
+    for trs in _systems(arith):
+        u = _closure_universe(trs, seed_terms(trs, 2))
+        assert _assert_matches_naive(ground_instances(trs, u)) == 0
+
+
+def test_one_pass_falls_back_to_generations(arith, monkeypatch):
+    """Over a universe that a construction leaves, each closure stops its
+    one pass at the first built term outside and is evaluated by the
+    generations once, with the naive iteration's pairs and drop count.
+    The cases: sparse universes, the universe of a closure cut off after
+    one layer, and a hand-made one whose first escape is built at depth 1,
+    after the rows of depth 0."""
+    semi_naive, by_depth, calls, stopped = tr._semi_naive, tr._by_depth, [], []
+
+    def counting(u, *args):
+        calls.append(u)
+        return semi_naive(u, *args)
+
+    def recording(u, row):
+        def watched(t, rows):
+            r = row(t, rows)
+            if r is None:
+                stopped.append((t, len(rows)))
+            return r
+        return by_depth(u, watched)
+
+    monkeypatch.setattr(tr, "_semi_naive", counting)
+    monkeypatch.setattr(tr, "_by_depth", recording)
+    rng = random.Random(15)
+    cases = []
+    for _ in range(6):
+        sparse = Universe.from_terms(SIG, VARS, rng.sample(U2.terms(), 8))
+        cases.append(Rel(sparse, random_rel(sparse, 2, 4, rng).pairs))
+    cut = _closure_universe(arith, seed_terms(arith, 2), bound=1)
+    cases.append(ground_instances(arith, cut))
+    a00 = app("A", ZERO, ZERO)
+    tiny = Universe.from_terms(SIG, VARS, [app("S", a00)])
+    cases.append(rel(tiny, (ZERO, a00)))
+    fell_back = []
+    for k, a in enumerate(cases):
+        for name, closure in CLOSURES.items():
+            del calls[:], stopped[:]
+            ref_st, st = OpStats(), OpStats()
+            got = closure(a, st)
+            assert got.pairs == naive_closure(name, a, ref_st).pairs, (k, name)
+            assert st.dropped == ref_st.dropped, (k, name)
+            # a construction leaves the universe exactly when one drops
+            assert calls == [a.carrier] * (st.dropped > 0), (k, name)
+            assert len(stopped) == len(calls), (k, name)
+            if calls:
+                fell_back.append(k)
+    assert set(fell_back) > {len(cases) - 2, len(cases) - 1}
+    assert fell_back.count(len(cases) - 1) == 3
+    # on the hand-made universe each closure stops at A(0,0), whose
+    # constructions A(A(0,0),0) and A(0,A(0,0)) leave it, after the row of 0
+    assert stopped == [(a00, 1)]
+
+
+def test_closure_path_never_sorts_or_indexes(arith):
+    """Reduction graph, explicit universe, root-step relation and the three
+    closures neither sort the universe nor build its occurrence index.  The
+    root-step relation and its drop count are those of a walk in
+    ``term_key`` order, on the closure of the depth-3 seeds and on a
+    cut-off closure of twocycle, whose frontier b and d step to c and e
+    outside it."""
+    u = _closure_universe(arith, seed_terms(arith, 3))
+    stats = OpStats()
+    ground = ground_instances(arith, u, stats)
+    for closure in CLOSURES.values():
+        closure(ground, stats)
+    assert "_explicit_sorted" not in u.__dict__
+    assert "occurrences" not in u.__dict__
+    assert stats.dropped == 0
+    twocycle = _systems(arith)[2]
+    cut = _closure_universe(twocycle, [app("f", app("a"))], bound=1)
+    for trs, v, want_dropped in ((arith, u, 0), (twocycle, cut, 2)):
+        pairs, st = set(), OpStats()
+        for t in sorted(v.explicit, key=term_key):
+            for _, r in root_reducts(trs, t):
+                if r in v:
+                    pairs.add((t, r))
+                else:
+                    st.note()
+        got_st = OpStats()
+        assert ground_instances(trs, v, got_st).pairs == pairs
+        assert got_st.dropped == st.dropped == want_dropped
+
+
+def test_one_pass_mutant_caught(arith, deepest_first):
+    """Terms taken by decreasing depth read their arguments' rows before
+    they are built; the naive comparison on arith's closure catches it in
+    each closure."""
+    a = ground_instances(arith, _closure_universe(arith, seed_terms(arith, 2)))
+    for name, closure in CLOSURES.items():
+        assert closure(a).pairs != naive_closure(name, a, None).pairs, name
