@@ -1,18 +1,22 @@
 """First-order terms over a ranked signature, and finite term universes.
 
 Terms are interned: structurally equal terms are the same object, so equality
-and hashing are O(1).  Every term is built by one subscript of the intern
-table, which builds the term on a miss; ``make_all`` builds a whole stream
-of applications in one C-level pass over it.  A universe is a finite,
-subterm-closed set of terms, either "all terms up to a depth bound" or an
-explicit term set (e.g. the reachable closure of a rewrite graph).
+and hashing are O(1).  Each operator has its own intern table, keyed by
+argument tuple, and variables have one keyed by name; a table builds the
+term on a miss.  So an application is two subscripts, one to find the
+operator's table and one of it, and ``make_all`` builds a whole stream of
+one operator's applications in one C-level pass over its table.  A
+universe is a finite, subterm-closed set of terms, either "all terms up to
+a depth bound" or an explicit term set (e.g. the reachable closure of a
+rewrite graph).
 """
 
 from __future__ import annotations
 
 import re
 from functools import cached_property, lru_cache
-from itertools import product, repeat
+from itertools import product
+from operator import attrgetter
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
                     Tuple)
 
@@ -73,25 +77,68 @@ class Signature:
         return "Signature({%s})" % ", ".join(f"{n!r}: {a}" for n, a in self._items)
 
 
-class _InternTable(dict):
-    """The intern table, from ``(name, args, is_var)`` to its one term.  A
-    lookup of a key not yet in it builds, checks and stores the term, so
-    every construction is one subscript and a hit calls no Python code."""
+class _Applications(dict):
+    """The intern table of one operator, from argument tuple to the one
+    application of the operator to it.  A lookup of a tuple not yet in it
+    builds and stores the term, so every construction is one subscript and
+    a hit calls no Python code."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __missing__(self, args: Tuple["Term", ...]) -> "Term":
+        t = object.__new__(Term)
+        t.name = name = self.name
+        t.args = args
+        t.is_var = False
+        t.depth = depth = max(map(_depth_of, args), default=-1) + 1
+        t.key = (depth, False, name, tuple(map(_key_of, args)))
+        self[args] = t
+        return t
+
+
+class _Operators(dict):
+    """Each operator name to its table of applications, made on first
+    use."""
 
     __slots__ = ()
 
-    def __missing__(self, key: tuple) -> "Term":
-        name, args, is_var = key
-        if is_var and args:
-            raise TermError("variables take no arguments")
+    def __missing__(self, name: str) -> _Applications:
+        table = self[name] = _Applications(name)
+        return table
+
+
+class _Variables(dict):
+    """The intern table of variables, from name to the one variable."""
+
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> "Term":
         t = object.__new__(Term)
         t.name = name
-        t.args = args
-        t.is_var = is_var
-        t.depth = depth = max((a.depth for a in args), default=-1) + 1
-        t.key = (depth, is_var, name, tuple(a.key for a in args))
-        self[key] = t
+        t.args = ()
+        t.is_var = True
+        t.depth = 0
+        t.key = (0, True, name, ())
+        self[name] = t
         return t
+
+
+class _Interned:
+    """Every interned term: ``apps`` maps each operator name to its table
+    of applications, keyed by argument tuple, and ``vars`` each variable
+    name to its term.  Its length is the number of interned terms."""
+
+    __slots__ = ("apps", "vars")
+
+    def __init__(self):
+        self.apps = _Operators()
+        self.vars = _Variables()
+
+    def __len__(self) -> int:
+        return len(self.vars) + sum(map(len, self.apps.values()))
 
 
 class Term:
@@ -102,10 +149,14 @@ class Term:
     key tuples, so building it never recurses."""
 
     __slots__ = ("name", "args", "is_var", "depth", "key")
-    _intern: Dict[tuple, "Term"] = _InternTable()
+    _intern = _Interned()
 
     def __new__(cls, name: str, args: Tuple["Term", ...] = (), is_var: bool = False):
-        return cls._intern[name, args, is_var]
+        if not is_var:
+            return _apps[name][args]
+        if args:
+            raise TermError("variables take no arguments")
+        return _vars[name]
 
     # interning makes identity-based eq/hash correct; the order is the key's
     def __lt__(self, other: "Term") -> bool:
@@ -118,27 +169,29 @@ class Term:
         return format_term(self)
 
 
+_apps, _vars = Term._intern.apps, Term._intern.vars
+_depth_of, _key_of = attrgetter("depth"), attrgetter("key")
+
+
 def var(name: str) -> Term:
-    return Term(name, (), True)
-
-
-_interned = Term._intern.__getitem__
+    return _vars[name]
 
 
 def make(name: str, args: Tuple[Term, ...]) -> Term:
-    """The application ``name(*args)``: one subscript of the intern table."""
-    return _interned((name, args, False))
+    """The application ``name(*args)``: one subscript of the operator
+    table and one of the operator's table of applications."""
+    return _apps[name][args]
 
 
 def make_all(name: str, arg_tuples: Iterable[Tuple[Term, ...]]) -> Iterator[Term]:
     """The applications ``name(*args)`` for each ``args`` of ``arg_tuples``,
-    in order and lazily.  The table is subscripted from C, so an
-    application already interned costs no Python call."""
-    return map(_interned, zip(repeat(name), arg_tuples, repeat(False)))
+    in order and lazily.  The operator's table is subscripted from C, so
+    an application already interned costs no Python call."""
+    return map(_apps[name].__getitem__, arg_tuples)
 
 
 def app(name: str, *args: Term) -> Term:
-    return make(name, args)
+    return _apps[name][args]
 
 
 def term_key(t: Term):
@@ -351,12 +404,14 @@ class Universe:
     @cached_property
     def occurrences(self) -> Dict[Term, Tuple[Tuple[Term, int], ...]]:
         """Each term mapped to the (parent, argument position) pairs at which
-        it occurs as a direct argument of a term of the universe.  Built on
-        first use, which materialises the universe; ``termrel._lift`` reads
-        it over explicit universes only, so a closure over an explicit
-        universe that it takes in one pass by depth never builds it."""
+        it occurs as a direct argument of a term of the universe, in no
+        particular order.  Built on first use, which materialises a depth
+        universe; an explicit universe's term set is walked unsorted.
+        ``termrel._lift`` reads it over explicit universes only, so a
+        closure over an explicit universe that it takes in one pass by depth
+        never builds it."""
         occ: Dict[Term, List[Tuple[Term, int]]] = {}
-        for t in self.terms():
+        for t in self.explicit or self.terms():
             for i, arg in enumerate(t.args):
                 occ.setdefault(arg, []).append((t, i))
         return {t: tuple(ps) for t, ps in occ.items()}

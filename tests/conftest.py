@@ -11,7 +11,7 @@ import relrew.rewrite as rw
 import relrew.termrel as tr
 from relrew.relalg import Rel
 from relrew.rewrite import parse_trs
-from relrew.syntax import app
+from relrew.syntax import _Applications, app
 
 ARITH_TEXT = """\
 # Peano-style arithmetic
@@ -82,6 +82,24 @@ def left_images_subst(monkeypatch):
         return left[0]
 
     monkeypatch.setattr(tr, "_columns", left_twice)
+
+
+@pytest.fixture
+def shared_argument_table(monkeypatch):
+    """Interning keyed by argument tuple alone, across operators: a miss in
+    one operator's table takes the application of whichever operator was
+    first built on the same arguments since the patch."""
+    built, missing = {}, _Applications.__missing__
+
+    def shared(self, args):
+        t = built.get(args)
+        if t is None:
+            t = built[args] = missing(self, args)
+        else:
+            self[args] = t
+        return t
+
+    monkeypatch.setattr(_Applications, "__missing__", shared)
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from relrew.laws import (
     RELATION_ENTRIES,
     TERMREL_ENTRIES,
     SampleConfig,
+    _adjoint_join,
     _holds,
     _inputs,
     _parse,
@@ -26,7 +27,7 @@ from relrew.laws import (
     run_termrel_law_suite,
     termrel_law,
 )
-from relrew.relalg import Rel, corrupted_compose
+from relrew.relalg import Rel, corrupted_compose, random_rel
 from relrew.termrel import OpStats, check_refine
 
 MANIFEST = pathlib.Path(__file__).parent / "data" / "law_manifest.json"
@@ -106,6 +107,39 @@ def test_mutation_breaks_termrel_laws():
             ["tilde-compose", "hat-compose", "check-compose"])
     assert len(reports) == 3
     assert any(r.verdict == "fail" for r in reports)
+
+
+def _rel_adjoint_join(c, b):
+    """The adjoint formula by ``Rel``: the join of every x with x;b <= c,
+    each x built as a relation and composed by ``Rel.compose``."""
+    n = c.n
+    slots = [(i, j) for i in range(n) for j in range(n)]
+    best = Rel.bottom(n)
+    for mask in range(1 << len(slots)):
+        x = Rel(range(n), frozenset(p for k, p in enumerate(slots)
+                                    if mask >> k & 1))
+        if x.compose(b).leq(c):
+            best = best | x
+    return best
+
+
+def test_adjoint_join_matches_rel_brute_force():
+    """The bit-row adjoint join of the residual oracle law equals the
+    ``Rel`` brute force on seeded samples of each size the law draws, with
+    and without ``corrupted_compose``; the hook changes some of them."""
+    rng = random.Random(30)
+    changed = 0
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        density = rng.choice((0.1, 0.3, 0.6))
+        c, b = random_rel(n, density, rng), random_rel(n, density, rng)
+        want = _rel_adjoint_join(c, b)
+        assert _adjoint_join(c, b) == want
+        with corrupted_compose():
+            bad = _rel_adjoint_join(c, b)
+            assert _adjoint_join(c, b) == bad
+        changed += bad != want
+    assert changed
 
 
 def test_lift_mutation_breaks_termrel_laws(lossy_lift):

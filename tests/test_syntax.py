@@ -2,7 +2,7 @@
 
 import pathlib
 import re
-from itertools import product
+from itertools import count, product
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +18,8 @@ from relrew.syntax import (
     TermError,
     Universe,
     UniverseError,
+    _Applications,
+    _Variables,
     app,
     apply_subst,
     format_term,
@@ -303,9 +305,10 @@ def test_from_terms_names_the_offending_subterm(bad, offender):
 def test_make_is_the_interned_application():
     """``make`` returns the one interned term, whether or not it existed."""
     args = (var("x"), app("0"))
-    assert ("make-new", args, False) not in Term._intern
+    assert "make-new" not in Term._intern.apps
     new = make("make-new", args)
     assert new is Term("make-new", args) is make("make-new", args)
+    assert Term._intern.apps["make-new"] == {args: new}
     old = Term("make-old", args)
     assert make("make-old", args) is old
     assert make("x", ()) is not var("x")
@@ -319,7 +322,7 @@ def test_make_all_matches_make():
     x, zero = var("x"), app("0")
     old = make("make-all", (x, zero))
     new_args = [(zero, zero), (x, x), (zero, x)]
-    assert not any(("make-all", a, False) in Term._intern for a in new_args)
+    assert not any(a in Term._intern.apps["make-all"] for a in new_args)
     arg_tuples = [(x, zero), new_args[0], (x, zero), new_args[1], new_args[0],
                   new_args[2], (x, zero)]
     size = len(Term._intern)
@@ -337,10 +340,11 @@ def test_variable_with_arguments_is_not_interned():
     """A variable with arguments is an error, and the failed build leaves
     no entry in the intern table."""
     t = app("0")
-    size = len(Term._intern)
+    size, variables = len(Term._intern), dict(Term._intern.vars)
     with pytest.raises(TermError, match="variables take no arguments"):
         Term("x", (t,), True)
-    assert ("x", (t,), True) not in Term._intern
+    assert Term._intern.vars == variables
+    assert (t,) not in Term._intern.apps.get("x", {})
     assert len(Term._intern) == size
 
 
@@ -370,15 +374,74 @@ def test_interned_applications_make_no_class_call(arith, monkeypatch):
     first = build()  # interns every application built
     assert all(out.pairs for out in first[6])
     misses = []
-    table = type(Term._intern)
-    missing = table.__missing__
+    app_missing = _Applications.__missing__
+    var_missing = _Variables.__missing__
 
-    def counted(self, key):
-        misses.append(key)
-        return missing(self, key)
+    def app_counted(self, args):
+        misses.append((self.name, args))
+        return app_missing(self, args)
 
-    monkeypatch.setattr(table, "__missing__", counted)
+    def var_counted(self, name):
+        misses.append(name)
+        return var_missing(self, name)
+
+    monkeypatch.setattr(_Applications, "__missing__", app_counted)
+    monkeypatch.setattr(_Variables, "__missing__", var_counted)
     assert build() == first
     assert misses == []
-    make("interned-miss", (zero,))  # the counter does see a miss
-    assert misses == [("interned-miss", (zero,), False)]
+    make("interned-miss", (zero,))  # the counters do see a miss
+    var("interned-miss")
+    assert misses == [("interned-miss", (zero,)), "interned-miss"]
+
+
+_fresh = count()
+
+
+def test_intern_table_counts_each_new_term_once():
+    """``len(Term._intern)`` is the number of interned terms: it rises by
+    exactly one for a new variable, a new application of a known operator
+    and an application of a new operator, and not at all on a hit.  Two
+    operators applied to one argument tuple are two terms, as are an
+    application and a variable of one name.  Names are fresh on each call,
+    so every term here is new when the test starts."""
+    n = next(_fresh)
+    size = len(Term._intern)
+    z = var(f"z{n}")
+    assert len(Term._intern) == size + 1
+    a = make("A", (z, z))
+    assert len(Term._intern) == size + 2
+    m = make("M", (z, z))
+    assert len(Term._intern) == size + 3
+    assert m is not a and (a.name, m.name) == ("A", "M")
+    f = make(f"f{n}", (z,))
+    assert len(Term._intern) == size + 4
+    leaf = make(f"z{n}", ())
+    assert len(Term._intern) == size + 5
+    assert leaf is not z and not leaf.is_var and z.is_var
+    hits = (var(f"z{n}"), make("A", (z, z)), app("M", z, z),
+            Term(f"f{n}", (z,)), app(f"z{n}"), Term(f"z{n}", (), True))
+    assert all(h is t for h, t in zip(hits, (z, a, m, f, leaf, z)))
+    assert len(Term._intern) == size + 5
+
+
+def test_shared_argument_table_mutant_caught(shared_argument_table):
+    """One table keyed by argument tuple alone, across operators, hands
+    ``M(z,z)`` the term ``A(z,z)``; the count test catches it."""
+    with pytest.raises(AssertionError):
+        test_intern_table_counts_each_new_term_once()
+
+
+def test_occurrences_walk_the_term_set():
+    """Building the occurrence index of an explicit universe leaves its
+    sorted term tuple unbuilt, and each term's (parent, position) entries,
+    with no repeats, are those of a walk of the sorted terms."""
+    u = Universe.from_terms(SIG, VARS, universe(SIG, VARS, 2).terms()[::37])
+    occ = u.occurrences
+    assert "_explicit_sorted" not in u.__dict__
+    want = {}
+    for t in sorted(u.explicit, key=term_key):
+        for i, a in enumerate(t.args):
+            want.setdefault(a, set()).add((t, i))
+    assert len(want) > 10
+    assert all(len(set(ps)) == len(ps) for ps in occ.values())
+    assert {t: set(ps) for t, ps in occ.items()} == want
