@@ -4,9 +4,11 @@
 Useful for eyeballing skip rates and overflow (truncation) pressure at
 different sample sizes and seeds.  The laws run one at a time, each with
 the RNG of its own that ``run_all`` gives it, so each report is the one a
-whole run makes; ``--verbose`` prints each law's seconds.  The cyclic
-garbage collector runs before each law's timer starts, so a law's seconds
-hold its own work and not a collection that earlier laws left pending.
+whole run makes; ``--verbose`` prints each law's seconds.  A law samples
+with the cyclic garbage collector paused, and the collections its own
+allocations make due run as the pause ends, inside its timer.  A full
+collection runs before each law's timer starts, so a law's seconds hold
+no collection that earlier laws left due.
 """
 
 import argparse

@@ -45,7 +45,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .relalg import Rel, reach, successors
 from .rewrite import TRS, ReductionGraph, ground_instances, reduction_graph
-from .syntax import Term, format_term, term_key, universe
+from .syntax import Term, format_term, gc_paused, term_key, universe
 from .termrel import (
     OpStats,
     check_refine,
@@ -342,6 +342,7 @@ def _bottom_witnesses(order: Sequence[Term], reps: Sequence[int],
     return witnesses
 
 
+@gc_paused
 def seed_terms(trs: TRS, depth: int) -> Tuple[Term, ...]:
     """The seed population for exhaustive analyses: all closed terms of depth
     <= depth, plus all open terms of depth <= min(depth, 2) (the full open
@@ -391,6 +392,7 @@ class SpectrumReport(PropertyReport):
         }
 
 
+@gc_paused
 def spectrum_survey(trs: TRS, seeds: Sequence[Term],
                     bound: Optional[int] = None) -> SpectrumReport:
     """Check seq ⊆ par ⊆ full ⊆ seq-star pointwise on the reachable closure,
@@ -452,6 +454,7 @@ def _seq_condensation(trs: TRS, seeds: Sequence[Term], bound: Optional[int]
     return order, cond, open_nodes
 
 
+@gc_paused
 def exhaustive_weak_confluence(trs: TRS, seeds: Sequence[Term],
                                bound: Optional[int] = None) -> PropertyReport:
     """Every one-step peak on the reachable closure is joinable: its two
@@ -477,6 +480,7 @@ def exhaustive_weak_confluence(trs: TRS, seeds: Sequence[Term],
                           (failing or unsure)[:MAX_WITNESSES])
 
 
+@gc_paused
 def exhaustive_confluence(trs: TRS, seeds: Sequence[Term],
                           bound: Optional[int] = None) -> PropertyReport:
     """Every star peak on the reachable closure is joinable.
@@ -497,6 +501,7 @@ def exhaustive_confluence(trs: TRS, seeds: Sequence[Term],
                           witnesses)
 
 
+@gc_paused
 def exhaustive_church_rosser(trs: TRS, seeds: Sequence[Term],
                              bound: Optional[int] = None) -> PropertyReport:
     """Convertible nodes of the reachable closure are joinable.
@@ -575,6 +580,7 @@ def _unjoined(name: str, peaks: Rel, joins: Callable[[Term, Term], bool],
                      dropped)
 
 
+@gc_paused
 def check_cp(trs: TRS, depth: int = 2) -> ChecksReport:
     """Evaluate the relational critical-pair conditions for the rule
     relation of ``trs`` over the depth-bounded working universe:

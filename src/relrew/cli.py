@@ -35,7 +35,7 @@ from .analysis import (
     spectrum_survey,
 )
 from .rewrite import TRS, graph_to_dot, graph_to_json, parse_trs, reduction_graph
-from .syntax import TermError, format_term
+from .syntax import TermError, format_term, gc_paused
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -196,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@gc_paused
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)

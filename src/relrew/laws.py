@@ -33,8 +33,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import relalg
 from .analysis import is_church_rosser, is_confluent
 from .relalg import (Rel, below_compose, below_star, lfp, random_coreflexive,
-                     random_rel)
-from .syntax import NAME_RE, Signature, TermError, universe
+                     random_rel, star_witness)
+from .syntax import NAME_RE, Signature, TermError, gc_paused, universe
 from .termrel import (
     OpStats,
     check_refine,
@@ -207,6 +207,7 @@ class LawReport:
 # ---------------------------------------------------------------------------
 # generic plumbing
 
+@gc_paused
 def _run_entries(entries, cfg: SampleConfig,
                  law_ids: Optional[Sequence[str]] = None) -> List[LawReport]:
     wanted = set(law_ids) if law_ids else None
@@ -253,10 +254,16 @@ def _cex(inputs, witness) -> str:
     return json.dumps(payload, sort_keys=True, default=str)
 
 
+def _gap(op: str, x: Rel, y: Rel):
+    """The least pair that breaks ``x <= y`` or ``x = y``, or None."""
+    return min(x.pairs - y.pairs if op == "<=" else x.pairs ^ y.pairs,
+               default=None)
+
+
 def _compare(op: str, x: Rel, y: Rel, inputs) -> Optional[str]:
     """``x <= y`` or ``x = y``, failing with the least pair that breaks it."""
-    diff = x.pairs - y.pairs if op == "<=" else x.pairs ^ y.pairs
-    return _cex(inputs, min(diff)) if diff else None
+    gap = _gap(op, x, y)
+    return None if gap is None else _cex(inputs, gap)
 
 
 def _bool(ok: bool, inputs, note: str) -> Optional[str]:
@@ -454,29 +461,33 @@ def _value(node, memo: dict, carrier, st: Optional[OpStats]):
     return memo[node]
 
 
-def _by_rows(op: str, lhs, rhs, value) -> Optional[bool]:
-    """Whether ``lhs op rhs`` holds, decided from its operands by the row
-    kernels when it reads ``x <= y;z``, ``x <= y*`` or ``x* = y*``, so the
-    right side is never built; None for any other comparison.  A star
-    equality is the two inclusions ``x <= y*`` and ``y <= x*``: each side
-    is then below the other's star, so the stars are equal."""
+def _witness(op: str, lhs, rhs, value):
+    """The least pair that breaks the comparison ``lhs op rhs``, or None
+    if it holds.  The row kernels decide ``x <= y;z``, ``x <= y*`` and
+    ``x* = y*`` from their operands, so a star is never built, and y;z only
+    when it fails, for its witness; a failing star comparison takes its
+    witness from rows too.  A star equality is the two inclusions
+    ``x <= y*`` and ``y <= x*``: each side is then below the other's star,
+    so the stars are equal."""
     if op == "<=" and rhs[0] == ";":
-        return below_compose(value(lhs), value(rhs[1]), value(rhs[2]))
-    if op == "<=" and rhs[0] == "*":
-        return below_star(value(lhs), value(rhs[1]))
-    if op == "=" and lhs[0] == rhs[0] == "*":
+        if below_compose(value(lhs), value(rhs[1]), value(rhs[2])):
+            return None
+    elif op == "<=" and rhs[0] == "*":
+        x, y = value(lhs), value(rhs[1])
+        return None if below_star(x, y) else star_witness(x, y)
+    elif op == "=" and lhs[0] == rhs[0] == "*":
         x, y = value(lhs[1]), value(rhs[1])
-        return below_star(x, y) and below_star(y, x)
-    return None
+        if below_star(x, y) and below_star(y, x):
+            return None
+        return star_witness(x, y, equal=True)
+    return _gap(op, value(lhs), value(rhs))
 
 
 def _holds(tree, names: List[str], note: Optional[str], carrier, rels,
            st: Optional[OpStats] = None):
     """A row's check on one sample: with a ``note`` the formula's truth as
-    a ``_bool``, else its comparison's ``_compare`` witness pair, for the
-    first failing instance of any enclosing ``all``.  A comparison that
-    ``_by_rows`` decides is built in full only when it fails, for its
-    witness."""
+    a ``_bool``, else its comparison's least ``_witness`` pair, for the
+    first failing instance of any enclosing ``all``."""
     memo = dict(zip(names, rels))
     if note is not None:
         return _bool(_value(tree, memo, carrier, st), rels, note)
@@ -487,12 +498,9 @@ def _holds(tree, names: List[str], note: Optional[str], carrier, rels,
         if node[0] == "all":
             trees += reversed(_instances(node, carrier))
             continue
-        op, lhs, rhs = node
-        if _by_rows(op, lhs, rhs, value):
-            continue
-        res = _compare(op, value(lhs), value(rhs), rels)
-        if res is not None:
-            return res
+        witness = _witness(*node, value)
+        if witness is not None:
+            return _cex(rels, witness)
     return None
 
 

@@ -6,7 +6,9 @@ provides the complete-lattice operations, relational composition and
 converse, both residuals of composition, the transitive and reflexive-
 transitive closures by the graph search ``reach``, the row kernels
 ``below_compose`` and ``below_star``, which decide ``x <= y;z`` and
-``x <= y*`` source by source of x without building the right side, and
+``x <= y*`` source by source of x without building the right side,
+``star_witness``, the least pair that breaks ``x <= y*`` or ``x* = y*``,
+read from rows in the same way, and
 ``lfp``, the naive Kleene iteration for monotone maps on any lattice whose
 elements compare with ``==``.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Hashable,
-                    Iterable, Mapping, Set, Tuple, TypeVar, Union)
+                    Iterable, Mapping, Optional, Set, Tuple, TypeVar, Union)
 
 if TYPE_CHECKING:  # only the annotations name it; a caller brings its own
     import random
@@ -237,6 +239,27 @@ def below_star(x: Rel, y: Rel) -> bool:
         if want:
             return False
     return True
+
+
+def star_witness(x: Rel, y: Rel, equal: bool = False) -> Optional[Pair]:
+    """The least pair in x but not in y*, or with ``equal`` the least pair
+    in one of x* and y* but not the other; None if there is none.  Neither
+    star is built, so a carrier too large to enumerate gives a witness too.
+    Both stars relate each element to itself, so only a pair (p, q) with
+    p != q can differ, and p is then a source of x (or of y, with
+    ``equal``).  The sources are taken in order, and the first with such a
+    pair gives the least one."""
+    xsucc, ysucc = successors(x.pairs), successors(y.pairs)
+    for p in sorted(xsucc.keys() | ysucc.keys() if equal else xsucc):
+        yrow = reach(ysucc, ysucc.get(p, ()))
+        if equal:
+            bad = reach(xsucc, xsucc.get(p, ())) ^ yrow
+        else:
+            bad = xsucc[p] - yrow
+        bad.discard(p)
+        if bad:
+            return p, min(bad)
+    return None
 
 
 def lfp(f: Callable[[X], X], bottom: X) -> X:

@@ -44,6 +44,7 @@ from .syntax import (
     apply_subst,
     format_term,
     free_vars,
+    gc_paused,
     make_all,
     match,
     parse_term,
@@ -324,6 +325,7 @@ class ReductionGraph:
         )
 
 
+@gc_paused
 def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
                     bound: Optional[int] = None,
                     max_nodes: int = MAX_NODES) -> ReductionGraph:
@@ -386,6 +388,7 @@ def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
 # ---------------------------------------------------------------------------
 # the rule relation on a universe
 
+@gc_paused
 def ground_instances(trs: TRS, u: Universe,
                      stats: Optional[OpStats] = None) -> Rel:
     """All substitution instances of the rules that fit in the universe,

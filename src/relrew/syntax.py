@@ -13,8 +13,9 @@ rewrite graph).
 
 from __future__ import annotations
 
+import gc
 import re
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import product
 from operator import attrgetter
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
@@ -296,21 +297,43 @@ def apply_subst(t: Term, subst: Mapping[str, Term]) -> Term:
 
 def match(pattern: Term, subject: Term) -> Optional[Dict[str, Term]]:
     """Match ``pattern`` against ``subject``; return the witnessing
-    substitution on the pattern's variables, or None."""
+    substitution on the pattern's variables, or None.  The pairs to match
+    wait on a stack, arguments pushed last first, so variables are bound
+    left to right; there is no nested function to leave a reference cycle
+    per call."""
     subst: Dict[str, Term] = {}
-
-    def go(p: Term, s: Term) -> bool:
+    todo = [(pattern, subject)]
+    while todo:
+        p, s = todo.pop()
         if p.is_var:
-            bound = subst.get(p.name)
-            if bound is None:
-                subst[p.name] = s
-                return True
-            return bound is s
-        if s.is_var or p.name != s.name or len(p.args) != len(s.args):
-            return False
-        return all(go(pa, sa) for pa, sa in zip(p.args, s.args))
+            if subst.setdefault(p.name, s) is not s:
+                return None
+        elif s.is_var or p.name != s.name or len(p.args) != len(s.args):
+            return None
+        elif p.args:
+            todo.extend(zip(reversed(p.args), reversed(s.args)))
+    return subst
 
-    return subst if go(pattern, subject) else None
+
+def gc_paused(fn):
+    """``fn`` with the cyclic garbage collector off while it runs, if it
+    was on.  Terms and their pairs never form reference cycles, so
+    reference counting frees them, and a collection over them finds
+    nothing to free.  A call made with the collector off leaves it off,
+    and the thresholds are never touched, so the caller gets back the
+    collector as it left it, when ``fn`` raises too.  Meant for calls that
+    do their work before they return: a generator's body would run after
+    the collector is back on."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -403,15 +426,15 @@ class Universe:
 
     @cached_property
     def occurrences(self) -> Dict[Term, Tuple[Tuple[Term, int], ...]]:
-        """Each term mapped to the (parent, argument position) pairs at which
-        it occurs as a direct argument of a term of the universe, in no
-        particular order.  Built on first use, which materialises a depth
-        universe; an explicit universe's term set is walked unsorted.
+        """Each term of an explicit universe mapped to the (parent, argument
+        position) pairs at which it occurs as a direct argument of a term
+        of the universe, in no particular order.  Built on first use from
+        the unsorted term set; a depth universe has no index.
         ``termrel._lift`` reads it over explicit universes only, so a
         closure over an explicit universe that it takes in one pass by depth
         never builds it."""
         occ: Dict[Term, List[Tuple[Term, int]]] = {}
-        for t in self.explicit or self.terms():
+        for t in self.explicit:
             for i, arg in enumerate(t.args):
                 occ.setdefault(arg, []).append((t, i))
         return {t: tuple(ps) for t, ps in occ.items()}

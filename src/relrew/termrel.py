@@ -55,7 +55,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
 
 from . import relalg
 from .relalg import Rel, successors
-from .syntax import Term, Universe, make, make_all
+from .syntax import Term, Universe, gc_paused, make, make_all
 
 TPair = Tuple[Term, Term]
 Succ = Dict[Term, Set[Term]]
@@ -429,6 +429,7 @@ def _by_depth(u: Universe, row: Callable[[Term, Dict[Term, Row]],
         zip(repeat(t), r) for t, r in rows.items())))
 
 
+@gc_paused
 def sequential_closure(a: Rel, stats: Optional[OpStats] = None) -> Rel:
     """a^s = lfp x. a | check_refine(x): one rewrite somewhere in a context.
     Over an explicit universe t's row is a's row of t plus t with one
@@ -461,6 +462,7 @@ def sequential_closure(a: Rel, stats: Optional[OpStats] = None) -> Rel:
         lambda old, new, every, st: _lift(u, None, new, None, st), stats)
 
 
+@gc_paused
 def parallel_closure(a: Rel, stats: Optional[OpStats] = None) -> Rel:
     """a^p = lfp x. a | hat(x): simultaneous rewrites of disjoint subterms.
     Over an explicit universe t's row is its seed row (a, ``i_eta``,
@@ -488,6 +490,7 @@ def parallel_closure(a: Rel, stats: Optional[OpStats] = None) -> Rel:
         lambda old, new, every, st: _lift(u, old, new, every, st), stats)
 
 
+@gc_paused
 def full_closure(a: Rel, stats: Optional[OpStats] = None) -> Rel:
     """a^h = lfp x. hat(x);(a | Delta): rewrite all arguments in parallel,
     then optionally contract the root.  Over an explicit universe t's row

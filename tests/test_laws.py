@@ -10,6 +10,7 @@ import pytest
 
 import relrew.laws as laws
 from relrew.laws import (
+    ARITHMETIC,
     FIXPOINT_ENTRIES,
     RELATION_ENTRIES,
     TERMREL_ENTRIES,
@@ -26,8 +27,10 @@ from relrew.laws import (
     run_relation_law_suite,
     run_termrel_law_suite,
     termrel_law,
+    termrel_row,
 )
-from relrew.relalg import Rel, corrupted_compose, random_rel
+from relrew.relalg import Rel, corrupted_compose, random_rel, star_witness
+from relrew.syntax import UniverseError, app, universe
 from relrew.termrel import OpStats, check_refine
 
 MANIFEST = pathlib.Path(__file__).parent / "data" / "law_manifest.json"
@@ -291,3 +294,66 @@ def test_all_instances_share_one_memo(monkeypatch):
     reports = run_termrel_law_suite(SampleConfig(samples=3), [law.id])
     assert reports[0].verdict == "pass"
     assert len(calls) == 3
+
+
+def _star_samples(u, rng, count):
+    """Seeded relation pairs over ``u``, drawn among its depth-1 terms: b
+    is drawn like a, or is a+, which has a's star, or a+ less one pair."""
+    sup = [t for t in u.terms() if t.depth <= 1]
+
+    def draw():
+        return Rel(u, frozenset((rng.choice(sup), rng.choice(sup))
+                                for _ in range(rng.randint(0, 6))))
+
+    for _ in range(count):
+        a, kind = draw(), rng.randrange(3)
+        plus = sorted(a.trans_closure().pairs)
+        if kind == 0 or not plus:
+            yield a, draw()
+        else:
+            if kind == 2:
+                plus.remove(rng.choice(plus))
+            yield a, Rel(u, frozenset(plus))
+
+
+@pytest.mark.parametrize("formula", ["a <= b*", "a* = b*"])
+def test_star_witness_is_the_least_broken_pair(formula):
+    """A failing star comparison reports, from rows, the witness building
+    both sides and taking the least pair of their difference gives, on
+    seeded samples over a depth-2 universe, where both stars can be
+    built."""
+    u = universe(ARITHMETIC, ("x", "y"), 2)
+    tree = _parse(formula, ["a", "b"], None)
+    failing = 0
+    for a, b in _star_samples(u, random.Random(31), 150):
+        astar, bstar = a.kleene_star(), b.kleene_star()
+        if formula == "a <= b*":
+            diff = a.pairs - bstar.pairs
+            assert star_witness(a, b) == min(diff, default=None)
+        else:
+            diff = astar.pairs ^ bstar.pairs
+            assert star_witness(a, b, equal=True) == min(diff, default=None)
+        got = _holds(tree, ["a", "b"], None, u, [a, b])
+        assert got == (laws._cex([a, b], min(diff)) if diff else None)
+        failing += bool(diff)
+    assert 20 <= failing <= 140
+
+
+@pytest.mark.parametrize("formula", ["a <= b*", "a* = b*"])
+def test_failing_star_row_at_depth_3_reports(formula, monkeypatch):
+    """A failing star row over the termrel suite's default depth-3
+    universe, whose stars are too large to build, reports counterexamples
+    instead of raising."""
+    u = universe(ARITHMETIC, ("x", "y"), 3)
+    with pytest.raises(UniverseError):
+        Rel.bottom(u).kleene_star()
+    monkeypatch.setattr(laws, "TERMREL_ENTRIES", [])
+    termrel_row("probe", "probe-star", "inequality", "a b", formula)
+    (report,) = run_termrel_law_suite(SampleConfig(samples=10), ["probe-star"])
+    assert report.verdict == "fail"
+    assert len(report.counterexamples) == 3
+    zero, one = app("0"), app("S", app("0"))
+    a, b = Rel(u, frozenset({(zero, one)})), Rel.bottom(u)
+    res = json.loads(_holds(_parse(formula, ["a", "b"], None), ["a", "b"],
+                            None, u, [a, b]))
+    assert res["witness"] == ["0", "S(0)"]

@@ -1,6 +1,9 @@
 """Signatures, terms, parsing, matching, and finite universes."""
 
+import gc
+import inspect
 import pathlib
+import random
 import re
 from itertools import count, product
 
@@ -8,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relrew.analysis as an
+import relrew.cli as cli
+import relrew.laws as laws
+import relrew.relalg as relalg
 import relrew.rewrite as rw
+import relrew.syntax as syntax
+import relrew.termrel as tr
 from relrew.relalg import Rel
 from relrew.rewrite import parse_trs
 from relrew.syntax import (
@@ -24,6 +33,7 @@ from relrew.syntax import (
     apply_subst,
     format_term,
     free_vars,
+    gc_paused,
     is_well_formed,
     make,
     make_all,
@@ -445,3 +455,233 @@ def test_occurrences_walk_the_term_set():
     assert len(want) > 10
     assert all(len(set(ps)) == len(ps) for ps in occ.values())
     assert {t: set(ps) for t, ps in occ.items()} == want
+
+
+# ---------------------------------------------------------------------------
+# reference cycles and the collector pause
+
+def ref_match(pattern, subject):
+    """The recursive matcher ``match`` replaced, which left a function/cell
+    cycle per call."""
+    subst = {}
+
+    def go(p, s):
+        if p.is_var:
+            bound = subst.get(p.name)
+            if bound is None:
+                subst[p.name] = s
+                return True
+            return bound is s
+        if s.is_var or p.name != s.name or len(p.args) != len(s.args):
+            return False
+        return all(go(pa, sa) for pa, sa in zip(p.args, s.args))
+
+    return subst if go(pattern, subject) else None
+
+
+def _random_term(rng, depth, leaves):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(leaves)
+    name, arity = rng.choice((("S", 1), ("A", 2), ("M", 2)))
+    return app(name, *(_random_term(rng, depth - 1, leaves)
+                       for _ in range(arity)))
+
+
+def test_match_agrees_with_recursive_reference():
+    """On seeded patterns, against their instances and against unrelated
+    terms, ``match`` gives the recursive matcher's answer, with the
+    substitution's keys in the same order."""
+    rng = random.Random(31)
+    pattern_leaves = [var(v) for v in "xyzuv"] + [app("0")]
+    subject_leaves = [var("x"), var("y"), app("0")]
+    hits = misses = 0
+    for _ in range(2000):
+        pat = _random_term(rng, 3, pattern_leaves)
+        if rng.random() < 0.5:
+            sigma = {v: _random_term(rng, 2, subject_leaves)
+                     for v in sorted(free_vars(pat))}
+            subject = apply_subst(pat, sigma)
+        else:
+            subject = _random_term(rng, 4, subject_leaves)
+        want, got = ref_match(pat, subject), match(pat, subject)
+        assert got == want, (format_term(pat), format_term(subject))
+        if want is None:
+            misses += 1
+        else:
+            hits += 1
+            assert list(got) == list(want)
+            assert apply_subst(pat, got) is subject
+    assert hits > 500 and misses > 500
+
+
+def _cyclic_garbage(run):
+    """How many unreachable objects a cyclic collection finds after
+    ``run``, with the collector off while it runs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_match_leaves_no_cycle(arith):
+    """A thousand matching and a thousand failing ``match`` calls, and
+    ``ground_instances`` on a depth-1 universe, leave nothing for the
+    cyclic collector, which finds the recursive matcher's cycles."""
+    pat = app("A", app("S", var("x")), var("y"))
+    hit = app("A", app("S", app("0")), app("S", app("0")))
+    miss = app("A", app("0"), app("S", app("0")))
+    assert match(pat, hit) is not None and match(pat, miss) is None
+    assert _cyclic_garbage(lambda: ref_match(pat, hit)) > 0
+
+    def calls():
+        for _ in range(1000):
+            match(pat, hit)
+            match(pat, miss)
+
+    assert _cyclic_garbage(calls) == 0
+    u = universe(arith.signature, arith.variables, 1)
+    assert rw.ground_instances(arith, u).pairs
+    assert _cyclic_garbage(lambda: [rw.ground_instances(arith, u)
+                                    for _ in range(100)]) == 0
+
+
+PAUSED = gc_paused(lambda: None).__code__
+
+
+def _paused_functions():
+    """Every function of the package that ``gc_paused`` wraps, by
+    qualified name."""
+    found = {}
+    for module in (syntax, relalg, rw, tr, an, laws, cli):
+        for name, f in vars(module).items():
+            if (getattr(f, "__code__", None) is PAUSED
+                    and f.__module__ == module.__name__):
+                found[f"{module.__name__}.{name}"] = f
+    return found
+
+
+def test_paused_entry_points_are_not_generators():
+    """The heavy entry points, and only they, pause the collector, and
+    none is a generator function, whose body would run after the pause."""
+    found = _paused_functions()
+    assert set(found) == {
+        "relrew.analysis.seed_terms", "relrew.analysis.spectrum_survey",
+        "relrew.analysis.exhaustive_weak_confluence",
+        "relrew.analysis.exhaustive_confluence",
+        "relrew.analysis.exhaustive_church_rosser",
+        "relrew.analysis.check_cp", "relrew.rewrite.reduction_graph",
+        "relrew.rewrite.ground_instances",
+        "relrew.termrel.sequential_closure", "relrew.termrel.parallel_closure",
+        "relrew.termrel.full_closure", "relrew.laws._run_entries",
+        "relrew.cli.main"}
+    for f in found.values():
+        assert not inspect.isgeneratorfunction(f.__wrapped__), f
+
+
+def _entry_point_calls(arith, arith_file):
+    """One small call of each paused entry point."""
+    seeds = an.seed_terms(arith, 1)[::3]
+    u = Universe.from_terms(arith.signature, arith.variables,
+                            rw.reduction_graph(arith, seeds).nodes)
+    ground = rw.ground_instances(arith, u)
+    cfg = laws.SampleConfig(samples=2)
+    return {
+        "relrew.analysis.seed_terms": lambda: an.seed_terms(arith, 1),
+        "relrew.analysis.spectrum_survey": lambda: an.spectrum_survey(
+            arith, seeds),
+        "relrew.analysis.exhaustive_weak_confluence":
+            lambda: an.exhaustive_weak_confluence(arith, seeds),
+        "relrew.analysis.exhaustive_confluence":
+            lambda: an.exhaustive_confluence(arith, seeds),
+        "relrew.analysis.exhaustive_church_rosser":
+            lambda: an.exhaustive_church_rosser(arith, seeds),
+        "relrew.analysis.check_cp": lambda: an.check_cp(arith, 1),
+        "relrew.rewrite.reduction_graph": lambda: rw.reduction_graph(
+            arith, seeds, "full"),
+        "relrew.rewrite.ground_instances": lambda: rw.ground_instances(
+            arith, u),
+        "relrew.termrel.sequential_closure":
+            lambda: tr.sequential_closure(ground),
+        "relrew.termrel.parallel_closure":
+            lambda: tr.parallel_closure(ground),
+        "relrew.termrel.full_closure": lambda: tr.full_closure(ground),
+        "relrew.laws._run_entries": lambda: laws.run_termrel_law_suite(
+            cfg, ["tilde-compose"]),
+        "relrew.cli.main": lambda: cli.main(
+            ["analyze", arith_file, "cp", "--depth", "1"]),
+    }
+
+
+@pytest.fixture
+def odd_thresholds():
+    """Collector thresholds no caller would leave, restored afterwards."""
+    before = gc.get_threshold()
+    gc.set_threshold(1234, 11, 12)
+    try:
+        yield (1234, 11, 12)
+    finally:
+        gc.set_threshold(*before)
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_entry_points_leave_the_collector_as_found(
+        arith, arith_file, odd_thresholds, enabled, capsys):
+    """After each paused entry point returns, the collector is on or off
+    as the caller left it, with the caller's thresholds."""
+    calls = _entry_point_calls(arith, arith_file)
+    assert set(calls) == set(_paused_functions())
+    (gc.enable if enabled else gc.disable)()
+    for name, call in calls.items():
+        call()
+        assert gc.isenabled() is enabled, name
+        assert gc.get_threshold() == odd_thresholds, name
+
+
+def test_paused_scope_restores_the_collector_on_raise(
+        arith_file, odd_thresholds, capsys):
+    """An exception inside a paused scope leaves the collector on again:
+    a bad term or a missing file raised inside ``cli.main``, and an
+    exception out of a paused function."""
+    assert gc.isenabled()
+    assert cli.main(["reduce", arith_file, "Q(0)"]) == cli.EXIT_INPUT
+    assert cli.main(["reduce", "/nonexistent.trs", "0"]) == cli.EXIT_INPUT
+    assert gc.isenabled() and gc.get_threshold() == odd_thresholds
+
+    @gc_paused
+    def boom():
+        assert not gc.isenabled()
+        raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError, match="boom"):
+        boom()
+    assert gc.isenabled() and gc.get_threshold() == odd_thresholds
+    gc.disable()
+    with pytest.raises(RuntimeError, match="boom"):
+        boom()
+    assert not gc.isenabled()
+
+
+def test_collector_off_inside_paused_scopes(arith, monkeypatch):
+    """Inside ``ground_instances`` and a law run the collector is off; the
+    root reducts and the law runner see it so."""
+    seen = []
+    root_reducts = rw.root_reducts
+
+    def watched(trs, t):
+        seen.append(gc.isenabled())
+        return root_reducts(trs, t)
+
+    monkeypatch.setattr(rw, "root_reducts", watched)
+    assert gc.isenabled()
+    rw.ground_instances(arith, universe(arith.signature, arith.variables, 1))
+    law = laws.Law("probe", "probe", "implication")
+    laws._run_entries([(law, lambda cfg, rng, st: seen.append(gc.isenabled()))],
+                      laws.SampleConfig(samples=3))
+    assert len(seen) > 3 and not any(seen)
+    assert gc.isenabled()

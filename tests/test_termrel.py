@@ -154,9 +154,13 @@ def ref_tilde(a, stats):
 
 def ref_check_refine(a, stats):
     u = a.carrier
+    occurrences = {}
+    for t in u.terms():
+        for i, arg in enumerate(t.args):
+            occurrences.setdefault(arg, []).append((t, i))
     out = set()
     for p, rs in successors(a.pairs).items():
-        for t, i in u.occurrences.get(p, ()):
+        for t, i in occurrences.get(p, ()):
             head, tail = t.args[:i], t.args[i + 1:]
             for r in rs:
                 s = app(t.name, *head, r, *tail)
