@@ -37,14 +37,26 @@ steppers.  A closure cut off after ``bound`` full-step layers gives its
 unexpanded frontier nodes no steps and the OPEN bit in place of a bottom
 SCC.  Witnesses in closed bottom SCCs are definitive, because those are
 bottom SCCs of the whole closure too.
+
+Every exhaustive check reads one record of the analysed closure
+(``_closure``): its full-step graph, its nodes in ``term_key`` order, its
+frontier's positions and its sequential condensation.  The last record is
+kept at module level and serves the next check on an equal TRS and the
+same seed set, whatever their order, within a bound it answers for, so
+the spectrum and the three join checks on one seed set build the closure
+once.  Its key also holds the steppers, ``ReductionGraph.steps`` and
+``_condense`` it was built with.  Only one record is kept, so the memo
+holds at most one closure alive.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Collection, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from .relalg import Rel, reach, successors
-from .rewrite import TRS, ReductionGraph, ground_instances, reduction_graph
+from .rewrite import (STEPPERS, TRS, ReductionGraph, ground_instances,
+                      reduction_graph)
 from .syntax import Term, format_term, gc_paused, term_key, universe
 from .termrel import (
     OpStats,
@@ -203,13 +215,13 @@ class _Condensation:
     ``adj[i]`` lists node ``i``'s successors in increasing order and
     ``comp[i]`` is its component.  Components are numbered in reverse
     topological order: every edge leaving component ``c`` enters a
-    component below ``c``, and ``succ[c]`` is the set of those.  A
+    component below ``c``, and ``succ[c]`` holds each of those once.  A
     component without successors is a bottom SCC."""
 
     __slots__ = ("adj", "comp", "succ")
 
     def __init__(self, adj: List[List[int]], comp: List[int],
-                 succ: List[Set[int]]):
+                 succ: Sequence[Collection[int]]):
         self.adj = adj
         self.comp = comp
         self.succ = succ
@@ -309,12 +321,17 @@ def _condense(order: Sequence[Term],
                     if low[v] < low[u]:
                         low[u] = low[v]
 
-    succ: List[Set[int]] = [set() for _ in range(ncomp)]
+    succ: List[Collection[int]] = [set() for _ in range(ncomp)]
     for v, row in enumerate(adj):
         c = comp[v]
         for w in row:
             if comp[w] != c:
                 succ[c].add(comp[w])
+    # tuples, each in place of its set: an analysed closure keeps its
+    # condensation, and an empty set alone takes more room than most
+    # components' successor tuples
+    for c, targets in enumerate(succ):
+        succ[c] = tuple(targets)
     return _Condensation(adj, comp, succ)
 
 
@@ -358,14 +375,52 @@ def seed_terms(trs: TRS, depth: int) -> Tuple[Term, ...]:
     return open_terms + tuple(t for t in ground if t.depth > open_depth)
 
 
+class _Closure:
+    """The analysed closure of a seed set, which every exhaustive check
+    reads: ``graph`` is its full-step graph, ``order`` its nodes in
+    ``term_key`` order, ``open_nodes`` the frontier's positions and
+    ``seq`` the condensation of its sequential step graph; the position
+    index of ``order`` is left out, because only the spectrum reads it.
+    ``key`` and ``bound`` are what it was computed for."""
+
+    __slots__ = ("key", "bound", "graph", "order", "open_nodes", "seq")
+
+    def __init__(self, key: tuple, bound: Optional[int], g: ReductionGraph):
+        self.key = key
+        self.bound = bound
+        self.graph = g
+        self.order = order = sorted(g.nodes, key=term_key)
+        self.open_nodes = {i for i, t in enumerate(order) if t in g.frontier}
+        self.seq = _condense(order, [g.steps(t, "seq") for t in order])
+
+    def serves(self, key: tuple, bound: Optional[int]) -> bool:
+        """Whether this record is the closure of ``key`` within ``bound``
+        layers: a cut-off closure only within its own bound, an exhausted
+        one within any bound from the layers it took."""
+        return key == self.key and (
+            bound == self.bound or self.graph.exhausted
+            and (bound is None or bound >= self.graph.layers))
+
+
+_last: Optional[_Closure] = None  # the one memoised record
+
+
 def _closure(trs: TRS, seeds: Sequence[Term], bound: Optional[int]
-             ) -> Tuple[ReductionGraph, List[Term], Set[int]]:
-    """The full-step graph of the closure within ``bound`` layers (all of
-    it when ``bound`` is None), its nodes in ``term_key`` order, and its
-    frontier's indices."""
-    g = reduction_graph(trs, seeds, kind="full", bound=bound)
-    order = sorted(g.nodes, key=term_key)
-    return g, order, {i for i, t in enumerate(order) if t in g.frontier}
+             ) -> _Closure:
+    """The analysed closure of ``seeds`` within ``bound`` full-step layers
+    (all of it when ``bound`` is None), read from the kept record where it
+    serves.  The key holds the functions a record is computed with, so a
+    record built before one of them was replaced is not served after.  The
+    old record goes before a new one is built, so two are never alive."""
+    global _last
+    key = (trs, frozenset(seeds), STEPPERS["full"], STEPPERS["seq"],
+           ReductionGraph.steps, _condense)
+    if _last is not None and _last.serves(key, bound):
+        return _last
+    _last = None
+    _last = _Closure(key, bound, reduction_graph(trs, seeds, kind="full",
+                                                 bound=bound))
+    return _last
 
 
 class SpectrumReport(PropertyReport):
@@ -398,39 +453,48 @@ def spectrum_survey(trs: TRS, seeds: Sequence[Term],
     """Check seq ⊆ par ⊆ full ⊆ seq-star pointwise on the reachable closure,
     and that the three reflexive-transitive closures coincide.
 
-    Only the sequential step graph is condensed: a node's seq-star is the
-    bitset of nodes its component reaches, so ``full ⊆ seq-star`` is a bit
-    test on every full edge.  Without a violation the stars are equal by
-    fixed-point induction (if F(a) ≤ a then μF ≤ a): seq ⊆ par ⊆ full
-    gives seq* ⊆ par* ⊆ full*, and full ⊆ seq* makes seq* closed under
-    x ↦ Δ | full;x, whose least fixed point is full*, so full* ⊆ seq*.
-    Only a violation condenses the parallel and full graphs too, and
-    compares each node's three stars.  On a closure cut off by ``bound``
-    the stars are partial, so only a ``seq<=par`` or ``par<=full``
-    violation is definitive."""
-    g, order, open_nodes = _closure(trs, seeds, bound)
+    Only the sequential step graph is condensed, in the analysed closure:
+    a node's seq-star is the bitset of nodes its component reaches, so
+    ``full ⊆ seq-star`` tests the bitset of each node's full row against
+    it, and each inclusion reads a row's violations only when it fails.
+    Without a violation the stars are equal by fixed-point induction (if
+    F(a) ≤ a then μF ≤ a): seq ⊆ par ⊆ full gives seq* ⊆ par* ⊆ full*,
+    and full ⊆ seq* makes seq* closed under x ↦ Δ | full;x, whose least
+    fixed point is full*, so full* ⊆ seq*.  Only a violation condenses the
+    parallel and full graphs too, and compares each node's three stars.
+    On a closure cut off by ``bound`` the stars are partial, so only a
+    ``seq<=par`` or ``par<=full`` violation is definitive."""
+    rec = _closure(trs, seeds, bound)
+    g, order, open_nodes = rec.graph, rec.order, rec.open_nodes
     index = {t: i for i, t in enumerate(order)}
     seq_rows = [g.steps(t, "seq") for t in order]
     par_rows = [g.steps(t, "par") for t in order]
     full_rows = [g.steps(t) for t in order]
     bad: List[Tuple[str, Term, Term]] = []
     for t, sq, pr, fl in zip(order, seq_rows, par_rows, full_rows):
-        bad += [("seq<=par", t, s)
-                for s in sorted(set(sq).difference(pr), key=term_key)]
-        bad += [("par<=full", t, s)
-                for s in sorted(set(pr).difference(fl), key=term_key)]
+        ps = set(pr)
+        if not ps.issuperset(sq):
+            bad += [("seq<=par", t, s) for s in sorted(
+                (s for s in sq if s not in ps), key=term_key)]
+        if not ps.issubset(fl):
+            bad += [("par<=full", t, s)
+                    for s in sorted(ps.difference(fl), key=term_key)]
     # on a cut-off closure only these violations are definitive
     definitive = bool(bad)
-    seq_star = _condense(order, seq_rows).node_stars()
+    seq_star = rec.seq.node_stars()
+    position = index.__getitem__
     for t, fl, star in zip(order, full_rows, seq_star):
+        mask = 0
         try:
-            row = sorted(index[s] for s in fl)
+            for j in map(position, fl):
+                mask |= 1 << j
         except KeyError as e:  # the full graph must be closed, as in _condense
             raise RuntimeError(f"successor {format_term(e.args[0])} of "
                                f"{format_term(t)} is outside the closure"
                                ) from None
-        bad += [("full<=seq-star", t, order[j])
-                for j in row if not star >> j & 1]
+        if mask & ~star:
+            bad += [("full<=seq-star", t, order[j])
+                    for j in sorted(map(position, fl)) if not star >> j & 1]
     unequal: List[Term] = []  # the nodes whose three stars differ
     if bad:
         par_star = _condense(order, par_rows).node_stars()
@@ -445,15 +509,6 @@ def spectrum_survey(trs: TRS, seeds: Sequence[Term],
                               for k, t, s in bad[:MAX_WITNESSES * 4]])
 
 
-def _seq_condensation(trs: TRS, seeds: Sequence[Term], bound: Optional[int]
-                      ) -> Tuple[List[Term], _Condensation, Set[int]]:
-    """The closure within ``bound`` full-step layers in ``term_key`` order,
-    its sequential-step condensation and its frontier's indices."""
-    g, order, open_nodes = _closure(trs, seeds, bound)
-    cond = _condense(order, [g.steps(t, "seq") for t in order])
-    return order, cond, open_nodes
-
-
 @gc_paused
 def exhaustive_weak_confluence(trs: TRS, seeds: Sequence[Term],
                                bound: Optional[int] = None) -> PropertyReport:
@@ -464,7 +519,8 @@ def exhaustive_weak_confluence(trs: TRS, seeds: Sequence[Term],
     if neither reaches the frontier of a closure cut off by ``bound``, and
     cuts the check short otherwise, as a cut-off closure does.  The
     witnesses are the counterexamples, or else the unconfirmed peaks."""
-    order, cond, open_nodes = _seq_condensation(trs, seeds, bound)
+    rec = _closure(trs, seeds, bound)
+    order, cond, open_nodes = rec.order, rec.seq, rec.open_nodes
     _, bits, open_bit = cond.joins(open_nodes)
     failing: List[Tuple[str, str]] = []
     unsure: List[Tuple[str, str]] = []
@@ -491,7 +547,8 @@ def exhaustive_confluence(trs: TRS, seeds: Sequence[Term],
     all reach the same bottom SCC joins them there.  A witness pairs the
     ``term_key``-least members of two closed bottom SCCs reachable from one
     node."""
-    order, cond, open_nodes = _seq_condensation(trs, seeds, bound)
+    rec = _closure(trs, seeds, bound)
+    order, cond, open_nodes = rec.order, rec.seq, rec.open_nodes
     reps, bits, open_bit = cond.joins(open_nodes)
     # nodes, and so their components, in term_key order
     closed = (bits[c] & (open_bit - 1) for c in cond.comp)
@@ -513,7 +570,8 @@ def exhaustive_church_rosser(trs: TRS, seeds: Sequence[Term],
     over the condensation's edges taken both ways.  A witness pairs the
     ``term_key``-least members of two closed bottom SCCs in one weak
     component."""
-    order, cond, open_nodes = _seq_condensation(trs, seeds, bound)
+    rec = _closure(trs, seeds, bound)
+    order, cond, open_nodes = rec.order, rec.seq, rec.open_nodes
     reps, _, _ = cond.joins(open_nodes)
     bit = {cond.comp[i]: 1 << rank for rank, i in enumerate(reps)}
     links = dict(enumerate(map(set, cond.succ)))

@@ -13,7 +13,8 @@ Subcommands::
 ``--bound N`` caps at N full-step layers as ``reduce --bound N`` does.
 
 Exit codes: 0 success / property holds; 1 property fails; 2 unconfirmed
-(truncated evaluation, or a graph or closure cut off); 3 input error.
+(truncated evaluation, a graph or closure cut off, or the process out of
+memory); 3 input error.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import List, Optional
 
 from .analysis import (
@@ -196,14 +198,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use: ``parse_args`` gives
+    each call a fresh namespace and keeps no state between calls."""
+    return build_parser()
+
+
 @gc_paused
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.fn(args)
     except (TermError, ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        # a check that ran out of memory was cut short: nothing failed
+        print("error: out of memory; the evaluation was cut short",
+              file=sys.stderr)
+        return EXIT_UNCONFIRMED
 
 
 if __name__ == "__main__":

@@ -292,10 +292,12 @@ def is_normal_form(trs: TRS, t: Term) -> bool:
 # reduction graphs
 
 class ReductionGraph:
-    """What a breadth-first search found: its nodes and the frontier of
-    nodes it never expanded.  ``steps`` reads the steps from the steppers."""
+    """What a breadth-first search found: its nodes, the frontier of nodes
+    it never expanded and the number of layers it ran.  ``steps`` reads the
+    steps from the steppers."""
 
-    __slots__ = ("trs", "kind", "seeds", "nodes", "frontier")
+    __slots__ = ("trs", "kind", "seeds", "nodes", "frontier", "layers",
+                 "__weakref__")
 
     def __init__(self, trs: TRS, kind: str, seeds: Tuple[Term, ...],
                  nodes: Optional[Set[Term]] = None,
@@ -305,6 +307,7 @@ class ReductionGraph:
         self.seeds = seeds
         self.nodes = set() if nodes is None else nodes
         self.frontier = set() if frontier is None else frontier
+        self.layers = 0
 
     @property
     def exhausted(self) -> bool:
@@ -339,7 +342,9 @@ def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
     reduct deeper than ``MAX_TERM_DEPTH`` is left unexpanded, so every node
     stays within the depth the term functions handle.  The nodes left
     unexpanded make up ``frontier``, ``exhausted`` is then False, and the
-    graph is the partial closure explored so far.
+    graph is the partial closure explored so far.  ``layers`` counts the
+    layers the search ran, the last one included, so an exhausted graph is
+    what any ``bound`` of at least ``layers`` gives.
 
     Each node's targets are tested against the seeds deeper than
     ``MAX_TERM_DEPTH``, and for depth only where they are new to the graph:
@@ -382,6 +387,7 @@ def reduction_graph(trs: TRS, seeds: Sequence[Term], kind: str = "seq",
             break
         frontier = next_frontier
     g.frontier.update(frontier)
+    g.layers = layer
     return g
 
 

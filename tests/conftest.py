@@ -11,7 +11,7 @@ import relrew.rewrite as rw
 import relrew.termrel as tr
 from relrew.relalg import Rel
 from relrew.rewrite import parse_trs
-from relrew.syntax import _Applications, app
+from relrew.syntax import _Applications, app, term_key
 
 ARITH_TEXT = """\
 # Peano-style arithmetic
@@ -301,3 +301,19 @@ def deepest_first(monkeypatch):
         return Rel(u, frozenset((t, q) for t, r in rows.items() for q in r))
 
     monkeypatch.setattr(tr, "_by_depth", by_depth)
+
+
+@pytest.fixture
+def least_seq_step_lost(monkeypatch):
+    """``ReductionGraph.steps`` losing the ``term_key``-least target of each
+    node's sequential step, in every graph."""
+    steps = rw.ReductionGraph.steps
+
+    def lossy(self, t, kind=None):
+        out = steps(self, t, kind)
+        if (kind or self.kind) != "seq" or not out:
+            return out
+        least = min(out, key=term_key)
+        return tuple(s for s in out if s is not least)
+
+    monkeypatch.setattr(rw.ReductionGraph, "steps", lossy)

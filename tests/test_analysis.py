@@ -1,7 +1,10 @@
 """Confluence-family checks: abstract, exhaustive, and critical-pair."""
 
+import itertools
+import json
 import os
 import random
+import weakref
 
 import pytest
 
@@ -27,8 +30,8 @@ from relrew.analysis import (
     spectrum_survey,
 )
 from relrew.relalg import Rel, random_rel
-from relrew.rewrite import (ReductionGraph, ground_instances, parse_trs,
-                            reduction_graph, sequential_step)
+from relrew.rewrite import (ReductionGraph, format_trs, ground_instances,
+                            parse_trs, reduction_graph, sequential_step)
 from relrew.syntax import format_term, term_key, universe
 
 NONCONFLUENT = "sig a/0 b/0 c/0\nrule a -> b\nrule a -> c\n"
@@ -338,7 +341,9 @@ def test_spectrum_survey_small(arith):
 def _reference_spectrum(trs, seeds, bound=None):
     """The spectrum survey with all three step graphs condensed and every
     node's three stars compared, whether or not an inclusion fails."""
-    g, order, open_nodes = an._closure(trs, seeds, bound)
+    g = reduction_graph(trs, seeds, kind="full", bound=bound)
+    order = sorted(g.nodes, key=term_key)
+    open_nodes = g.frontier
     seq_rows = [g.steps(t, "seq") for t in order]
     par_rows = [g.steps(t, "par") for t in order]
     full_rows = [g.steps(t) for t in order]
@@ -427,6 +432,145 @@ def test_spectrum_rejects_full_step_outside_closure(arith, monkeypatch):
     with pytest.raises(RuntimeError, match=r"successor S\(S\(S\(S\(S\(0\)"
                        r"\)\)\)\) of 0 is outside the closure"):
         spectrum_survey(arith, [arith.parse("A(0,0)")])
+
+
+# ---------------------------------------------------------------------------
+# the analysed closure, shared by the four checks
+
+CHECKS = (spectrum_survey, exhaustive_weak_confluence, exhaustive_confluence,
+          exhaustive_church_rosser)
+
+
+def _text(report):
+    return json.dumps(report.to_json(), sort_keys=True)
+
+
+def _cold(check, trs, seeds, bound=None):
+    """``check``'s report on a closure built for it: a check on the empty
+    seed set takes the memo's one entry first."""
+    exhaustive_confluence(trs, ())
+    empty = an._last
+    assert empty.graph.nodes == set()
+    text = _text(check(trs, seeds, bound))
+    assert an._last is not empty
+    return text
+
+
+def _data_trs(name):
+    with open(os.path.join(ROOT, "tests", "data", name), encoding="utf-8") as f:
+        return parse_trs(f.read())
+
+
+def test_served_reports_equal_cold_ones(monkeypatch):
+    """A report read from a kept closure is byte for byte the one a closure
+    built for it gives: the four checks in every call order, with the seeds
+    reordered on every call and ``bound`` None, L - 1, L and L + 1, where
+    the unbounded search ran L layers; the growing system's unbounded
+    closure is cut off by the depth limit, not exhausted."""
+    rng = random.Random(32)
+    cases = []
+    for trs in [_random_cyclic_trs(rng) for _ in range(4)] + [
+            _data_trs("twocycle.trs")]:
+        cases.append((trs, rng.sample(seed_terms(trs, 2), 5)))
+    newman, growing = _data_trs("newman.trs"), parse_trs(GROWING)
+    cases += [(newman, list(seed_terms(newman, 1))),
+              (growing, [growing.parse("f(a)"), growing.parse("a")])]
+    build, built = an.reduction_graph, []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(an, "reduction_graph", counted)
+    calls = shared = 0
+    for trs, seeds in cases:
+        g = build(trs, seeds, kind="full")
+        bounds = [None, g.layers - 1, g.layers, g.layers + 1]
+        # the bounds an exhausted closure answers for
+        answered = set(bounds) - {g.layers - 1} if g.exhausted else set()
+        cold = {(check, b): _cold(check, trs, seeds, b)
+                for check in CHECKS for b in bounds}
+        last = bounds[-1]  # the bound of the closure kept after the cold runs
+        for k, order in enumerate(itertools.permutations(CHECKS)):
+            for b in bounds[k % 4:] + bounds[:k % 4]:
+                before = len(built)
+                for check in order:
+                    rng.shuffle(seeds)
+                    assert _text(check(trs, list(seeds), b)) == cold[
+                        check, b], (trs, check.__name__, b)
+                    calls += 1
+                # the four checks on one bound share one closure at most,
+                # and an exhausted closure serves the other bounds it
+                # answers for
+                assert len(built) - before <= 1
+                if {last, b} <= answered:
+                    assert len(built) == before, (trs, last, b)
+                    shared += last != b
+                last = b
+    assert calls == len(cases) * 24 * 4 * 4
+    # every closure but the growing one is exhausted, and half of each
+    # case's 96 changes of bound go between two bounds it answers for
+    assert shared == 48 * (len(cases) - 1)
+    assert not build(growing, cases[-1][1], kind="full").exhausted
+
+
+@pytest.mark.parametrize("mutant, trs, seeds, bound, changed", [
+    ("root_only_full", "arith", ["A(A(0,0),0)"], 1, [1, 0, 0, 0]),
+    ("first_arg_par", "arith", 2, None, [1, 0, 0, 0]),
+    ("no_last_arg_seq", "twocycle.trs", 2, None, [1, 1, 1, 1]),
+    ("singleton_components", "newman.trs", 2, None, [1, 1, 0, 0]),
+    ("least_seq_step_lost", "twocycle.trs", 2, 1, [1, 1, 1, 1])])
+def test_kept_closure_does_not_hide_a_mutant(mutant, trs, seeds, bound,
+                                             changed, arith, request):
+    """The four checks run on the real steppers and condensation, and then,
+    on the same TRS and seeds, under a mutant of a function the closure is
+    built with: their reports are those of closures built under the mutant,
+    and the mutant changes the reports it changes on cold closures."""
+    trs = arith if trs == "arith" else _data_trs(trs)
+    seeds = (seed_terms(trs, seeds) if isinstance(seeds, int)
+             else [trs.parse(s) for s in seeds])
+    before = [_text(check(trs, seeds, bound)) for check in CHECKS]
+    request.getfixturevalue(mutant)
+    after = [_text(check(trs, seeds, bound)) for check in CHECKS]
+    assert after == [_cold(check, trs, seeds, bound) for check in CHECKS]
+    assert [int(a != b) for a, b in zip(after, before)] == changed
+
+
+def test_four_checks_build_one_closure(arith, monkeypatch):
+    """The spectrum, weak confluence, confluence and Church-Rosser on one
+    seed set search the closure once and condense it once, also when a
+    check gets an equal TRS parsed afresh, as each CLI run does."""
+    calls = []
+    build, condense = an.reduction_graph, an._condense
+    monkeypatch.setattr(an, "reduction_graph", lambda *args, **kwargs: (
+        calls.append("graph"), build(*args, **kwargs))[1])
+    monkeypatch.setattr(an, "_condense", lambda *args: (
+        calls.append("condense"), condense(*args))[1])
+    seeds = seed_terms(arith, 2)
+    reports = [check(trs, seeds) for check, trs in zip(CHECKS, (
+        arith, arith, parse_trs(format_trs(arith)), arith))]
+    assert calls == ["graph", "condense"]
+    assert [r.verdict for r in reports] == [HOLDS] * 4
+
+
+def test_kept_closure_serves_only_an_equal_trs():
+    """Another system over the same seed terms gets its own closure."""
+    confluent = parse_trs("sig a/0 b/0 c/0\nrule a -> b\n")
+    nonconfluent = parse_trs(NONCONFLUENT)
+    seeds = [confluent.parse("a")]
+    assert seeds == [nonconfluent.parse("a")]
+    assert exhaustive_confluence(confluent, seeds).verdict == HOLDS
+    assert exhaustive_confluence(nonconfluent, seeds).verdict == FAILS
+
+
+def test_one_closure_kept(arith):
+    """Analysing a second seed set lets the first closure go."""
+    exhaustive_confluence(arith, seed_terms(arith, 1))
+    first = weakref.ref(an._last.graph)
+    exhaustive_confluence(arith, seed_terms(arith, 0))
+    assert first() is None
+    assert an._last.graph.nodes == set(reduction_graph(
+        arith, seed_terms(arith, 0), kind="full").nodes)
 
 
 # ---------------------------------------------------------------------------

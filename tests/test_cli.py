@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: exit codes, report formats, DOT
 validity."""
 
+import gc
 import json
 import os
 import re
@@ -18,6 +19,7 @@ from relrew.cli import (
     EXIT_UNCONFIRMED,
     main,
 )
+from relrew.laws import catalog
 from relrew.syntax import DEFAULT_UNIVERSE_CAP, MAX_TERM_DEPTH
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -555,3 +557,59 @@ def test_wide_steps_cut_off(tmp_path, capsys, argv):
     assert main(argv[:1] + [str(f)] + argv[1:]) == EXIT_UNCONFIRMED
     if argv[-1] == "json":
         assert json.loads(capsys.readouterr().out)["exhausted"] is False
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+def test_main_builds_its_parser_once(arith_file, monkeypatch, capsys):
+    """``main`` reuses the parser it built first; ``build_parser`` still
+    gives a fresh one on each call."""
+    assert main(["reduce", arith_file, "S(0)"]) == EXIT_OK
+    monkeypatch.setattr(relrew.cli, "build_parser",
+                        lambda: pytest.fail("main built another parser"))
+    assert main(["reduce", arith_file, "S(0)"]) == EXIT_OK
+    monkeypatch.undo()
+    assert relrew.cli.build_parser() is not relrew.cli.build_parser()
+
+
+def test_shared_parser_keeps_no_state_between_calls(arith_file, capsys):
+    """A ``--law`` of one call does not restrict the next call, and a usage
+    error after a good call is still an input error."""
+    assert main(["check-laws", "--samples", "1", "--law",
+                 "rel-modular"]) == EXIT_OK
+    assert [r["law"] for r in json.loads(capsys.readouterr().out)] == [
+        "rel-modular"]
+    assert main(["check-laws", "--samples", "1"]) == EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)) == sum(
+        map(len, catalog().values()))
+    assert main(["analyze", arith_file, "bogus"]) == EXIT_INPUT
+    assert main(["check-laws", "--samples", "many"]) == EXIT_INPUT
+    assert main(["analyze", arith_file, "weak", "--depth", "1"]) == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# out of memory
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_out_of_memory_is_unconfirmed(arith_file, monkeypatch, capsys,
+                                      enabled):
+    """A check that runs out of memory ends ``main`` with exit 2 and a
+    one-line error, not a traceback and exit 1, and leaves the collector
+    as the caller left it."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(relrew.cli, "check_cp", exhausted)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code = main(["analyze", arith_file, "cp"])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    captured = capsys.readouterr()
+    assert code == EXIT_UNCONFIRMED
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
