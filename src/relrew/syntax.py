@@ -220,67 +220,69 @@ def parse_term(text: str, signature: Signature, variables: Sequence[str]) -> Ter
 
     A bare name is a constant if the signature declares it with arity 0,
     a variable if it is in ``variables``, and an error otherwise.  A term
-    deeper than ``MAX_TERM_DEPTH`` is an error.
+    deeper than ``MAX_TERM_DEPTH`` is an error.  The parser is two
+    module-level functions that hand the position along, so a call leaves
+    no reference cycle behind.
     """
-    varset = set(variables)
-    pos = 0
     text = text.strip()
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def parse(level: int) -> Term:
-        nonlocal pos
-        if level > MAX_TERM_DEPTH:
-            raise TermError(f"term nested deeper than {MAX_TERM_DEPTH} "
-                            f"at position {pos}")
-        skip_ws()
-        m = NAME_RE.match(text, pos)
-        if not m:
-            raise TermError(f"expected a name at position {pos} in {text!r}")
-        name = m.group(0)
-        pos = m.end()
-        skip_ws()
-        if pos < len(text) and text[pos] == "(":
-            pos += 1
-            args: List[Term] = []
-            skip_ws()
-            if pos < len(text) and text[pos] == ")":
-                pos += 1
-            else:
-                while True:
-                    args.append(parse(level + 1))
-                    skip_ws()
-                    if pos < len(text) and text[pos] == ",":
-                        pos += 1
-                        continue
-                    if pos < len(text) and text[pos] == ")":
-                        pos += 1
-                        break
-                    raise TermError(f"expected ',' or ')' at position {pos} in {text!r}")
-            if name not in signature:
-                raise TermError(f"unknown operator {name!r}")
-            if signature.arity(name) != len(args):
-                raise TermError(
-                    f"operator {name!r} expects {signature.arity(name)} "
-                    f"arguments, got {len(args)}"
-                )
-            return app(name, *args)
-        if name in signature:
-            if signature.arity(name) != 0:
-                raise TermError(f"operator {name!r} needs arguments")
-            return app(name)
-        if name in varset:
-            return var(name)
-        raise TermError(f"unknown name {name!r} (not an operator or declared variable)")
-
-    t = parse(0)
-    skip_ws()
+    t, pos = _parse(text, 0, 0, signature, set(variables))
+    pos = _skip_ws(text, pos)
     if pos != len(text):
         raise TermError(f"trailing input at position {pos} in {text!r}")
     return t
+
+
+def _skip_ws(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+def _parse(text: str, pos: int, level: int, signature: Signature,
+           varset: set) -> Tuple[Term, int]:
+    """The term at ``pos``, nested ``level`` deep, and the position after
+    it."""
+    if level > MAX_TERM_DEPTH:
+        raise TermError(f"term nested deeper than {MAX_TERM_DEPTH} "
+                        f"at position {pos}")
+    pos = _skip_ws(text, pos)
+    m = NAME_RE.match(text, pos)
+    if not m:
+        raise TermError(f"expected a name at position {pos} in {text!r}")
+    name = m.group(0)
+    pos = _skip_ws(text, m.end())
+    if pos < len(text) and text[pos] == "(":
+        args: List[Term] = []
+        pos = _skip_ws(text, pos + 1)
+        if pos < len(text) and text[pos] == ")":
+            pos += 1
+        else:
+            while True:
+                arg, pos = _parse(text, pos, level + 1, signature, varset)
+                args.append(arg)
+                pos = _skip_ws(text, pos)
+                if pos < len(text) and text[pos] == ",":
+                    pos += 1
+                    continue
+                if pos < len(text) and text[pos] == ")":
+                    pos += 1
+                    break
+                raise TermError(f"expected ',' or ')' at position {pos} in {text!r}")
+        if name not in signature:
+            raise TermError(f"unknown operator {name!r}")
+        if signature.arity(name) != len(args):
+            raise TermError(
+                f"operator {name!r} expects {signature.arity(name)} "
+                f"arguments, got {len(args)}"
+            )
+        return app(name, *args), pos
+    if name in signature:
+        if signature.arity(name) != 0:
+            raise TermError(f"operator {name!r} needs arguments")
+        return app(name), pos
+    if name in varset:
+        return var(name), pos
+    raise TermError(f"unknown name {name!r} (not an operator or declared variable)")
 
 
 def free_vars(t: Term) -> frozenset:

@@ -43,23 +43,31 @@ and all pairs those after it, so each argument combination is built once.
 That is sound because the steps distribute over joins: ``check_refine``
 does, ``tilde(x | d) == tilde(x) | derivative(x | d, d)``, and composing
 with the root step distributes too.
+
+``subst_rel`` instantiates the pairs of ``a`` by *layout*: a pair's
+variables with the deepest level each occurs at on the left and on the
+right.  The layout alone fixes the images each variable may take, so the
+pools, their transposed columns and the drop note are made once per
+layout, and each proper subterm's instances once per layout and side,
+shared by every pair that holds the subterm.
 """
 
 from __future__ import annotations
 
 from itertools import chain, product, repeat
 from math import prod
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
 from . import relalg
 from .relalg import Rel, successors
-from .syntax import Term, Universe, gc_paused, make, make_all
+from .syntax import Term, Universe, gc_paused, make, make_all, var
 
 TPair = Tuple[Term, Term]
 Succ = Dict[Term, Set[Term]]
-Column = Tuple[Tuple[Term, ...], int, int]  # (pool, inner, outer); see _columns
+Profile = Tuple[Tuple[str, int], ...]  # (variable, deepest level); see _profile
+Layout = Tuple[Tuple[str, int, int], ...]  # see _layout
 Row = Tuple[Term, ...]  # one term's distinct targets; see _by_depth
 
 
@@ -243,56 +251,83 @@ def taylor(n: int, a: Rel, stats: Optional[OpStats] = None) -> Rel:
 # ---------------------------------------------------------------------------
 # relational substitution
 
-def _var_occurrence_depths(t: Term) -> Dict[str, int]:
-    """Maximum nesting depth at which each variable occurs in t."""
-    out: Dict[str, int] = {}
-    todo = [(t, 0)]
-    while todo:
-        s, d = todo.pop()
-        if s.is_var:
-            out[s.name] = max(out.get(s.name, 0), d)
+def _profile(t: Term, occ: Dict[Term, Profile],
+             shared: Dict[Profile, Profile]) -> Profile:
+    """The variables of t with the deepest level each occurs at, sorted by
+    name, from its arguments' profiles; memoised in ``occ`` for t and each
+    subterm it had to visit.  Equal profiles are one tuple, the one kept
+    in ``shared``.  A ground term's profile is empty."""
+    p = occ.get(t)
+    if p is None:
+        if t.is_var:
+            p = ((t.name, 0),)
         else:
-            todo.extend((a, d + 1) for a in s.args)
-    return out
+            depths: Dict[str, int] = {}
+            for x in t.args:
+                for v, k in _profile(x, occ, shared):
+                    if k >= depths.get(v, 0):
+                        depths[v] = k + 1
+            p = tuple(sorted(depths.items()))
+        p = occ[t] = shared.setdefault(p, p)
+    return p
 
 
-def _columns(vs: Sequence[str], pools: Sequence[Tuple[Term, ...]]
-             ) -> Dict[str, Column]:
-    """The transpose of ``product(*pools)`` over non-empty pools, one column
-    per variable of ``vs``.  Column j repeats each image of pool j ``inner``
-    times in a row (the product of the later pools' sizes) and that block
-    ``outer`` times (the earlier pools'); it is given as ``(pool, inner,
-    outer)`` and read by ``_column``."""
-    cols, inner, outer = {}, prod(map(len, pools)), 1
-    for v, pool in zip(vs, pools):
-        inner //= len(pool)
-        cols[v] = (pool, inner, outer)
-        outer *= len(pool)
-    return cols
+def _layout(pt: Profile, ps: Profile) -> Layout:
+    """The variables of a pair whose sides have profiles pt and ps, each
+    with its depth on the left and on the right (0 where it is absent)."""
+    left, right = dict(pt), dict(ps)
+    return tuple((v, left.get(v, 0), right.get(v, 0))
+                 for v in sorted(left.keys() | right.keys()))
 
 
-def _column(pool: Tuple[Term, ...], inner: int, outer: int) -> Iterable[Term]:
-    """One column of ``_columns``, lazily: its block is materialised only
-    when it both repeats images and is repeated itself."""
-    if inner == 1:
-        block = pool
-    else:
-        block = chain.from_iterable(map(repeat, pool, repeat(inner)))
-        if outer > 1:
-            block = tuple(block)
-    return block if outer == 1 else chain.from_iterable(repeat(block, outer))
+def _column(pool: Tuple[Term, ...], inner: int, outer: int) -> Tuple[Term, ...]:
+    """Each image of ``pool`` ``inner`` times in a row, and that block
+    ``outer`` times."""
+    if inner > 1:
+        pool = tuple(chain.from_iterable(map(repeat, pool, repeat(inner))))
+    return pool * outer
 
 
-def _instantiate(t: Term, columns: Dict[str, Column], n: int) -> Iterable[Term]:
-    """The n instances of t under n substitutions given column-wise by
-    ``_columns``, in order.  Each application node of t is built for all n
-    at once by ``make_all``."""
-    if t.is_var:
-        return _column(*columns[t.name])
-    if not t.args:
-        return repeat(t, n)
-    return make_all(t.name, zip(*[_instantiate(a, columns, n)
-                                  for a in t.args]))
+def _columns(vs: Sequence[str], lpools: Sequence[Tuple[Term, ...]],
+             rpools: Sequence[Tuple[Term, ...]]
+             ) -> Tuple[Dict[Term, Tuple[Term, ...]],
+                        Dict[Term, Tuple[Term, ...]]]:
+    """The transposes of ``product(*lpools)`` and of ``product(*rpools)``
+    (pools of equal sizes, none empty), one column per variable of ``vs``,
+    as the seeds of the left and the right instance memos.  Column j
+    repeats each image of pool j as often in a row as the later pools'
+    sizes multiply to, and that block as often as the earlier ones'.
+    Where every left pool is its right pool the two memos are one dict."""
+    left: Dict[Term, Tuple[Term, ...]] = {}
+    right = left if all(map(is_, lpools, rpools)) else {}
+    inner, outer = prod(map(len, lpools)), 1
+    for v, lpool, rpool in zip(vs, lpools, rpools):
+        inner //= len(lpool)
+        left[var(v)] = _column(lpool, inner, outer)
+        if right is not left:
+            right[var(v)] = _column(rpool, inner, outer)
+        outer *= len(lpool)
+    return left, right
+
+
+def _instances(t: Term, occ: Dict[Term, Profile],
+               memo: Dict[Term, Tuple[Term, ...]], n: int,
+               keep: bool = True) -> Iterable[Term]:
+    """The n instances of t under the substitutions whose columns seed
+    ``memo``, in order, each application node built for all n at once by
+    ``make_all``.  A ground t is ``repeat(t, n)``.  Any other is built once
+    per memo and kept there, or, without ``keep``, built lazily and not
+    kept: a pair's own two terms are read once into the result, and only
+    their proper subterms recur across the pairs of a layout."""
+    col = memo.get(t)
+    if col is None:
+        if not occ[t]:
+            return repeat(t, n)
+        col = make_all(t.name, zip(*[_instances(x, occ, memo, n)
+                                     for x in t.args]))
+        if keep:
+            col = memo[t] = tuple(col)
+    return col
 
 
 def subst_rel(a: Rel, b: Rel, stats: Optional[OpStats] = None) -> Rel:
@@ -303,53 +338,78 @@ def subst_rel(a: Rel, b: Rel, stats: Optional[OpStats] = None) -> Rel:
     when ``b`` is non-empty the pair is instantiated at those alone; when
     ``b`` is empty and the universe declares a variable, no substitution
     is b-related to any other and a[b] is empty.  A variable's images are
-    the pairs of ``b`` that fit the depths its occurrences leave; each
-    pair of bounds gets its pool, split into left and right sides, once
-    per call.  A pair of ``a`` is instantiated column-wise: the product of
-    its variables' pools, transposed (``_columns``), gives each variable
-    one column of left images and one of right images, and t and s are
-    instantiated from those columns node by node (``_instantiate``)."""
+    the pairs of ``b`` that fit the depths its occurrences leave.
+
+    Everything a pair needs besides its two terms depends only on its
+    *layout*: its variables, each with its deepest occurrence in t and in
+    s (``_profile``, memoised bottom-up for the call).  The pairs of ``a``
+    are grouped by layout, and each layout gets its pools, split into left
+    and right sides, its drop note and its two column memos once
+    (``_columns``): the product of the pools, transposed, gives each
+    variable one column of left images and one of right images.  Every
+    proper subterm of the layout's pairs is then instantiated once per
+    memo (``_instances``), a ground one not at all, and each pair's own
+    two terms are built from those columns straight into the result.
+    With diagonal pools both sides share one memo, and a pair (t, t)
+    builds one column for both.  A layout's memos are let go when the
+    next layout's are seeded."""
     u = a.carrier
     if not b.pairs and u.variables:
         return Rel.bottom(u)
-    bpairs = list(b.pairs)
+    nb = len(b.pairs)
     explicit = u.explicit
+    occ: Dict[Term, Profile] = {}
+    shared: Dict[Profile, Profile] = {}
+    # each pair of profiles leads to the group of its layout
+    groups: Dict[Layout, List[TPair]] = {}
+    by_profiles: Dict[Tuple[Profile, Profile], List[TPair]] = {}
+    for pair in a.pairs:
+        key = (_profile(pair[0], occ, shared), _profile(pair[1], occ, shared))
+        group = by_profiles.get(key)
+        if group is None:
+            group = by_profiles[key] = groups.setdefault(_layout(*key), [])
+        group.append(pair)
     by_bound: Dict[Tuple[int, int], Tuple[Tuple[Term, ...], ...]] = {}
     out: Set[TPair] = set()
-    for t0, s0 in a.pairs:
-        occ_t = _var_occurrence_depths(t0)
-        occ_s = occ_t if s0 is t0 else _var_occurrence_depths(s0)
-        vs = sorted(set(occ_t) | set(occ_s))
-        if not vs:
-            out.add((t0, s0))
+    for layout, group in groups.items():
+        if not layout:
+            out.update(group)
             continue
         lpools: List[Tuple[Term, ...]] = []
         rpools: List[Tuple[Term, ...]] = []
-        for v in vs:
+        for _, dt, ds in layout:
             # images must keep the instantiated terms inside the universe
-            lb = u.depth - occ_t.get(v, 0)
-            rb = u.depth - occ_s.get(v, 0)
-            pool = by_bound.get((lb, rb))
+            bound = (u.depth - dt, u.depth - ds)
+            pool = by_bound.get(bound)
             if pool is None:
-                pool = by_bound[lb, rb] = _sides(
-                    [(l, r) for l, r in bpairs if l.depth <= lb and r.depth <= rb])
+                lb, rb = bound
+                pool = _sides([(l, r) for l, r in b.pairs
+                               if l.depth <= lb and r.depth <= rb])
+                if pool[0] == pool[1]:
+                    pool = (pool[0], pool[0])
+                by_bound[bound] = pool
             lpools.append(pool[0])
             rpools.append(pool[1])
-        kept = prod(map(len, lpools))
+        n = prod(map(len, lpools))
         if stats is not None:
-            stats.note(len(bpairs) ** len(vs) - kept)
-        if kept == 0:
+            stats.note((nb ** len(layout) - n) * len(group))
+        if n == 0:
             continue
-        ts = _instantiate(t0, _columns(vs, lpools), kept)
-        ss = _instantiate(s0, _columns(vs, rpools), kept)
-        if explicit is None:
-            out.update(zip(ts, ss))
-            continue
-        for t, s in zip(ts, ss):
-            if t in explicit and s in explicit:
-                out.add((t, s))
-            elif stats is not None:
-                stats.note()
+        lmemo, rmemo = _columns([v for v, _, _ in layout], lpools, rpools)
+        for t0, s0 in group:
+            if t0 is s0 and lmemo is rmemo:
+                ts = ss = tuple(_instances(t0, occ, lmemo, n, False))
+            else:
+                ts = _instances(t0, occ, lmemo, n, False)
+                ss = _instances(s0, occ, rmemo, n, False)
+            if explicit is None:
+                out.update(zip(ts, ss))
+            else:
+                for t, s in zip(ts, ss):
+                    if t in explicit and s in explicit:
+                        out.add((t, s))
+                    elif stats is not None:
+                        stats.note()
     return Rel(u, frozenset(out))
 
 

@@ -70,18 +70,12 @@ def lossy_subst(monkeypatch):
 @pytest.fixture
 def left_images_subst(monkeypatch):
     """A relational substitution that instantiates both sides of each pair
-    from the left images: ``subst_rel`` transposes the left pools and then
-    the right pools of a pair, and the second transpose is handed the
-    first's columns."""
-    columns, left = tr._columns, []
-
-    def left_twice(vs, pools):
-        if left:
-            return left.pop()
-        left.append(columns(vs, pools))
-        return left[0]
-
-    monkeypatch.setattr(tr, "_columns", left_twice)
+    from the left images: ``subst_rel`` seeds each layout's left and right
+    instance memos with ``_columns(vs, lpools, rpools)``, and the patch
+    hands it the left pools for both sides."""
+    columns = tr._columns
+    monkeypatch.setattr(tr, "_columns", lambda vs, lpools, rpools:
+                        columns(vs, lpools, lpools))
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import inspect
 import pathlib
 import random
 import re
+import weakref
 from itertools import count, product
 
 import pytest
@@ -157,6 +158,58 @@ def test_parse_inverts_format(t):
 def test_parse_errors(bad):
     with pytest.raises(TermError):
         parse_term(bad, SIG, VARS)
+
+
+PARSE_ERRORS = [
+    ("A(0)", "operator 'A' expects 2 arguments, got 1"),
+    ("A(0,0,0)", "operator 'A' expects 2 arguments, got 3"),
+    ("B(0,0)", "unknown operator 'B'"),
+    ("x(0)", "unknown operator 'x'"),
+    ("S()", "operator 'S' expects 1 arguments, got 0"),
+    ("S", "operator 'S' needs arguments"),
+    ("z", "unknown name 'z' (not an operator or declared variable)"),
+    ("", "expected a name at position 0 in ''"),
+    ("(0)", "expected a name at position 0 in '(0)'"),
+    ("A(0,", "expected a name at position 4 in 'A(0,'"),
+    ("A(,0)", "expected a name at position 2 in 'A(,0)'"),
+    ("S(#)", "expected a name at position 2 in 'S(#)'"),
+    ("A(0 0)", "expected ',' or ')' at position 4 in 'A(0 0)'"),
+    ("A(0,0", "expected ',' or ')' at position 5 in 'A(0,0'"),
+    ("A(0,0) junk", "trailing input at position 7 in 'A(0,0) junk'"),
+    ("  S( 0 ) ) ", "trailing input at position 7 in 'S( 0 ) )'"),
+    ("M(x,y)z", "trailing input at position 6 in 'M(x,y)z'"),
+    ("S(" * 201 + "0" + ")" * 201, "term nested deeper than 200 at position 402"),
+    ("S(" * 250 + "0", "term nested deeper than 200 at position 402"),
+]
+
+
+@pytest.mark.parametrize("bad,message", PARSE_ERRORS)
+def test_parse_error_messages(bad, message):
+    """Each parse error names what went wrong and, where it has one, the
+    position in the stripped text."""
+    with pytest.raises(TermError) as err:
+        parse_term(bad, SIG, VARS)
+    assert str(err.value) == message
+
+
+def test_parse_leaves_no_cycle():
+    """Parses, failing ones included, leave nothing for the cyclic
+    collector; the parser's functions are module-level, so no call makes
+    closures that refer to each other."""
+    text = " A ( S(0) , M(x, y) ) "
+    assert parse_term(text, SIG, VARS) is parse_term(
+        "A(S(0),M(x,y))", SIG, VARS)
+    deep = "S(" * MAX_TERM_DEPTH + "x" + ")" * MAX_TERM_DEPTH
+
+    def parses():
+        for _ in range(100):
+            parse_term(text, SIG, VARS)
+            parse_term(deep, SIG, VARS)
+            for bad, _message in PARSE_ERRORS:
+                with pytest.raises(TermError):
+                    parse_term(bad, SIG, VARS)
+
+    assert _cyclic_garbage(parses) == 0
 
 
 def test_well_formed():
@@ -685,3 +738,27 @@ def test_collector_off_inside_paused_scopes(arith, monkeypatch):
                       laws.SampleConfig(samples=3))
     assert len(seen) > 3 and not any(seen)
     assert gc.isenabled()
+
+
+def test_paused_calls_leave_caller_garbage_collectable(arith):
+    """Cyclic garbage a caller makes between ``reduction_graph`` calls is
+    collected by the young generations as usual.  A paused scope that
+    moved every object to the oldest generation on its way out (as
+    ``gc.freeze(); gc.unfreeze()`` would) keeps nearly all of it until a
+    full collection."""
+
+    class Cycle:
+        pass
+
+    seeds = an.seed_terms(arith, 1)[:5]
+    rw.reduction_graph(arith, seeds)
+    assert gc.isenabled()
+    gc.collect()
+    refs = []
+    for _ in range(2000):
+        c = Cycle()
+        c.me = c
+        refs.append(weakref.ref(c))
+        del c
+        rw.reduction_graph(arith, seeds)
+    assert sum(r() is not None for r in refs) < 1000

@@ -1,6 +1,7 @@
 """Differential operators on term relations, cross-validated against the
 inductive steppers of the rewrite module and against each other."""
 
+import gc
 import os
 import random
 from itertools import product
@@ -405,6 +406,131 @@ def test_subst_matches_brute_force():
             dropped[u] = dropped.get(u, 0) + want_dropped
     assert dropped[U2] and dropped[sparse]
     assert not want and want_dropped == 1  # the tiny case
+
+
+def ref_layout(t, s):
+    """The variables of (t, s), each with its deepest occurrence in t and
+    in s (0 where it does not occur), by a walk of each term."""
+    def depths(term):
+        out, todo = {}, [(term, 0)]
+        while todo:
+            x, k = todo.pop()
+            if x.is_var:
+                out[x.name] = max(out.get(x.name, 0), k)
+            todo.extend((y, k + 1) for y in x.args)
+        return out
+
+    dt, ds = depths(t), depths(s)
+    return tuple((v, dt.get(v, 0), ds.get(v, 0))
+                 for v in sorted(dt.keys() | ds.keys()))
+
+
+def test_subst_layouts_match_brute_force():
+    """The per-layout instantiation gives the pairs and the drop count of
+    the brute-force enumeration on Delta(U2)[b] for random ``b``, on a
+    diagonal ``b`` (both sides share one memo), on pairs whose sides have
+    different variables, on ground subterms beside variables and on many
+    pairs that share one layout, over depth and explicit universes."""
+    rng = random.Random(33)
+    S0, SX, SY = app("S", ZERO), app("S", X), app("S", Y)
+    diagonal = rel(U2, (X, X), (ZERO, ZERO), (S0, S0), (SY, SY),
+                   (app("A", X, Y), app("A", X, Y)))
+    # x at depth 1 on both sides, y nowhere: one layout for all 36 pairs
+    one_layout = [app("S", X), app("A", X, ZERO), app("A", ZERO, X),
+                  app("M", X, X), app("M", X, S0), app("A", S0, X)]
+    samples = [(delta(U2), random_rel(U2, rng.choice((0, 1, 2)), 3, rng))
+               for _ in range(3)]
+    samples += [(delta(U2), diagonal),
+                (random_rel(U2, 2, 12, rng) | delta(U1), diagonal),
+                (rel(U2, *product(one_layout, one_layout)),
+                 random_rel(U2, 1, 4, rng)),
+                (rel(U2, (app("A", X, ZERO), SY), (X, app("M", Y, Y)),
+                     (ZERO, SX), (SX, ZERO), (app("M", S0, X), app("A", Y, S0)),
+                     (app("A", S0, X), app("M", SY, X))),
+                 random_rel(U2, 1, 4, rng) | diagonal)]
+    assert len({ref_layout(t, s) for t, s in samples[5][0].pairs}) == 1
+    assert all(t in U2 and s in U2 for a, _ in samples for t, s in a.pairs)
+    sparse = Universe.from_terms(SIG, VARS, rng.sample(U2.terms(), 12)
+                                 + [app("A", S0, X), app("S", S0)])
+    cases = [(a, b, (U2, U2_EXPLICIT)) for a, b in samples]
+    cases += [(delta(sparse), delta(sparse), (sparse,)),
+              (delta(sparse), random_rel(sparse, 1, 3, rng), (sparse,))]
+    dropped = {}
+    for k, (a, b, us) in enumerate(cases):
+        want, want_dropped = ref_subst(a, b)
+        for u in us:
+            st = OpStats()
+            got = subst_rel(Rel(u, a.pairs), Rel(u, b.pairs), st)
+            key = (u.explicit is None, k)
+            assert got.pairs == want, key
+            assert st.dropped == want_dropped, key
+            dropped[u] = dropped.get(u, 0) + want_dropped
+    assert dropped[U2] and dropped[U2_EXPLICIT] and dropped[sparse]
+
+
+def test_subst_builds_once_per_layout(monkeypatch):
+    """One call transposes the pools once per layout of ``a``, and builds
+    each proper subterm that holds a variable and an operator once per
+    layout and side, a ground subterm never; a pair's own two terms are
+    built once each, and a pair (t, t) over a diagonal ``b``, whose sides
+    share one build, once."""
+    calls, built = [], []
+    columns, make_all = tr._columns, tr.make_all
+    monkeypatch.setattr(tr, "_columns", lambda *args: calls.append(args[0])
+                        or columns(*args))
+    monkeypatch.setattr(tr, "make_all", lambda name, args: built.append(name)
+                        or make_all(name, args))
+    rng = random.Random(34)
+    terms = rng.sample([t for t in U2.terms() if free_vars(t)], 20) + [ZERO]
+    # every pool holds a pair of depth-0 terms, and one that is not
+    # diagonal where the pools are meant not to be
+    skew = random_rel(U2, 1, 5, rng) | rel(U2, (X, ZERO), (ZERO, Y))
+
+    def open_compound(t):
+        return bool(t.args) and bool(free_vars(t))
+
+    def proper(t):
+        out, todo = set(), list(t.args)
+        while todo:
+            x = todo.pop()
+            if open_compound(x):
+                out.add(x)
+                todo.extend(x.args)
+        return out
+
+    for a, b in [(rel(U2, *[(t, t) for t in terms]), delta(U2)),
+                 (rel(U2, *product(terms, terms)), skew)]:
+        calls.clear(), built.clear()
+        subst_rel(a, b)
+        shared = b is not skew
+        lefts, rights, tops = {}, {}, 0
+        for t, s in a.pairs:
+            layout = ref_layout(t, s)
+            if layout:
+                lefts.setdefault(layout, set()).update(proper(t))
+                rights.setdefault(layout, set()).update(proper(s))
+                tops += open_compound(t) + (open_compound(s) and not shared)
+        assert len(calls) == len(lefts)
+        if shared:
+            want = sum(len(lefts[k] | rights[k]) for k in lefts)
+        else:
+            want = sum(len(lefts[k]) + len(rights[k]) for k in lefts)
+        assert len(built) == want + tops
+
+
+def test_subst_leaves_no_cycle():
+    """Delta[Delta] over U2 with the collector off leaves nothing for a
+    cyclic collection: the per-call memos hold terms and tuples only."""
+    d = delta(U2)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(subst_rel(d, d).pairs) == 1179
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
